@@ -58,7 +58,6 @@ from motcalc.radical import (
     REDUCTIVE_SYMBOL,
     RadicalReport,
     derived_torus_Z1,
-    extract_b,
     radical_cartier_dual,
     smallest_B,
     torus_Z,
@@ -96,7 +95,6 @@ __all__ = [
     "derived_torus_Z1",
     "dual",
     "dual_document",
-    "extract_b",
     "gr",
     "gr_summary",
     "link_duals",

@@ -541,9 +541,6 @@ class IntLattice:
     def __repr__(self) -> str:
         return f"IntLattice(rank {self.rank} in Z^{self.ambient_rank}: {list(self.generators)})"
 
-    def q_span(self) -> Subspace:
-        return Subspace(self.ambient_rank, [list(g) for g in self.generators])
-
 
 def smith_normal_form(m: list) -> tuple:
     """Smith normal form of an integer matrix given as a row list.

@@ -4,8 +4,7 @@ A Galois action on a character or cocharacter lattice always factors
 through a finite quotient, so it is entered here as a tuple of integer
 generator matrices with determinant +-1.  The operations are the ones
 the motive calculus needs: tensor products (Kronecker, row-major basis
-order), duals (inverse transpose), stable closures of subspaces, and
-equivariance checks for maps between lattices.
+order), duals (inverse transpose) and stable closures of subspaces.
 """
 
 from __future__ import annotations
@@ -161,11 +160,3 @@ def stable_closure(l: GaloisLattice, s: Subspace) -> Subspace:
             return current
         current = nxt
 
-
-def check_equivariance(f: RatMatrix, source: GaloisLattice, target: GaloisLattice) -> bool:
-    """True iff f∘g_source = g_target∘f for every generator g."""
-    if source.group != target.group:
-        raise ValueError("source and target must share an action group")
-    if f.rows != target.rank or f.cols != source.rank:
-        raise ValueError("map shape does not match lattices")
-    return all(f * gs == gt * f for gs, gt in zip(source.action, target.action))

@@ -13,8 +13,7 @@ bracket is its antisymmetrization.  Both are stored as
 :class:`~motcalc.pairings.TorusPairingClass` tables with target component
 (i, j) flattened to i*s + j.
 
-E acts on the graded pieces through three labeled maps (and dually on the
-pieces of the Cartier dual through their mirrors):
+E acts on the graded pieces through three labeled maps:
 
 * alpha1: (X^v tensor A) x X -> A, evaluation (e*_i tensor a, e_k) ->
   delta_ik a;
@@ -157,51 +156,8 @@ class ActionMaps:
         return out
 
 
-class DualActionMaps:
-    """The mirrored maps alpha2*, alpha1*, gamma* on the dual pieces.
-
-    alpha2* and gamma* are evaluations against Y^v; alpha1* is the Weil
-    symbol per copy of X^v.  Values in X^v(1) are formal sums keyed by
-    (X^v coordinate, scalar key).
-    """
-
-    def __init__(self, data):
-        self.data = data
-
-    def alpha2_star(self, x, q):
-        """(A* tensor Y) x Y^v -> A*: evaluation on the AY part."""
-        part, copy, point = x
-        if part == AY and copy == q:
-            return {point: Fraction(1)}
-        return {}
-
-    def alpha1_star(self, x, point_sum):
-        """(X^v tensor A) x A* -> X^v(1): Weil symbol per X^v copy."""
-        part, copy, point = x
-        out = {}
-        if part != XA:
-            return out
-        for name, coeff in point_sum.items():
-            key = _weil_key(self.data.variety, point, name)
-            _add_term(out, (copy, key), coeff)
-        return out
-
-    def gamma_star(self, z, q):
-        """(X^v tensor Y(1)) x Y^v -> X^v(1): evaluation."""
-        s = self.data.s
-        out = {}
-        for (l, key), coeff in z.items():
-            if l % s == q:
-                _add_term(out, (l // s, key), coeff)
-        return out
-
-
 def action_maps(data):
     return ActionMaps(data)
-
-
-def dual_action_maps(data):
-    return DualActionMaps(data)
 
 
 def bracket_value(data, x, y):

@@ -22,8 +22,7 @@ Sign conventions, fixed once and used everywhere:
   arguments of a biextension changes the classifying map by a sign;
 * antisymmetrize(c) = c + s*c, except that a class already fixed by s*
   is returned unchanged, making the operation idempotent (dividing by 2
-  is always permitted under the isogeny convention);
-* the wedge of two classes with the same spaces and target is their sum.
+  is always permitted under the isogeny convention).
 """
 
 from .errors import ValidationError
@@ -158,11 +157,6 @@ class TorusPairingClass:
         return RatMatrix.zero(self.left_space.blocks[p].dim,
                               self.right_space.blocks[q].dim)
 
-    def component_form(self, l):
-        """All nonzero block entries of one target component."""
-        return {(p, q): mat for (l2, p, q), mat in self.coefficients.items()
-                if l2 == l}
-
     def is_zero(self):
         return not self.coefficients
 
@@ -199,29 +193,6 @@ class TorusPairingClass:
             len(self.coefficients), self.target.rank)
 
 
-class SigmaTorsorClass:
-    """The quadratic class of a torsor over a Sigma-structure.
-
-    Produced only by :func:`diagonal_restrict`; carries the restricted
-    bilinear class unchanged, tagged as living on the diagonal.
-    """
-
-    __slots__ = ("base", "quadratic_class")
-
-    def __init__(self, base, quadratic_class):
-        self.base = base
-        self.quadratic_class = quadratic_class
-
-    def __eq__(self, other):
-        if not isinstance(other, SigmaTorsorClass):
-            return NotImplemented
-        return (self.base == other.base
-                and self.quadratic_class == other.quadratic_class)
-
-    def __repr__(self):
-        return "SigmaTorsorClass(base dim %d)" % (self.base.total_dim,)
-
-
 def swap_pullback(c):
     """The class of the argument-swapped biextension, s*c = -(c o swap)."""
     table = {}
@@ -242,32 +213,6 @@ def antisymmetrize(c):
     if swapped == c:
         return c
     return c + swapped
-
-
-def wedge(a, b):
-    """The wedge of two classes on the same spaces: the class sum."""
-    return a + b
-
-
-def diagonal_restrict(c):
-    """Restrict a class on S x S to the diagonal as a quadratic torsor class."""
-    if c.left_space != c.right_space:
-        raise ValidationError("diagonal restriction needs equal spaces")
-    return SigmaTorsorClass(c.left_space, c)
-
-
-def poincare_class(a):
-    """The canonical Weil pairing class A x A* -> Z(1), coefficient 1."""
-    if a is None:
-        raise ValidationError("poincare_class needs an abelian variety model")
-    if not a.has_dual:
-        raise ValidationError(
-            "model %r has no registered dual" % (a.name,))
-    left = BlockSpace([abelian_block(a, 1)])
-    right = BlockSpace([abelian_block(a.dual, 1)])
-    target = GaloisLattice(1)
-    return TorusPairingClass(
-        left, right, target, {(0, 0, 0): RatMatrix.identity(1)})
 
 
 def assemble_example_biext(x, y, a):
@@ -296,102 +241,3 @@ def assemble_example_biext(x, y, a):
             backward[j][i] = -1
             table[(l, 1, 0)] = RatMatrix.from_rows(backward)
     return TorusPairingClass(space, space, target, table)
-
-
-def _block_slices(space):
-    return [(space.offsets[k], space.offsets[k] + space.blocks[k].dim)
-            for k in range(len(space.blocks))]
-
-
-def _submatrix(m, row_range, col_range):
-    rows = []
-    for i in range(row_range[0], row_range[1]):
-        rows.append([m[i, j] for j in range(col_range[0], col_range[1])])
-    return RatMatrix(row_range[1] - row_range[0],
-                     col_range[1] - col_range[0], rows)
-
-
-def pullback(c, f_left, f_right, left_space=None, right_space=None):
-    """Substitute coordinates: the class (u, w) -> c(f_left u, f_right w).
-
-    ``f_left`` maps new left coordinates into the old left coordinate
-    space (old_total_dim x new_total_dim), and likewise on the right.  The
-    new block structures default to the old ones (so an endomorphism-shaped
-    substitution needs no extra data); pass ``left_space``/``right_space``
-    to restrict to smaller blocks.  Each new block must map into old
-    blocks of the same kind and variety.
-    """
-    new_left = left_space if left_space is not None else c.left_space
-    new_right = right_space if right_space is not None else c.right_space
-    if f_left.rows != c.left_space.total_dim or f_left.cols != new_left.total_dim:
-        raise ValidationError("left substitution matrix has the wrong shape")
-    if f_right.rows != c.right_space.total_dim or f_right.cols != new_right.total_dim:
-        raise ValidationError("right substitution matrix has the wrong shape")
-    _check_block_structure(f_left, c.left_space, new_left, "left")
-    _check_block_structure(f_right, c.right_space, new_right, "right")
-    old_left = _block_slices(c.left_space)
-    old_right = _block_slices(c.right_space)
-    nl = _block_slices(new_left)
-    nr = _block_slices(new_right)
-    table = {}
-    for (l, p, q), mat in c.coefficients.items():
-        for p2 in range(len(new_left.blocks)):
-            lm = _submatrix(f_left, old_left[p], nl[p2])
-            if lm.is_zero():
-                continue
-            for q2 in range(len(new_right.blocks)):
-                rm = _submatrix(f_right, old_right[q], nr[q2])
-                if rm.is_zero():
-                    continue
-                piece = lm.transpose() * mat * rm
-                key = (l, p2, q2)
-                total = table[key] + piece if key in table else piece
-                if total.is_zero():
-                    table.pop(key, None)
-                else:
-                    table[key] = total
-    return TorusPairingClass(new_left, new_right, c.target, table)
-
-
-def _check_block_structure(f, old_space, new_space, side):
-    """Each new block's columns may hit only matching old blocks."""
-    old = _block_slices(old_space)
-    new = _block_slices(new_space)
-    for k2, nb in enumerate(new_space.blocks):
-        for k, ob in enumerate(old_space.blocks):
-            if ob.kind == nb.kind and ob.variety is nb.variety:
-                continue
-            sub = _submatrix(f, old[k], new[k2])
-            if not sub.is_zero():
-                raise ValidationError(
-                    "%s substitution mixes incompatible blocks %r -> %r"
-                    % (side, nb, ob))
-
-
-def pushforward_character(c, proj, target=None):
-    """Push the target coordinates along a lattice projection.
-
-    ``proj`` has one row per new target component and one column per old
-    component; the new coefficient family is the proj-weighted combination
-    of the old one.  The new target lattice defaults to the trivial-action
-    lattice of the matching rank.
-    """
-    if proj.cols != c.target.rank:
-        raise ValidationError("projection matrix does not match target rank")
-    new_target = target if target is not None else GaloisLattice(proj.rows)
-    if new_target.rank != proj.rows:
-        raise ValidationError("projection matrix does not match new target rank")
-    table = {}
-    for (l, p, q), mat in c.coefficients.items():
-        for l2 in range(proj.rows):
-            w = proj[l2, l]
-            if not w:
-                continue
-            key = (l2, p, q)
-            piece = mat.scale(w)
-            total = table[key] + piece if key in table else piece
-            if total.is_zero():
-                table.pop(key, None)
-            else:
-                table[key] = total
-    return TorusPairingClass(c.left_space, c.right_space, new_target, table)

@@ -9,14 +9,18 @@ both pieces exactly from the declared data:
 * B is the smallest abelian subvariety of X^v tensor A + A* tensor Y
   (up to isogeny, over k) whose points contain b: per side, the
   annihilator of the relation module, followed by Galois stable closure;
-* Z1(1) is the smallest subtorus of (X^v tensor Y)(1) containing the
-  image of the Lie bracket restricted to B: the characters killing the
-  restricted bracket are computed exactly, and Z1 is the stable closure
-  of their annihilator;
-* Z(1) additionally contains the projection pi(b~) of the lifted point:
-  a character c of Z1-perp kills pi(b~) iff sum c_ij psi(e_i, f_j)
-  vanishes in the value group, and Z is the stable closure of Z1 plus
-  the annihilator of those characters.
+* Z1(1) is the smallest Galois-stable subtorus of (X^v tensor Y)(1)
+  containing the image of the Lie bracket restricted to B: the stable
+  closure of the span of the bracket rows R;
+* Z(1) is the smallest one that also contains the projection pi(b~) of
+  the lifted point: the stable closure of Z1 plus the row space of the
+  psi pairing.
+
+Both are spans because the dot-product pairing on Q^(r*s) is
+nondegenerate.  A character kills the bracket image iff it lies in
+ker R, and ann(ker R) = rowspace(R); a character kills pi(b~) as well
+iff it lies in ann(Z1) intersect ker psi, and ann(A intersect B) =
+ann A + ann B turns that into Z1 + rowspace(psi).
 
 The bracket image calculation treats the formal Weil values
 <B_t alpha, B_tau beta> of endomorphism translates as independent
@@ -40,16 +44,7 @@ from fractions import Fraction
 from .abelian import PointVector, SubvarietyData, relation_module, \
     annihilator_module
 from .errors import ValidationError
-from .exactlin import (
-    IntLattice,
-    RatMatrix,
-    Subspace,
-    annihilator,
-    kernel,
-    saturate,
-    space_intersect,
-    space_sum,
-)
+from .exactlin import IntLattice, RatMatrix, Subspace, saturate
 from .lattices import GaloisLattice, dual, stable_closure, tensor
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -63,17 +58,6 @@ def _flat_action(lattice, d):
         return lattice.action
     eye = RatMatrix.identity(d)
     return tuple(m.kron(eye) for m in lattice.action)
-
-
-def extract_b(m):
-    """The point b = (b1, b2) of E_-1(k) determined by (v, v*).
-
-    Returns the two point vectors (multiplicity r over A and s over A*),
-    or (None, None) when the motive has no abelian part.
-    """
-    if m.A is None:
-        return (None, None)
-    return (m.v, m.vstar)
 
 
 class BData:
@@ -125,13 +109,14 @@ def _em2_lattice(m):
 
 
 def derived_torus_Z1(m, b_data):
-    """Characters of the bracket image on B, annihilated and closed.
+    """Z1 = stable_closure(rowspace R): the bracket image on B, closed.
 
-    A character c (an r x s table flattened to i*s + j) kills the
-    restricted bracket iff sum_ij c_ij u_it w_jtau = 0 for every basis
+    R has one row (u_it w_jtau) at flat index i*s + j for every basis
     pair (u, w) of the two B modules and every pair (t, tau) of
-    endomorphism coordinates; Z1 is the stable closure of the
-    annihilator of all such characters.
+    endomorphism coordinates.  A character c (an r x s table) kills the
+    restricted bracket iff R c = 0, so the characters killing it are
+    ker R, and the smallest subspace they all kill is
+    ann(ker R) = rowspace(R).
     """
     r, s = m.r, m.s
     ambient = r * s
@@ -152,10 +137,7 @@ def derived_torus_Z1(m, b_data):
                         for j in range(s):
                             row[i * s + j] = ui * w[j * d_astar + tau]
                     rows.append(row)
-    if not rows:
-        return Subspace.zero(ambient)
-    k_space = kernel(RatMatrix.from_rows(rows))
-    return stable_closure(_em2_lattice(m), annihilator(k_space))
+    return stable_closure(_em2_lattice(m), Subspace(ambient, rows))
 
 
 def psi_matrix(m):
@@ -169,17 +151,16 @@ def psi_matrix(m):
 
 
 def torus_Z(m, b_data, z1):
-    """The smallest stable subspace containing Z1 and seeing pi(b~).
+    """Z = stable_closure(Z1 + rowspace psi): Z1 grown to see pi(b~).
 
-    R collects the characters of Z1-perp whose psi-evaluation vanishes;
-    Z is the stable closure of Z1 plus the annihilator of R.
+    The characters killing both the bracket image and pi(b~) are
+    ann(Z1) intersect ker psi, and the smallest subspace they all kill is
+    ann(ann(Z1) intersect ker psi) = Z1 + ann(ker psi) = Z1 + rowspace psi.
     """
     ambient = m.r * m.s
     if ambient == 0:
         return Subspace.zero(0)
-    z1_perp = annihilator(z1)
-    vanishing = space_intersect(z1_perp, kernel(psi_matrix(m)))
-    grown = space_sum(z1, annihilator(vanishing))
+    grown = Subspace(ambient, z1.basis_columns() + psi_matrix(m).row_list())
     return stable_closure(_em2_lattice(m), grown)
 
 
@@ -267,7 +248,6 @@ def unipotent_radical(m, reductive_dim=None):
     abelian part; without an abelian part the value is forced (1 if the
     torus part is nonzero, else 0) and the argument is ignored.
     """
-    b1, b2 = extract_b(m)
     b_data = smallest_B(m)
     z1 = derived_torus_Z1(m, b_data)
     z = torus_Z(m, b_data, z1)
@@ -278,7 +258,8 @@ def unipotent_radical(m, reductive_dim=None):
         reductive = int(reductive_dim)
     else:
         reductive = REDUCTIVE_SYMBOL
-    return RadicalReport(m, b1, b2, b_data, z1, z, extension, reductive)
+    return RadicalReport(m, m.v, m.vstar, b_data, z1, z, extension,
+                         reductive)
 
 
 def _integral_basis(space):

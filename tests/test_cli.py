@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -167,6 +169,31 @@ def test_entry_point_runs_as_module():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "dim Lie" in result.stdout
+
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "perfbench", "golden.json")
+
+
+def corpus_digests():
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)["corpus"]["any"]
+
+
+def test_golden_digests_cover_the_corpus():
+    names = {os.path.basename(p)[:-len(".json")]
+             for p in glob.glob(os.path.join(CORPUS_DIR, "*.json"))}
+    assert names == set(corpus_digests())
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_analyze_json_matches_recorded_digest(capsys, name):
+    """The JSON report is byte-identical to the one recorded in golden.json."""
+    code, out, _ = run_main(capsys, "analyze", corpus_path(name),
+                            "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == corpus_digests()[name[:-len(".json")]]
 
 
 def test_exit_code_constants_are_distinct():

@@ -9,7 +9,6 @@ from motcalc.lattices import (
     TRIVIAL_GROUP,
     ActionGroup,
     GaloisLattice,
-    check_equivariance,
     dual,
     stable_closure,
     tensor,
@@ -114,15 +113,6 @@ def test_stable_closure_idempotent_monotone():
         assert c.contains_space(s)
         bigger = stable_closure(lat, Subspace(3, vecs + [[1, 1, 1]]))
         assert bigger.contains_space(c)
-
-
-def test_check_equivariance_examples():
-    s = swap_lattice()
-    assert check_equivariance(RatMatrix.identity(2), s, s)
-    assert check_equivariance(RatMatrix.zero(1, 2), s, GaloisLattice(1, [RatMatrix.identity(1)], group=s.group))
-    proj = RatMatrix.from_rows([[1, 0]])
-    t = GaloisLattice(1, [RatMatrix.identity(1)], group=s.group)
-    assert not check_equivariance(proj, s, t)
 
 
 def test_trivial_group_is_shared_default():

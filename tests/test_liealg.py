@@ -13,7 +13,6 @@ from motcalc.liealg import (
     action_maps,
     bracket_value,
     build_E,
-    dual_action_maps,
     verify_lie_module,
 )
 from motcalc.motive import GradedPieces, OneMotive, cartier_dual, gr
@@ -102,21 +101,6 @@ def test_gamma_evaluation():
     z = {(2, 1): Fraction(1)}  # coordinate (i=1, j=0), rational key
     assert acts.gamma(z, 1) == {(0, 1): Fraction(1)}
     assert acts.gamma(z, 0) == {}
-
-
-def test_dual_maps_mirror():
-    a, _ = dual_pair()
-    duals = dual_action_maps(build_E(pieces(2, a, 2)))
-    assert duals.alpha2_star((AY, 1, "Q"), 1) == {"Q": Fraction(1)}
-    assert duals.alpha2_star((AY, 1, "Q"), 0) == {}
-    assert duals.alpha2_star((XA, 0, "P"), 0) == {}
-
-    out = duals.alpha1_star((XA, 1, "P"), {"B": Fraction(3)})
-    assert out == {(1, ("weil", "P", "B")): Fraction(3)}
-
-    z = {(1, 1): Fraction(1)}  # coordinate (i=0, j=1)
-    assert duals.gamma_star(z, 1) == {(0, 1): Fraction(1)}
-    assert duals.gamma_star(z, 0) == {}
 
 
 def test_bracket_value_orientation():

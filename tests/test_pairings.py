@@ -12,18 +12,12 @@ from motcalc.exactlin import RatMatrix
 from motcalc.lattices import GaloisLattice
 from motcalc.pairings import (
     BlockSpace,
-    SigmaTorsorClass,
     TorusPairingClass,
     abelian_block,
     antisymmetrize,
     assemble_example_biext,
-    diagonal_restrict,
-    poincare_class,
-    pullback,
-    pushforward_character,
     swap_pullback,
     torus_block,
-    wedge,
 )
 
 
@@ -37,6 +31,14 @@ def dual_pair(name="A"):
     b = AbelianVarietyModel(name + "*", 1, point_space_dim=2)
     link_duals(a, b)
     return a, b
+
+
+def weil_class(a):
+    """The Weil pairing class A x A* -> Z(1) with coefficient 1."""
+    left = BlockSpace([abelian_block(a, 1)])
+    right = BlockSpace([abelian_block(a.dual, 1)])
+    return TorusPairingClass(left, right, GaloisLattice(1),
+                             {(0, 0, 0): RatMatrix.identity(1)})
 
 
 def unit_matrix(rows, cols, i, j, value=1):
@@ -104,28 +106,11 @@ def test_entry_shape_checked():
                           {(0, 0, 0): RatMatrix.identity(3)})
 
 
-# -------------------------------------------------------- canonical classes
-
-def test_poincare_class():
-    a, astar = dual_pair()
-    p = poincare_class(a)
-    assert p.target.rank == 1
-    assert p.left_space.blocks[0].variety is a
-    assert p.right_space.blocks[0].variety is astar
-    assert p.entry(0, 0, 0) == RatMatrix.identity(1)
-
-
-def test_poincare_class_requires_dual():
-    lonely = AbelianVarietyModel("L", 1, point_space_dim=2)
-    with pytest.raises(ValidationError):
-        poincare_class(lonely)
-    with pytest.raises(ValidationError):
-        poincare_class(None)
-
+# -------------------------------------------------------------- swap pullback
 
 def test_swap_pullback_of_poincare_has_sign():
     a, _ = dual_pair()
-    p = poincare_class(a)
+    p = weil_class(a)
     sp = swap_pullback(p)
     assert sp.left_space == p.right_space
     assert sp.entry(0, 0, 0) == RatMatrix.identity(1).scale(-1)
@@ -237,131 +222,15 @@ def test_assemble_antisymmetrized_matches_direct_table():
         assert got == direct_bracket_table(x, y, a)
 
 
-# ------------------------------------------------------------- restriction
-
-def test_diagonal_restrict_zero():
-    left = BlockSpace([torus_block(2)])
-    zero = TorusPairingClass(left, left, GaloisLattice(1))
-    torsor = diagonal_restrict(zero)
-    assert torsor.quadratic_class.is_zero()
-    assert torsor.base == left
-
-
-def test_diagonal_restrict_poincare_product():
-    a, _ = dual_pair()
-    c = assemble_example_biext(1, 1, a)
-    torsor = diagonal_restrict(c)
-    assert torsor.quadratic_class == c
-
-
-def test_diagonal_restrict_requires_equal_spaces():
-    a, _ = dual_pair()
-    with pytest.raises(ValidationError):
-        diagonal_restrict(poincare_class(a))
-
+# ------------------------------------------------------------------ algebra
 
 def test_symmetrized_restriction_is_twice_the_class():
+    """The symmetrization c + s*c of a swap-fixed class is 2c."""
     a, _ = dual_pair()
     for x, y in ((1, 1), (2, 3)):
         c = assemble_example_biext(x, y, a)
-        doubled = diagonal_restrict(wedge(c, swap_pullback(c)))
-        assert doubled.quadratic_class == diagonal_restrict(c).quadratic_class.scale(2)
+        assert c + swap_pullback(c) == c.scale(2)
 
-
-# ---------------------------------------------------------------- pullback
-
-def test_pullback_identity():
-    a, _ = dual_pair()
-    c = assemble_example_biext(2, 3, a)
-    f = RatMatrix.identity(5)
-    assert pullback(c, f, f) == c
-
-
-def test_pullback_to_zero():
-    a, astar = dual_pair()
-    c = assemble_example_biext(2, 3, a)
-    empty = BlockSpace([abelian_block(a, 0), abelian_block(astar, 0)])
-    f = RatMatrix(5, 0, [[] for _ in range(5)])
-    result = pullback(c, f, f, left_space=empty, right_space=empty)
-    assert result.is_zero()
-
-
-def test_pullback_to_line():
-    a, astar = dual_pair()
-    c = antisymmetrize(assemble_example_biext(2, 1, a))
-    small = BlockSpace([abelian_block(a, 1), abelian_block(astar, 1)])
-    f = RatMatrix.from_rows([
-        [1, 0],
-        [2, 0],
-        [0, 1],
-    ])
-    result = pullback(c, f, f, left_space=small, right_space=small)
-    # component (i, 0) sees coefficient u_i of the line (1, 2)
-    assert result.entry(0, 0, 1) == RatMatrix.from_rows([[1]])
-    assert result.entry(1, 0, 1) == RatMatrix.from_rows([[2]])
-    assert result.entry(0, 1, 0) == RatMatrix.from_rows([[-1]])
-    assert result.entry(1, 1, 0) == RatMatrix.from_rows([[-2]])
-
-
-def test_pullback_additive_in_the_map():
-    left = BlockSpace([torus_block(2)])
-    form = RatMatrix.from_rows([[1, 2], [3, 4]])
-    c = TorusPairingClass(left, left, GaloisLattice(1), {(0, 0, 0): form})
-    f1 = RatMatrix.from_rows([[1, 0], [0, 0]])
-    f2 = RatMatrix.from_rows([[0, 0], [0, 1]])
-    g = RatMatrix.identity(2)
-    summed = pullback(c, f1 + f2, g)
-    assert summed == pullback(c, f1, g) + pullback(c, f2, g)
-
-
-def test_pullback_rejects_block_mixing():
-    a, astar = dual_pair()
-    c = assemble_example_biext(1, 1, a)
-    # a substitution sending the A-copy into the A*-copy crosses blocks
-    f = RatMatrix.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(ValidationError):
-        pullback(c, f, f)
-
-
-def test_pullback_shape_check():
-    a, _ = dual_pair()
-    c = assemble_example_biext(1, 1, a)
-    with pytest.raises(ValidationError):
-        pullback(c, RatMatrix.identity(3), RatMatrix.identity(2))
-
-
-# ------------------------------------------------------------- pushforward
-
-def test_pushforward_identity():
-    a, _ = dual_pair()
-    c = assemble_example_biext(2, 3, a)
-    assert pushforward_character(c, RatMatrix.identity(6)) == c
-
-
-def test_pushforward_to_zero_lattice():
-    a, _ = dual_pair()
-    c = assemble_example_biext(2, 3, a)
-    proj = RatMatrix(0, 6, [])
-    assert pushforward_character(c, proj).is_zero()
-
-
-def test_pushforward_combines_components():
-    a, _ = dual_pair()
-    c = assemble_example_biext(1, 2, a)
-    proj = RatMatrix.from_rows([[1, 1]])
-    result = pushforward_character(c, proj)
-    assert result.entry(0, 0, 1) == RatMatrix.from_rows([[1, 1]])
-    assert result.entry(0, 1, 0) == RatMatrix.from_rows([[-1], [-1]])
-
-
-def test_pushforward_shape_check():
-    a, _ = dual_pair()
-    c = assemble_example_biext(1, 1, a)
-    with pytest.raises(ValidationError):
-        pushforward_character(c, RatMatrix.identity(2))
-
-
-# ------------------------------------------------------------------ algebra
 
 def test_class_addition_and_scaling():
     left = BlockSpace([torus_block(1)])
@@ -376,4 +245,4 @@ def test_class_addition_requires_same_spaces():
     c = assemble_example_biext(1, 1, a)
     d = assemble_example_biext(1, 2, a)
     with pytest.raises(ValidationError):
-        wedge(c, d)
+        c + d

@@ -11,15 +11,30 @@ from motcalc.abelian import (
     SubvarietyData,
     link_duals,
 )
-from motcalc.exactlin import RatMatrix, Subspace
-from motcalc.lattices import ActionGroup, GaloisLattice, dual, tensor
+from motcalc.exactlin import (
+    RatMatrix,
+    Subspace,
+    annihilator,
+    kernel,
+    space_intersect,
+    space_sum,
+)
+from motcalc.lattices import (
+    ActionGroup,
+    GaloisLattice,
+    dual,
+    stable_closure,
+    tensor,
+)
 from motcalc.motive import OneMotive, cartier_dual
 from motcalc.multgroup import MultSpace
 from motcalc.radical import (
     REDUCTIVE_SYMBOL,
-    extract_b,
+    derived_torus_Z1,
+    psi_matrix,
     radical_cartier_dual,
     smallest_B,
+    torus_Z,
     unipotent_radical,
 )
 
@@ -87,14 +102,14 @@ def basis(space):
 
 
 def test_extract_b_without_abelian_part():
-    assert extract_b(gm3_motive()) == (None, None)
+    rep = unipotent_radical(gm3_motive())
+    assert (rep.b1, rep.b2) == (None, None)
 
 
 def test_extract_b_reads_the_frame_points():
-    m = ell_motive([[1], [2]])
-    b1, b2 = extract_b(m)
-    assert b1.coords == ((Fraction(1),), (Fraction(2),))
-    assert b2.multiplicity == 0
+    rep = unipotent_radical(ell_motive([[1], [2]]))
+    assert rep.b1.coords == ((Fraction(1),), (Fraction(2),))
+    assert rep.b2.multiplicity == 0
 
 
 def test_split_motive_vanishes():
@@ -361,6 +376,88 @@ def test_randomized_structure_properties():
         assert rep.dim_unipotent == rep.dim_B + rep.dim_Z
         dual_rep = unipotent_radical(cartier_dual(m))
         assert (rep.dim_B, rep.dim_Z) == (dual_rep.dim_B, dual_rep.dim_Z)
+
+
+def cyclic_shift(n):
+    """The permutation matrix sending e_i to e_(i+1 mod n)."""
+    return RatMatrix.from_rows([[1 if i == (j + 1) % n else 0
+                                 for j in range(n)] for i in range(n)])
+
+
+def random_oracle_motive(rng, n, cyclic, abelian):
+    """Rank n on both sides; C_n shifting X and Yv when ``cyclic``.
+
+    Under the shift, psi must be circulant and v, v* constant.
+    """
+    mu = rng.randrange(1, 3)
+    space = MultSpace(["g%d" % t for t in range(mu)])
+    if cyclic:
+        group = ActionGroup(1, relators=[(1,) * n])
+        x = GaloisLattice(n, action=[cyclic_shift(n)], group=group)
+        yv = GaloisLattice(n, action=[cyclic_shift(n)], group=group)
+        c = [[rng.randrange(-2, 3) for _ in range(mu)] for _ in range(n)]
+        psi = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+    else:
+        x, yv = GaloisLattice(n), GaloisLattice(n)
+        psi = [[[rng.randrange(-2, 3) for _ in range(mu)] for _ in range(n)]
+               for _ in range(n)]
+    kwargs = {}
+    if abelian:
+        k = rng.randrange(1, 3)
+        e, estar = elliptic_pair(n_a=k, n_astar=k)
+
+        def coords():
+            row = [rng.randrange(-2, 3) for _ in range(k)]
+            if cyclic:
+                return [row] * n
+            return [row] + [[rng.randrange(-2, 3) for _ in range(k)]
+                            for _ in range(n - 1)]
+
+        kwargs = dict(A=e, Astar=estar, v=PointVector(e, coords()),
+                      vstar=PointVector(estar, coords()))
+    return OneMotive(x, yv, psi=psi, mult_space=space, **kwargs)
+
+
+def kernel_route_Z1_and_Z(m, b_data):
+    """Z1 and Z through characters: kernel, annihilator, intersection.
+
+    The characters killing the restricted bracket are ker R (End = Q, so
+    one row per basis pair); Z1 is the closure of their annihilator.  The characters of Z1-perp on which psi
+    vanishes are intersected, and Z is the closure of Z1 plus their
+    annihilator.
+    """
+    r, s = m.r, m.s
+    em2 = tensor(dual(m.X), dual(m.Yv))
+    rows = []
+    if m.A is not None and b_data.dim:
+        for u in b_data.w_a.module.basis_columns():
+            for w in b_data.w_astar.module.basis_columns():
+                rows.append([u[i] * w[j] for i in range(r) for j in range(s)])
+    if rows:
+        z1 = stable_closure(
+            em2, annihilator(kernel(RatMatrix.from_rows(rows))))
+    else:
+        z1 = Subspace.zero(r * s)
+    vanishing = space_intersect(annihilator(z1), kernel(psi_matrix(m)))
+    z = stable_closure(em2, space_sum(z1, annihilator(vanishing)))
+    return z1, z
+
+
+def test_span_route_matches_kernel_route():
+    rng = random.Random(20261017)
+    seen = set()
+    for n in range(1, 5):
+        for cyclic in (False, True):
+            for abelian in (False, True):
+                for _ in range(2):
+                    m = random_oracle_motive(rng, n, cyclic, abelian)
+                    b_data = smallest_B(m)
+                    z1 = derived_torus_Z1(m, b_data)
+                    z = torus_Z(m, b_data, z1)
+                    assert (z1, z) == kernel_route_Z1_and_Z(m, b_data)
+                    seen.add((z1.dim > 0, z.dim > z1.dim))
+    # the draws reach a nonzero Z1 and a Z strictly larger than Z1
+    assert seen >= {(True, False), (False, True), (True, True)}
 
 
 def test_smallest_B_without_abelian_part():
