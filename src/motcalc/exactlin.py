@@ -4,7 +4,11 @@ Everything downstream runs on the three types defined here:
 
 * ``RatMatrix``: an immutable matrix of ``fractions.Fraction`` entries.
   All arithmetic is exact; no floating point exists anywhere in the
-  package.
+  package.  Products (``*`` and ``apply``) write each row of the left
+  operand and each column of the right one as integers over their
+  common denominator, take integer dot products, and divide once, so
+  they return the same exact ``Fraction``s with far fewer rational
+  operations.
 * ``Subspace``: a subspace of Q^n, canonicalized in reduced column
   echelon form so that equality is structural.
 * ``IntLattice``: a finitely generated subgroup of Z^n with a Hermite
@@ -23,7 +27,9 @@ errors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -36,6 +42,12 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _integer_row(vec: Sequence[Fraction]) -> tuple:
+    """(ints, d) with vec[k] == ints[k] / d and d the lcm of the denominators."""
+    d = math.lcm(*[x.denominator for x in vec])
+    return [x.numerator * (d // x.denominator) for x in vec], d
 
 
 class RatMatrix:
@@ -145,25 +157,22 @@ class RatMatrix:
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc += self._entries[i][k] * other._entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return RatMatrix(self.rows, other.cols, out)
+        left = [_integer_row(row) for row in self._entries]
+        right = [_integer_row(other.column(j)) for j in range(other.cols)]
+        return RatMatrix(
+            self.rows,
+            other.cols,
+            [[Fraction(sum(map(mul, a, b)), da * db) for b, db in right] for a, da in left],
+        )
 
     def apply(self, vec: Sequence) -> tuple:
         """Multiply by a column vector, returning a tuple of Fractions."""
-        v = [rat(x) for x in vec]
+        v, dv = _integer_row([rat(x) for x in vec])
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(
-            sum((self._entries[i][k] * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
+            Fraction(sum(map(mul, a, v)), da * dv)
+            for a, da in map(_integer_row, self._entries)
         )
 
     def transpose(self) -> "RatMatrix":
@@ -329,7 +338,12 @@ class Subspace:
         return self.basis.solve(v) is not None
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(col) for col in other.basis_columns())
+        """other ⊆ self: adding other's basis leaves the echelon basis as it is."""
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        if other.dim == 0:
+            return True
+        return Subspace(self.ambient_dim, self.basis_columns() + other.basis_columns()) == self
 
     def __eq__(self, other) -> bool:
         return (
@@ -549,15 +563,27 @@ def smith_normal_form(m: list) -> tuple:
         (U, D, V) with U, V unimodular integer row lists and
         U·m·V = D diagonal with the divisibility chain d1 | d2 | ...
     """
+    return _smith(m)[:3]
+
+
+def _smith(m: list) -> tuple:
+    """(U, D, V, U⁻¹) of :func:`smith_normal_form`, all integer row lists.
+
+    U⁻¹ is kept by undoing each row operation on U as a column operation,
+    so it needs no rational inverse.
+    """
     a = [list(r) for r in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    u_inv = [row[:] for row in u]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
-    def row_op(i, j, q):  # row i -= q * row j
+    def row_op(i, j, q):  # row i -= q * row j; col j of U⁻¹ += q * col i
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] += q * row[i]
 
     def col_op(i, j, q):  # col i -= q * col j
         for r in range(nrows):
@@ -568,6 +594,8 @@ def smith_normal_form(m: list) -> tuple:
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for r in range(nrows):
@@ -616,24 +644,21 @@ def smith_normal_form(m: list) -> tuple:
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
                 u[t] = [-x for x in u[t]]
+                for row in u_inv:
+                    row[t] = -row[t]
             t += 1
-    return u, a, v
+    return u, a, v, u_inv
 
 
 def saturate(l: IntLattice) -> IntLattice:
-    """The saturation (Q-span of l) ∩ Z^n, via Smith normal form."""
+    """The saturation (Q-span of l) ∩ Z^n, via Smith normal form.
+
+    With the generators as the columns of M and U·M·V = D, the first
+    rank(D) columns of U⁻¹ are a basis of the saturation.
+    """
     if l.rank == 0:
         return l
-    # Work with generators as columns: M = cols, U·M·V = D.
     m = [[g[i] for g in l.generators] for i in range(l.ambient_rank)]
-    u, d, _ = smith_normal_form(m)
-    r = sum(1 for t in range(min(len(d), len(d[0]) if d else 0)) if d[t][t] != 0)
-    u_mat = RatMatrix.from_rows(u)
-    u_inv = u_mat.inverse()
-    cols = []
-    for t in range(r):
-        col = u_inv.column(t)
-        if any(x.denominator != 1 for x in col):
-            raise AssertionError("unimodular inverse must be integral")
-        cols.append([int(x) for x in col])
-    return IntLattice(l.ambient_rank, cols)
+    _, d, _, u_inv = _smith(m)
+    r = sum(1 for t in range(min(len(d), len(d[0]))) if d[t][t] != 0)
+    return IntLattice(l.ambient_rank, [[row[t] for row in u_inv] for t in range(r)])

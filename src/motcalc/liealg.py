@@ -31,7 +31,6 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactlin import RatMatrix
-from .lattices import GaloisLattice, tensor, dual
 from .pairings import (
     BlockSpace,
     TorusPairingClass,
@@ -79,7 +78,7 @@ def build_E(g):
     r = g.gr0.rank
     s = g.grm2.rank
     a = g.grm1
-    em2 = tensor(dual(g.gr0), g.grm2)
+    em2 = g.em2
     if a is None:
         space = BlockSpace(())
         zero = TorusPairingClass(space, space, em2)

@@ -28,7 +28,7 @@ psi; it is an involution.
 from .abelian import AbelianVarietyModel, PointVector
 from .errors import ValidationError
 from .exactlin import RatMatrix, rat
-from .lattices import GaloisLattice, dual
+from .lattices import GaloisLattice, dual, tensor
 from .multgroup import MultSpace
 
 
@@ -44,6 +44,10 @@ class OneMotive:
         self.X = X
         self.Yv = Yv
         self.name = name
+        # Filled by ``graded`` on first use.  A plain memo, not
+        # functools.cached_property: on Python 3.11 that takes a lock on
+        # each first access, a measurable cost on small motives.
+        self._graded = None
 
         if (A is None) != (Astar is None):
             raise ValidationError("A and Astar must be given together or not at all")
@@ -134,6 +138,17 @@ class OneMotive:
     def g(self):
         return self.A.g if self.A is not None else 0
 
+    @property
+    def graded(self):
+        """The graded pieces (X, A, Y(1)), built on first use and kept.
+
+        Every stage that needs Y, X^v or X^v tensor Y reads them from
+        here, so each lattice is built and validated once per motive.
+        """
+        if self._graded is None:
+            self._graded = GradedPieces(self.X, self.A, dual(self.Yv))
+        return self._graded
+
     def psi_component(self, m):
         """The r x s rational matrix of the m-th value-group coordinate."""
         return RatMatrix(
@@ -187,12 +202,30 @@ class WeightFiltration:
 
 
 class GradedPieces:
-    """The split weight-graded object X + A + Y(1) of a 1-motive."""
+    """The split weight-graded object X + A + Y(1) of a 1-motive.
+
+    ``Xv`` (the dual of X) and ``em2`` (X^v tensor Y, rank r*s) are built
+    on first use and kept.
+    """
 
     def __init__(self, gr0, grm1, grm2):
         self.gr0 = gr0
         self.grm1 = grm1
         self.grm2 = grm2
+        self._xv = None
+        self._em2 = None
+
+    @property
+    def Xv(self):
+        if self._xv is None:
+            self._xv = dual(self.gr0)
+        return self._xv
+
+    @property
+    def em2(self):
+        if self._em2 is None:
+            self._em2 = tensor(self.Xv, self.grm2)
+        return self._em2
 
     def __repr__(self):
         return "GradedPieces(rank X=%d, dim A=%d, rank Y=%d)" % (
@@ -215,8 +248,11 @@ def weight_filtration(m):
 
 
 def gr(m):
-    """Graded pieces (X, A, Y(1)); Y is the dual lattice of Yv."""
-    return GradedPieces(m.X, m.A, dual(m.Yv))
+    """Graded pieces (X, A, Y(1)); Y is the dual lattice of Yv.
+
+    The same object on every call for one motive (``m.graded``).
+    """
+    return m.graded
 
 
 def cartier_dual(m):

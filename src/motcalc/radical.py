@@ -45,8 +45,8 @@ from .abelian import PointVector, SubvarietyData, relation_module, \
     annihilator_module
 from .errors import ValidationError
 from .exactlin import IntLattice, RatMatrix, Subspace, saturate
-from .lattices import GaloisLattice, dual, stable_closure, tensor
-from .motive import OneMotive
+from .lattices import GaloisLattice, stable_closure
+from .motive import OneMotive, gr
 from .multgroup import MultSpace
 
 REDUCTIVE_SYMBOL = "dim Lie G_mot(A)"
@@ -73,21 +73,20 @@ class BData:
         return "BData(dim=%d)" % (self.dim,)
 
 
-def _closed_side(points, index_lattice):
+def _closed_side(points, copies):
     """Smallest subvariety data through a point vector, Galois-closed.
 
-    ``index_lattice`` is the lattice whose dual indexes the copies (X for
-    the A side, Yv for the A* side); the induced action on the flattened
-    module is the dual action tensored with the identity of the
-    endomorphism algebra.
+    ``copies`` is the lattice indexing the copies (X^v for the A side, Y
+    for the A* side); the induced action on the flattened module is its
+    action tensored with the identity of the endomorphism algebra.
     """
     variety = points.variety
     d = variety.end_algebra.dimension
     module = annihilator_module(variety, points.multiplicity,
                                 relation_module(points))
-    action = _flat_action(dual(index_lattice), d)
+    action = _flat_action(copies, d)
     flat = GaloisLattice(points.multiplicity * d, action=action,
-                         group=index_lattice.group)
+                         group=copies.group)
     closed = stable_closure(flat, module)
     if closed.dim % d != 0:
         raise ValidationError(
@@ -100,12 +99,9 @@ def smallest_B(m):
     """The smallest Galois-stable abelian subvariety through b."""
     if m.A is None:
         return BData(None, None)
-    return BData(_closed_side(m.v, m.X), _closed_side(m.vstar, m.Yv))
-
-
-def _em2_lattice(m):
-    """X^v tensor Y with its Galois action (rank r*s)."""
-    return tensor(dual(m.X), dual(m.Yv))
+    pieces = gr(m)
+    return BData(_closed_side(m.v, pieces.Xv),
+                 _closed_side(m.vstar, pieces.grm2))
 
 
 def derived_torus_Z1(m, b_data):
@@ -137,7 +133,7 @@ def derived_torus_Z1(m, b_data):
                         for j in range(s):
                             row[i * s + j] = ui * w[j * d_astar + tau]
                     rows.append(row)
-    return stable_closure(_em2_lattice(m), Subspace(ambient, rows))
+    return stable_closure(gr(m).em2, Subspace(ambient, rows))
 
 
 def psi_matrix(m):
@@ -161,7 +157,7 @@ def torus_Z(m, b_data, z1):
     if ambient == 0:
         return Subspace.zero(0)
     grown = Subspace(ambient, z1.basis_columns() + psi_matrix(m).row_list())
-    return stable_closure(_em2_lattice(m), grown)
+    return stable_closure(gr(m).em2, grown)
 
 
 class ExtensionHom:
@@ -320,7 +316,7 @@ def radical_cartier_dual(report):
     """
     m = report.motive
     chars = _integral_basis(report.z)
-    em2 = _em2_lattice(m)
+    em2 = gr(m).em2
     rank = len(chars)
     if rank:
         basis_mat = RatMatrix.from_columns([list(c) for c in chars],

@@ -19,6 +19,7 @@ from motcalc.cli import (
 from motcalc.document import parse_input
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "motives")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 CORPUS_FILES = [
     "sec39_gm3.json",
@@ -163,10 +164,13 @@ def test_unsupported_model_exits_4(capsys, tmp_path):
 
 
 def test_entry_point_runs_as_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "motcalc.cli", "analyze",
          corpus_path("sec39_gm3.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "dim Lie" in result.stdout
 

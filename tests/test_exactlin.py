@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motcalc.exactlin import (
     IntLattice,
     QuotientSpace,
     RatMatrix,
     Subspace,
+    _smith,
     annihilator,
     kernel,
     rat,
@@ -263,3 +266,111 @@ def test_quotient_space_projection_is_linear():
     summed = tuple(a + b for a, b in zip(u, v))
     assert q.project(summed) == tuple(
         a + b for a, b in zip(q.project(u), q.project(v)))
+
+
+def test_smith_tracks_the_exact_inverse_of_u():
+    rng = random.Random(37)
+    for _ in range(25):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        u, d, v, u_inv = _smith(m)
+        assert (u, d, v) == smith_normal_form(m)
+        assert RatMatrix.from_rows(u_inv) == RatMatrix.from_rows(u).inverse()
+
+
+# ----- property tests against sympy ---------------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for row in m.row_list() for x in row])
+
+
+@st.composite
+def rat_matrices(draw, rows, cols):
+    return RatMatrix(rows, cols, [[draw(small_rationals) for _ in range(cols)]
+                                  for _ in range(rows)])
+
+
+@st.composite
+def product_operands(draw):
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(rat_matrices(rows, inner)), draw(rat_matrices(inner, cols))
+
+
+def assert_matches_sympy(got, want):
+    assert (got.rows, got.cols) == want.shape
+    assert all(isinstance(x, Fraction) for row in got.row_list() for x in row)
+    assert to_sympy(got) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands())
+def test_product_against_sympy(operands):
+    a, b = operands
+    assert_matches_sympy(a * b, to_sympy(a) * to_sympy(b))
+
+
+@st.composite
+def apply_operands(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return draw(rat_matrices(rows, cols)), draw(st.lists(small_rationals, min_size=cols,
+                                                         max_size=cols))
+
+
+def assert_apply_matches_sympy(m, vec):
+    got = m.apply(vec)
+    assert all(isinstance(x, Fraction) for x in got)
+    want = to_sympy(m) * sympy.Matrix(len(vec), 1, [sympy.Rational(x) for x in vec])
+    assert [sympy.Rational(x) for x in got] == list(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(apply_operands())
+def test_apply_against_sympy(operands):
+    assert_apply_matches_sympy(*operands)
+
+
+@pytest.mark.parametrize("rows, inner, cols", [
+    (0, 0, 0), (0, 3, 0), (0, 0, 3), (3, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0),
+])
+def test_product_and_apply_on_empty_shapes(rows, inner, cols):
+    rng = random.Random(rows * 100 + inner * 10 + cols)
+
+    def rand_matrix(r, c):
+        return RatMatrix(r, c, [[Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                 for _ in range(c)] for _ in range(r)])
+
+    a, b = rand_matrix(rows, inner), rand_matrix(inner, cols)
+    assert_matches_sympy(a * b, to_sympy(a) * to_sympy(b))
+    assert_apply_matches_sympy(a, [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                   for _ in range(inner)])
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces of Q^n; the second often spanned inside the first."""
+    n = draw(st.integers(0, 5))
+    vectors = st.lists(st.lists(small_rationals, min_size=n, max_size=n), max_size=4)
+    a = draw(vectors)
+    if a and draw(st.booleans()):
+        coeffs = draw(st.lists(st.lists(small_rationals, min_size=len(a), max_size=len(a)),
+                               max_size=4))
+        b = [[sum(c * v[i] for c, v in zip(row, a)) for i in range(n)] for row in coeffs]
+        if draw(st.booleans()):
+            b += draw(vectors)
+    else:
+        b = draw(vectors)
+    return Subspace(n, a), Subspace(n, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs())
+def test_contains_space_matches_per_column_solve(spaces):
+    a, b = spaces
+    by_solve = all(a.contains(col) for col in b.basis_columns())
+    assert a.contains_space(b) == by_solve
+    assert b.contains_space(a) == all(b.contains(col) for col in a.basis_columns())
+    assert a.contains_space(a) and a.contains_space(Subspace.zero(a.ambient_dim))

@@ -1,6 +1,7 @@
 """Tests for the unipotent radical computation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from motcalc.exactlin import (
     space_intersect,
     space_sum,
 )
+from motcalc import lattices
+from motcalc.document import analyze_motive
 from motcalc.lattices import (
     ActionGroup,
     GaloisLattice,
@@ -26,7 +29,7 @@ from motcalc.lattices import (
     stable_closure,
     tensor,
 )
-from motcalc.motive import OneMotive, cartier_dual
+from motcalc.motive import OneMotive, cartier_dual, gr
 from motcalc.multgroup import MultSpace
 from motcalc.radical import (
     REDUCTIVE_SYMBOL,
@@ -509,3 +512,71 @@ def test_radical_dual_respects_galois_action():
     assert data.lattice.action[0].row_list() == [[Fraction(1)]]
     emitted = data.to_one_motive()
     assert emitted.X.group is group
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of ``motcalc.lattices.<name>`` from every motcalc module."""
+    original = getattr(lattices, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("motcalc") and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def swap_motive():
+    """X = Z^2 swapped, Yv = Z^3 fixed: E_-2 of M and of M^v differ."""
+    group = ActionGroup(1, relators=[(1, 1)])
+    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+    x = GaloisLattice(2, action=[swap], group=group)
+    yv = GaloisLattice(3, action=[RatMatrix.identity(3)], group=group)
+    e, estar = elliptic_pair()
+    space = MultSpace(["q"])
+    row = [space.element({"q": 1}), space.one(), space.element({"q": 2})]
+    return OneMotive(x, yv, A=e, Astar=estar,
+                     v=PointVector(e, [[1], [1]]),
+                     vstar=PointVector(estar, [[1], [0], [2]]),
+                     psi=[row, row], mult_space=space)
+
+
+def test_analyze_builds_em2_once(monkeypatch):
+    m = random_oracle_motive(random.Random(7), 3, cyclic=True, abelian=True)
+    tensors = count_calls(monkeypatch, "tensor")
+    duals = count_calls(monkeypatch, "dual")
+    analyze_motive(m)
+    assert len(tensors) == 1
+    # X^v and Y serve E_-2, gr(m) and both sides of B
+    assert len(duals) == 2
+    assert gr(m).em2 is gr(m).em2
+    assert gr(m).em2 == tensor(dual(m.X), dual(m.Yv))
+
+
+def test_dual_motive_gets_its_own_em2():
+    m = swap_motive()
+    unipotent_radical(m)
+    md = cartier_dual(m)
+    rep = unipotent_radical(md)
+    assert gr(md).em2 is not gr(m).em2
+    assert gr(md).em2 == tensor(dual(m.Yv), dual(m.X))
+    assert gr(md).em2 != gr(m).em2
+    assert (rep.z1, rep.z) == kernel_route_Z1_and_Z(md, rep.b)
+
+
+def test_cached_lattices_do_not_change_equality_or_dual():
+    m = swap_motive()
+    fresh = OneMotive(m.X, m.Yv, A=m.A, Astar=m.Astar, v=m.v, vstar=m.vstar,
+                      psi=m.psi, mult_space=m.mult_space)
+    dual_before = cartier_dual(m)
+    analyze_motive(m)
+    assert m._graded is not None and fresh._graded is None
+    assert m.structurally_equal(fresh) and fresh.structurally_equal(m)
+    dual_after = cartier_dual(m)
+    assert dual_after._graded is None
+    assert dual_after.structurally_equal(dual_before)
+    assert dual_after.structurally_equal(cartier_dual(fresh))
+    assert cartier_dual(dual_after).structurally_equal(fresh)
