@@ -20,7 +20,7 @@ Zero-dimensional ambients are legal everywhere: degenerate inputs
 errors.
 
 >>> kernel(RatMatrix.from_rows([[1, 2]])).basis_columns()
-[(Fraction(-2, 1), Fraction(1, 1))]
+[(Fraction(1, 1), Fraction(-1, 2))]
 >>> saturate(IntLattice(2, [(2, 4)])).generator_columns()
 [(1, 2)]
 """

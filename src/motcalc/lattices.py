@@ -4,12 +4,13 @@ A Galois action on a character or cocharacter lattice always factors
 through a finite quotient, so it is entered here as a tuple of integer
 generator matrices with determinant +-1.  The operations are the ones
 the motive calculus needs: tensor products (Kronecker, row-major basis
-order), duals (inverse transpose) and stable closures of subspaces.
+order) and duals (inverse transpose).  ``stable_closure`` of a subspace
+has no caller in the calculus, whose spans are stable by equivariance;
+it is kept as the reference the tests compare those spans against.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import RatMatrix, Subspace, space_sum
@@ -20,9 +21,8 @@ class ActionGroup:
 
     Relators are words in the generators, written as sequences of
     nonzero integers: k means generator k, -k its inverse (1-based).
-    They are used only for validation; an inconsistent relator warns
-    rather than errors, since the calculus only ever applies generator
-    matrices.
+    They are used only for validation: a lattice whose generator
+    matrices do not satisfy every relator is rejected.
     """
 
     __slots__ = ("generator_count", "relators")
@@ -98,9 +98,8 @@ class GaloisLattice:
                 m = self.action[abs(k) - 1]
                 prod = prod * (m if k > 0 else m.inverse())
             if prod != RatMatrix.identity(self.rank):
-                warnings.warn(
-                    f"relator {word} does not evaluate to the identity on rank-{self.rank} lattice",
-                    stacklevel=3,
+                raise ValueError(
+                    f"relator {word} does not evaluate to the identity on rank-{self.rank} lattice"
                 )
 
     def __eq__(self, other) -> bool:

@@ -142,8 +142,8 @@ class OneMotive:
     def graded(self):
         """The graded pieces (X, A, Y(1)), built on first use and kept.
 
-        Every stage that needs Y, X^v or X^v tensor Y reads them from
-        here, so each lattice is built and validated once per motive.
+        Every stage that needs Y or X^v tensor Y reads them from here,
+        so each lattice is built and validated once per motive.
         """
         if self._graded is None:
             self._graded = GradedPieces(self.X, self.A, dual(self.Yv))
@@ -204,27 +204,19 @@ class WeightFiltration:
 class GradedPieces:
     """The split weight-graded object X + A + Y(1) of a 1-motive.
 
-    ``Xv`` (the dual of X) and ``em2`` (X^v tensor Y, rank r*s) are built
-    on first use and kept.
+    ``em2`` (X^v tensor Y, rank r*s) is built on first use and kept.
     """
 
     def __init__(self, gr0, grm1, grm2):
         self.gr0 = gr0
         self.grm1 = grm1
         self.grm2 = grm2
-        self._xv = None
         self._em2 = None
-
-    @property
-    def Xv(self):
-        if self._xv is None:
-            self._xv = dual(self.gr0)
-        return self._xv
 
     @property
     def em2(self):
         if self._em2 is None:
-            self._em2 = tensor(self.Xv, self.grm2)
+            self._em2 = tensor(dual(self.gr0), self.grm2)
         return self._em2
 
     def __repr__(self):

@@ -6,21 +6,30 @@ extension of an abelian variety B by a torus Z(1).  This module computes
 both pieces exactly from the declared data:
 
 * b = (b1, b2) is the point of E_-1(k) determined by (v, v*);
-* B is the smallest abelian subvariety of X^v tensor A + A* tensor Y
-  (up to isogeny, over k) whose points contain b: per side, the
-  annihilator of the relation module, followed by Galois stable closure;
+* B is the smallest Galois-stable abelian subvariety of
+  X^v tensor A + A* tensor Y (up to isogeny, over k) whose points contain
+  b: per side, the annihilator of the relation module;
 * Z1(1) is the smallest Galois-stable subtorus of (X^v tensor Y)(1)
-  containing the image of the Lie bracket restricted to B: the stable
-  closure of the span of the bracket rows R;
+  containing the image of the Lie bracket restricted to B: the span of
+  the bracket rows R;
 * Z(1) is the smallest one that also contains the projection pi(b~) of
-  the lifted point: the stable closure of Z1 plus the row space of the
-  psi pairing.
+  the lifted point: Z1 plus the row space of the psi pairing.
 
 Both are spans because the dot-product pairing on Q^(r*s) is
 nondegenerate.  A character kills the bracket image iff it lies in
 ker R, and ann(ker R) = rowspace(R); a character kills pi(b~) as well
 iff it lies in ann(Z1) intersect ker psi, and ann(A intersect B) =
 ann A + ann B turns that into Z1 + rowspace(psi).
+
+No Galois closure is taken, because each span is already stable.  Write
+P and Q for the matrices of v and v*, gx and gy for a generator on X and
+Yv, and C for a psi component; the motive check enforces P gx = P,
+Q gy = Q and gx^T C gy = C.  So the relation module of v is gx-stable
+and its annihilator is stable under the X^v action tensored with the
+identity of the endomorphism algebra (likewise on the Y side); the rows
+of R are products u_t tensor w_tau of slices of those two modules, so
+they span an X^v tensor Y stable space; and gx^-T C gy^-1 = C says each
+psi row is a fixed vector.
 
 The bracket image calculation treats the formal Weil values
 <B_t alpha, B_tau beta> of endomorphism translates as independent
@@ -41,23 +50,14 @@ X^v tensor Y are flattened with index (i, j) -> i*s + j.
 import math
 from fractions import Fraction
 
-from .abelian import PointVector, SubvarietyData, relation_module, \
-    annihilator_module
+from .abelian import PointVector, smallest_subvariety
 from .errors import ValidationError
 from .exactlin import IntLattice, RatMatrix, Subspace, saturate
-from .lattices import GaloisLattice, stable_closure
+from .lattices import GaloisLattice
 from .motive import OneMotive, gr
 from .multgroup import MultSpace
 
 REDUCTIVE_SYMBOL = "dim Lie G_mot(A)"
-
-
-def _flat_action(lattice, d):
-    """Action matrices on the flattened module (copies tensor Q^d)."""
-    if d == 1:
-        return lattice.action
-    eye = RatMatrix.identity(d)
-    return tuple(m.kron(eye) for m in lattice.action)
 
 
 class BData:
@@ -73,46 +73,29 @@ class BData:
         return "BData(dim=%d)" % (self.dim,)
 
 
-def _closed_side(points, copies):
-    """Smallest subvariety data through a point vector, Galois-closed.
-
-    ``copies`` is the lattice indexing the copies (X^v for the A side, Y
-    for the A* side); the induced action on the flattened module is its
-    action tensored with the identity of the endomorphism algebra.
-    """
-    variety = points.variety
-    d = variety.end_algebra.dimension
-    module = annihilator_module(variety, points.multiplicity,
-                                relation_module(points))
-    action = _flat_action(copies, d)
-    flat = GaloisLattice(points.multiplicity * d, action=action,
-                         group=copies.group)
-    closed = stable_closure(flat, module)
-    if closed.dim % d != 0:
-        raise ValidationError(
-            "Galois closure broke the endomorphism module structure")
-    dim = (closed.dim // d) * variety.g
-    return SubvarietyData(variety, points.multiplicity, closed, dim)
-
-
 def smallest_B(m):
-    """The smallest Galois-stable abelian subvariety through b."""
+    """The smallest Galois-stable abelian subvariety through b.
+
+    Per side this is ``smallest_subvariety`` of the frame points: v and
+    v* are equivariant, so each relation module is stable under its copy
+    lattice (X^v or Y, tensored with the identity of the endomorphism
+    algebra) and so is the annihilator that cuts out the subvariety.
+    """
     if m.A is None:
         return BData(None, None)
-    pieces = gr(m)
-    return BData(_closed_side(m.v, pieces.Xv),
-                 _closed_side(m.vstar, pieces.grm2))
+    return BData(smallest_subvariety(m.v), smallest_subvariety(m.vstar))
 
 
 def derived_torus_Z1(m, b_data):
-    """Z1 = stable_closure(rowspace R): the bracket image on B, closed.
+    """Z1 = rowspace R: the bracket image on B.
 
     R has one row (u_it w_jtau) at flat index i*s + j for every basis
     pair (u, w) of the two B modules and every pair (t, tau) of
     endomorphism coordinates.  A character c (an r x s table) kills the
     restricted bracket iff R c = 0, so the characters killing it are
     ker R, and the smallest subspace they all kill is
-    ann(ker R) = rowspace(R).
+    ann(ker R) = rowspace(R).  It is Galois-stable as it stands: u and w
+    range over stable modules, so the products u_t tensor w_tau do too.
     """
     r, s = m.r, m.s
     ambient = r * s
@@ -133,7 +116,7 @@ def derived_torus_Z1(m, b_data):
                         for j in range(s):
                             row[i * s + j] = ui * w[j * d_astar + tau]
                     rows.append(row)
-    return stable_closure(gr(m).em2, Subspace(ambient, rows))
+    return Subspace(ambient, rows)
 
 
 def psi_matrix(m):
@@ -147,17 +130,18 @@ def psi_matrix(m):
 
 
 def torus_Z(m, b_data, z1):
-    """Z = stable_closure(Z1 + rowspace psi): Z1 grown to see pi(b~).
+    """Z = Z1 + rowspace psi: Z1 grown to see pi(b~).
 
     The characters killing both the bracket image and pi(b~) are
     ann(Z1) intersect ker psi, and the smallest subspace they all kill is
     ann(ann(Z1) intersect ker psi) = Z1 + ann(ker psi) = Z1 + rowspace psi.
+    Equivariance of psi (gx^T C gy = C) makes each psi row a fixed vector
+    of X^v tensor Y, so the sum is as stable as Z1.
     """
     ambient = m.r * m.s
     if ambient == 0:
         return Subspace.zero(0)
-    grown = Subspace(ambient, z1.basis_columns() + psi_matrix(m).row_list())
-    return stable_closure(gr(m).em2, grown)
+    return Subspace(ambient, z1.basis_columns() + psi_matrix(m).row_list())
 
 
 class ExtensionHom:

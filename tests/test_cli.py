@@ -147,6 +147,20 @@ def test_invalid_document_exits_3(capsys, tmp_path):
     assert "motives[0]" in err
 
 
+def test_relator_mismatch_exits_3(capsys, tmp_path):
+    order3 = [[0, -1], [1, -1]]
+    payload = {
+        "group": {"generators": 1, "relators": [[1, 1]]},
+        "motives": [{"X_rank": 2, "Yv_rank": 0, "X_action": [order3]}],
+    }
+    bad = tmp_path / "relator.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run_main(capsys, "analyze", str(bad))
+    assert code == EXIT_VALIDATION
+    assert "motives[0].X_action" in err
+    assert "relator" in err
+
+
 def test_unsupported_model_exits_4(capsys, tmp_path):
     payload = {
         "varieties": [{

@@ -1,5 +1,6 @@
 """Tests for the exact linear algebra substrate."""
 
+import doctest
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motcalc import exactlin
 from motcalc.exactlin import (
     IntLattice,
     QuotientSpace,
@@ -22,6 +24,11 @@ from motcalc.exactlin import (
     space_intersect,
     space_sum,
 )
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(exactlin)
+    assert failed == 0
 
 
 def random_matrix(rng, rows, cols, span=6):

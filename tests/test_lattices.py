@@ -32,15 +32,14 @@ def test_action_matrices_must_be_unimodular():
         GaloisLattice(2, [RatMatrix.from_rows([["1/2", 0], [0, 2]])])
 
 
-def test_relator_validation_warns_but_constructs():
+def test_relator_mismatch_is_rejected():
     group = ActionGroup(1, relators=[(1, 1)])
     order3 = RatMatrix.from_rows([[0, -1], [1, -1]])
-    with pytest.warns(UserWarning):
-        lat = GaloisLattice(2, [order3], group=group)
-    assert lat.rank == 2
-    # A consistent relator is silent.
+    with pytest.raises(ValueError, match="relator"):
+        GaloisLattice(2, [order3], group=group)
+    # A consistent relator is accepted.
     ok_group = ActionGroup(1, relators=[(1, 1)])
-    GaloisLattice(2, [SWAP], group=ok_group)
+    assert GaloisLattice(2, [SWAP], group=ok_group).rank == 2
 
 
 def test_tensor_examples():

@@ -8,6 +8,7 @@ import pytest
 
 from motcalc.abelian import (
     AbelianVarietyModel,
+    EndAlgebraRep,
     PointVector,
     SubvarietyData,
     link_duals,
@@ -463,6 +464,121 @@ def test_span_route_matches_kernel_route():
     assert seen >= {(True, False), (False, True), (True, True)}
 
 
+IMAG = RatMatrix.from_rows([[0, -1], [1, 0]])
+
+
+def signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return RatMatrix.from_rows([[rng.choice((1, -1)) if perm[j] == i else 0
+                                 for j in range(n)] for i in range(n)])
+
+
+def group_elements(gens):
+    """Every (gx, gy) pair in the finite group the generator pairs span."""
+    r, s = gens[0][0].rows, gens[0][1].rows
+    elements = {(RatMatrix.identity(r), RatMatrix.identity(s))}
+    frontier = list(elements)
+    while frontier:
+        gx, gy = frontier.pop()
+        for hx, hy in gens:
+            pair = (gx * hx, gy * hy)
+            if pair not in elements:
+                elements.add(pair)
+                frontier.append(pair)
+    return elements
+
+
+def average(mats):
+    total = mats[0]
+    for mat in mats[1:]:
+        total = total + mat
+    return total.scale(Fraction(1, len(mats)))
+
+
+def random_equivariant_motive(rng):
+    """Signed-permutation actions, with v, v* and psi averaged over G.
+
+    Averaging P over P gx, Q over Q gy and each psi component C over
+    gx^T C gy gives data that the motive check accepts.  End(A) is Q or
+    Q(i); A has k copies of the standard point plane of its algebra.
+    """
+    r, s = rng.randrange(1, 4), rng.randrange(1, 4)
+    count = rng.randrange(1, 3)
+    gens = [(signed_permutation(rng, r), signed_permutation(rng, s))
+            for _ in range(count)]
+    elements = group_elements(gens)
+    group = ActionGroup(count)
+    x = GaloisLattice(r, action=[gx for gx, _ in gens], group=group)
+    yv = GaloisLattice(s, action=[gy for _, gy in gens], group=group)
+    mu = rng.randrange(1, 3)
+    space = MultSpace(["g%d" % t for t in range(mu)])
+    comps = []
+    for _ in range(mu):
+        c = RatMatrix.from_rows([[rng.randrange(-2, 3) for _ in range(s)]
+                                 for _ in range(r)])
+        comps.append(average([gx.transpose() * c * gy
+                              for gx, gy in elements]).row_list())
+    psi = [[[comps[t][i][j] for t in range(mu)] for j in range(s)]
+           for i in range(r)]
+    k = rng.randrange(1, 3)
+    if rng.randrange(2):
+        n = 2 * k
+        algebra = EndAlgebraRep(2, [IMAG])
+        action = [RatMatrix.identity(k).kron(IMAG)]
+    else:
+        n, algebra, action = k, None, []
+    e = AbelianVarietyModel("E", 1, end_algebra=algebra,
+                            point_space_dim=n, end_action=action)
+    estar = AbelianVarietyModel("Estar", 1, end_algebra=algebra,
+                                point_space_dim=n, end_action=action)
+    link_duals(e, estar)
+
+    def points(model, copies, side):
+        p = RatMatrix.from_rows([[rng.randrange(-2, 3) for _ in range(copies)]
+                                 for _ in range(n)])
+        p = average([p * pair[side] for pair in elements])
+        return PointVector(model, [list(col) for col in
+                                   (p.column(i) for i in range(copies))])
+
+    return OneMotive(x, yv, A=e, Astar=estar, v=points(e, r, 0),
+                     vstar=points(estar, s, 1), psi=psi, mult_space=space)
+
+
+def flat_copies(copies, d):
+    """The copy lattice tensored with the identity of a d-dim algebra."""
+    eye = RatMatrix.identity(d)
+    return GaloisLattice(copies.rank * d,
+                         action=[g.kron(eye) for g in copies.action],
+                         group=copies.group)
+
+
+def test_radical_spans_are_galois_stable():
+    rng = random.Random(20261018)
+    proper = set()
+    for _ in range(60):
+        m = random_equivariant_motive(rng)
+        rep = unipotent_radical(m)
+        pieces = gr(m)
+        d = m.A.end_algebra.dimension
+        for side, copies in (("w_a", dual(m.X)), ("w_astar", pieces.grm2)):
+            module = getattr(rep.b, side).module
+            flat = flat_copies(copies, d)
+            assert stable_closure(flat, module) == module
+            if 0 < module.dim < flat.rank and not flat.is_trivial_action():
+                proper.add((side, d))
+        em2 = pieces.em2
+        for name in ("z1", "z"):
+            space = getattr(rep, name)
+            assert stable_closure(em2, space) == space
+            if 0 < space.dim < em2.rank and not em2.is_trivial_action():
+                proper.add((name, 1))
+    # the draws reach proper nonzero spaces under a nontrivial action,
+    # on both B sides over both algebras and for Z1 and Z
+    assert proper >= {("w_a", 1), ("w_a", 2), ("w_astar", 1), ("w_astar", 2),
+                      ("z1", 1), ("z", 1)}
+
+
 def test_smallest_B_without_abelian_part():
     b = smallest_B(gm3_motive())
     assert b.w_a is None and b.w_astar is None and b.dim == 0
@@ -550,10 +666,19 @@ def test_analyze_builds_em2_once(monkeypatch):
     duals = count_calls(monkeypatch, "dual")
     analyze_motive(m)
     assert len(tensors) == 1
-    # X^v and Y serve E_-2, gr(m) and both sides of B
+    # X^v and Y serve E_-2 and gr(m)
     assert len(duals) == 2
     assert gr(m).em2 is gr(m).em2
     assert gr(m).em2 == tensor(dual(m.X), dual(m.Yv))
+
+
+def test_radical_builds_no_lattice(monkeypatch):
+    m = random_oracle_motive(random.Random(7), 3, cyclic=True, abelian=True)
+    tensors = count_calls(monkeypatch, "tensor")
+    duals = count_calls(monkeypatch, "dual")
+    unipotent_radical(m)
+    assert (len(tensors), len(duals)) == (0, 0)
+    assert m._graded is None
 
 
 def test_dual_motive_gets_its_own_em2():
