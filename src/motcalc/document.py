@@ -53,7 +53,8 @@ def _fail(where, message):
 
 
 def format_rational(x):
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

@@ -8,7 +8,12 @@ Everything downstream runs on the three types defined here:
   operand and each column of the right one as integers over their
   common denominator, take integer dot products, and divide once, so
   they return the same exact ``Fraction``s with far fewer rational
-  operations.
+  operations.  Elimination (``rref``, ``det``, and through ``rref``
+  ``inverse``, ``solve`` and ``kernel``) runs on integer rows too, in one
+  fraction-free Gauss–Jordan kernel that divides exactly by the previous
+  pivot (E. H. Bareiss, "Sylvester's identity and multistep
+  integer-preserving Gaussian elimination", Math. Comp. 22 (1968)), and
+  builds ``Fraction``s only for the result.
 * ``Subspace``: a subspace of Q^n, canonicalized in reduced column
   echelon form so that equality is structural.
 * ``IntLattice``: a finitely generated subgroup of Z^n with a Hermite
@@ -29,8 +34,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
+
+
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
@@ -46,8 +54,57 @@ def rat(x) -> Fraction:
 
 def _integer_row(vec: Sequence[Fraction]) -> tuple:
     """(ints, d) with vec[k] == ints[k] / d and d the lcm of the denominators."""
-    d = math.lcm(*[x.denominator for x in vec])
-    return [x.numerator * (d // x.denominator) for x in vec], d
+    dens = [x.denominator for x in vec]
+    d = math.lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (d // e) for x, e in zip(vec, dens)], d
+
+
+def _gauss_jordan(rows: list, ncols: int) -> tuple:
+    """Fraction-free Gauss–Jordan elimination of integer rows, in place.
+
+    The step with pivot p = rows[r][c] replaces every other row by
+    (p·row − row[c]·rows[r]) // prev, where prev is the pivot of the step
+    before (1 at the first).  Each entry is then, up to sign, a minor of the
+    input, so every division is exact (Bareiss 1968).
+    At the end each pivot row holds the last pivot at its pivot column and
+    zeros in the other pivot columns, and the rows below the pivot rows are
+    zero: the reduced echelon form is the pivot rows divided by the last
+    pivot.
+
+    Returns:
+        (rows, pivots, last_pivot, swap_sign), with pivots the pivot
+        columns in row order.  For a square input of full rank,
+        swap_sign · last_pivot is its determinant.
+    """
+    nrows = len(rows)
+    pivots = []
+    prev = 1
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        pc = top[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], top)]
+            elif pc != prev:
+                rows[i] = [pc * a // prev for a in rows[i]]
+        prev = pc
+        pivots.append(c)
+    return rows, pivots, prev, sign
 
 
 class RatMatrix:
@@ -62,6 +119,15 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self._entries = data
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: tuple) -> "RatMatrix":
+        """Wrap a rows x cols tuple of ``Fraction`` tuples as it is, unchecked."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._entries = data
+        return m
 
     # ----- constructors -------------------------------------------------
 
@@ -133,13 +199,10 @@ class RatMatrix:
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._same_shape(other)
-        return RatMatrix(
+        return RatMatrix._of(
             self.rows,
             self.cols,
-            [
-                [self._entries[i][j] + other._entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
+            tuple(tuple(map(add, a, b)) for a, b in zip(self._entries, other._entries)),
         )
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
@@ -150,19 +213,28 @@ class RatMatrix:
 
     def scale(self, q) -> "RatMatrix":
         q = rat(q)
-        return RatMatrix(
-            self.rows, self.cols, [[q * x for x in row] for row in self._entries]
+        return RatMatrix._of(
+            self.rows, self.cols, tuple(tuple(q * x for x in row) for row in self._entries)
         )
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         left = [_integer_row(row) for row in self._entries]
-        right = [_integer_row(other.column(j)) for j in range(other.cols)]
-        return RatMatrix(
+        right = [_integer_row(col) for col in other.transpose()._entries]
+        zero_row = (_ZERO,) * other.cols
+        return RatMatrix._of(
             self.rows,
             other.cols,
-            [[Fraction(sum(map(mul, a, b)), da * db) for b, db in right] for a, da in left],
+            tuple(
+                tuple(
+                    Fraction(x, da * db) if (x := sum(map(mul, a, b))) else _ZERO
+                    for b, db in right
+                )
+                if any(a)
+                else zero_row
+                for a, da in left
+            ),
         )
 
     def apply(self, vec: Sequence) -> tuple:
@@ -176,31 +248,25 @@ class RatMatrix:
         )
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows, [self.column(j) for j in range(self.cols)]
-        )
+        columns = tuple(zip(*self._entries)) if self.rows else ((),) * self.cols
+        return RatMatrix._of(self.cols, self.rows, columns)
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         """Kronecker product; row-major block ordering."""
-        out = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                out.append(
-                    [
-                        self._entries[i][j] * other._entries[p][q]
-                        for j in range(self.cols)
-                        for q in range(other.cols)
-                    ]
-                )
-        return RatMatrix(self.rows * other.rows, self.cols * other.cols, out)
+        out = tuple(
+            tuple(x * y for x in row for y in other_row)
+            for row in self._entries
+            for other_row in other._entries
+        )
+        return RatMatrix._of(self.rows * other.rows, self.cols * other.cols, out)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return RatMatrix(
+        return RatMatrix._of(
             self.rows,
             self.cols + other.cols,
-            [list(self._entries[i]) + list(other._entries[i]) for i in range(self.rows)],
+            tuple(a + b for a, b in zip(self._entries, other._entries)),
         )
 
     # ----- elimination --------------------------------------------------
@@ -212,30 +278,11 @@ class RatMatrix:
             (R, pivots) with R the RREF matrix and pivots the list of
             pivot column indices in row order.
         """
-        m = [list(row) for row in self._entries]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, nrows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return RatMatrix(nrows, ncols, m), pivots
+        rows, pivots, last, _ = _gauss_jordan(
+            [_integer_row(row)[0] for row in self._entries], self.cols
+        )
+        reduced = tuple(tuple(Fraction(x, last) if x else _ZERO for x in row) for row in rows)
+        return RatMatrix._of(self.rows, self.cols, reduced), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -243,27 +290,11 @@ class RatMatrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self._entries]
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        scaled = [_integer_row(row) for row in self._entries]
+        _, pivots, last, sign = _gauss_jordan([ints for ints, _ in scaled], self.cols)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction(sign * last, math.prod(d for _, d in scaled))
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
@@ -273,7 +304,7 @@ class RatMatrix:
         red, pivots = aug.rref()
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMatrix(n, n, [[red[i, n + j] for j in range(n)] for i in range(n)])
+        return RatMatrix._of(n, n, tuple(row[n:] for row in red._entries))
 
     def solve(self, rhs: Sequence) -> Optional[tuple]:
         """One exact solution of self·x = rhs, or None if inconsistent."""
@@ -297,18 +328,18 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]) -> None:
         self.ambient_dim = ambient_dim
-        rows = [[rat(x) for x in v] for v in vectors]
+        rows = tuple(tuple(rat(x) for x in v) for v in vectors)
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
         if rows:
-            red, pivots = RatMatrix.from_rows(rows).rref()
-            basis_cols = [red.row(i) for i in range(len(pivots))]
+            red, pivots = RatMatrix._of(len(rows), ambient_dim, rows).rref()
+            echelon = red._entries[: len(pivots)]
         else:
-            basis_cols = []
+            echelon = ()
         # Columns of ``basis`` are the echelon rows transposed: pivot
         # entries 1, pivot rows cleared elsewhere, ordered by pivot.
-        self.basis = RatMatrix.from_columns(basis_cols, nrows=ambient_dim)
+        self.basis = RatMatrix._of(len(echelon), ambient_dim, echelon).transpose()
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

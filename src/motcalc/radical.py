@@ -167,32 +167,20 @@ def _extension_values(m, characters):
         return ExtensionHom(characters,
                             tuple(None for _ in characters),
                             tuple(None for _ in characters))
-    r, s = m.r, m.s
-    n_astar = m.Astar.point_space_dim
-    n_a = m.A.point_space_dim
-    astar_values = []
-    a_values = []
-    for z in characters:
-        astar_rows = []
-        for i in range(r):
-            acc = [Fraction(0)] * n_astar
-            for j in range(s):
-                c = z[i * s + j]
-                if c:
-                    q = m.vstar.coords[j]
-                    acc = [x + c * y for x, y in zip(acc, q)]
-            astar_rows.append(acc)
-        a_rows = []
-        for j in range(s):
-            acc = [Fraction(0)] * n_a
-            for i in range(r):
-                c = z[i * s + j]
-                if c:
-                    p = m.v.coords[i]
-                    acc = [x + c * y for x, y in zip(acc, p)]
-            a_rows.append(acc)
-        astar_values.append(PointVector(m.Astar, astar_rows))
-        a_values.append(PointVector(m.A, a_rows))
+    r, s, k = m.r, m.s, len(characters)
+    # Character z is the r x s table with entry (i, j) = z[i*s + j]; its A*
+    # points are table · V* and its A points table^T · V.  The tables of
+    # all characters are stacked, so each side is one product.
+    tables = RatMatrix(k * r, s, [z[i * s:(i + 1) * s]
+                                  for z in characters for i in range(r)])
+    transposed = RatMatrix(k * s, r, [z[j::s]
+                                      for z in characters for j in range(s)])
+    astar = (tables * RatMatrix(s, m.Astar.point_space_dim,
+                                m.vstar.coords)).row_list()
+    a = (transposed * RatMatrix(r, m.A.point_space_dim, m.v.coords)).row_list()
+    astar_values = [PointVector(m.Astar, astar[t * r:(t + 1) * r])
+                    for t in range(k)]
+    a_values = [PointVector(m.A, a[t * s:(t + 1) * s]) for t in range(k)]
     return ExtensionHom(characters, tuple(astar_values), tuple(a_values))
 
 

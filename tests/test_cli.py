@@ -2,6 +2,7 @@
 
 import glob
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -212,6 +213,36 @@ def test_analyze_json_matches_recorded_digest(capsys, name):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == corpus_digests()[name[:-len(".json")]]
+
+
+GENERATE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "perfbench", "generate.py")
+
+
+def benchmark_generator():
+    spec = importlib.util.spec_from_file_location("perfbench_generate",
+                                                  GENERATE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["trivial_ladder", "cyclic_relators"])
+def test_generated_workloads_match_recorded_digests(capsys, tmp_path,
+                                                    workload):
+    """Seed 0 of each generated benchmark workload reports byte-identically."""
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        recorded = json.load(handle)[workload]["0"]
+    documents = benchmark_generator().documents(workload, 0)
+    assert {label for label, _ in documents} == set(recorded)
+    for label, text in documents:
+        path = tmp_path / (label + ".json")
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_main(capsys, "analyze", str(path), "--format",
+                                "json")
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == recorded[label], label
 
 
 def test_exit_code_constants_are_distinct():

@@ -1,6 +1,7 @@
 """Tests for the exact linear algebra substrate."""
 
 import doctest
+import itertools
 import random
 from fractions import Fraction
 
@@ -289,6 +290,9 @@ def test_smith_tracks_the_exact_inverse_of_u():
 # ----- property tests against sympy ---------------------------------------
 
 small_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+# Matrix entries: zero one time in three, so that zero rows, zero pivot
+# candidates and row swaps are common.
+entries = st.integers(0, 2).flatmap(lambda k: small_rationals if k else st.just(Fraction(0)))
 
 
 def to_sympy(m):
@@ -297,7 +301,7 @@ def to_sympy(m):
 
 @st.composite
 def rat_matrices(draw, rows, cols):
-    return RatMatrix(rows, cols, [[draw(small_rationals) for _ in range(cols)]
+    return RatMatrix(rows, cols, [[draw(entries) for _ in range(cols)]
                                   for _ in range(rows)])
 
 
@@ -381,3 +385,113 @@ def test_contains_space_matches_per_column_solve(spaces):
     assert a.contains_space(b) == by_solve
     assert b.contains_space(a) == all(b.contains(col) for col in a.basis_columns())
     assert a.contains_space(a) and a.contains_space(Subspace.zero(a.ambient_dim))
+
+
+@st.composite
+def deficient_matrices(draw, rows=None, cols=None):
+    """Rational matrices up to 6 x 6, empty shapes included, where each row
+    after the first is, one time in four, a rational combination of the
+    rows above it, so that rank deficiency is common."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    out = []
+    for _ in range(rows):
+        if out and draw(st.integers(0, 3)) == 0:
+            coeffs = draw(st.lists(small_rationals, min_size=len(out), max_size=len(out)))
+            out.append([sum((c * row[j] for c, row in zip(coeffs, out)), Fraction(0))
+                        for j in range(cols)])
+        else:
+            out.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    return RatMatrix(rows, cols, out)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 6))
+    return draw(deficient_matrices(n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(deficient_matrices())
+def test_rref_against_sympy(m):
+    red, pivots = m.rref()
+    want, want_pivots = to_sympy(m).rref()
+    assert_matches_sympy(red, want)
+    assert pivots == list(want_pivots)
+    assert m.rank() == len(want_pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_det_and_inverse_against_sympy(m):
+    det = m.det()
+    want = to_sympy(m).det()
+    assert isinstance(det, Fraction)
+    assert sympy.Rational(det) == want
+    if want == 0:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert_matches_sympy(m.inverse(), to_sympy(m).inv())
+
+
+def test_det_of_a_permutation_matrix_is_its_sign():
+    for perm in itertools.permutations(range(4)):
+        m = RatMatrix(4, 4, [[int(j == perm[i]) for j in range(4)] for i in range(4)])
+        inversions = sum(perm[a] > perm[b] for a in range(4) for b in range(a + 1, 4))
+        assert m.det() == (-1) ** inversions
+
+
+@st.composite
+def linear_systems(draw):
+    """(m, rhs, consistent): rhs is m·x for a drawn x, or drawn freely."""
+    m = draw(deficient_matrices())
+    if draw(st.booleans()):
+        x = draw(st.lists(small_rationals, min_size=m.cols, max_size=m.cols))
+        return m, list(m.apply(x)), True
+    rhs = draw(st.lists(small_rationals, min_size=m.rows, max_size=m.rows))
+    return m, rhs, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_against_sympy(system):
+    m, rhs, consistent = system
+    a = to_sympy(m)
+    b = sympy.Matrix(m.rows, 1, [sympy.Rational(x) for x in rhs])
+    if consistent is None:
+        consistent = a.rank() == a.row_join(b).rank()
+    x = m.solve(rhs)
+    if not consistent:
+        assert x is None
+        return
+    assert x is not None and len(x) == m.cols
+    assert all(isinstance(v, Fraction) for v in x)
+    assert a * sympy.Matrix(m.cols, 1, [sympy.Rational(v) for v in x]) == b
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_elimination_on_empty_shapes(rows, cols):
+    m = RatMatrix.zero(rows, cols)
+    red, pivots = m.rref()
+    assert (red, pivots) == (m, [])
+    assert m.rank() == 0
+    assert m.solve([0] * rows) == (Fraction(0),) * cols
+    if rows:
+        assert m.solve([1] + [0] * (rows - 1)) is None
+    if rows == cols:
+        assert m.det() == 1 and isinstance(m.det(), Fraction)
+        assert m.inverse() == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficient_matrices())
+def test_unchecked_matrices_equal_constructed_ones(m):
+    """Results wrapped without coercion equal and hash like checked ones."""
+    wrapped = RatMatrix._of(m.rows, m.cols, tuple(tuple(row) for row in m.row_list()))
+    assert wrapped == m and hash(wrapped) == hash(m)
+    q = Fraction(-3, 2)
+    for out in (m.transpose(), m * m.transpose(), m.rref()[0], m.kron(m),
+                m.hstack(m), m.scale(q), m + m, -m, Subspace(m.cols, m.row_list()).basis):
+        checked = RatMatrix(out.rows, out.cols, out.row_list())
+        assert out == checked and hash(out) == hash(checked)
