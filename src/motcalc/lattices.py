@@ -2,17 +2,29 @@
 
 A Galois action on a character or cocharacter lattice always factors
 through a finite quotient, so it is entered here as a tuple of integer
-generator matrices with determinant +-1.  The operations are the ones
-the motive calculus needs: tensor products (Kronecker, row-major basis
-order) and duals (inverse transpose).  ``stable_closure`` of a subspace
-has no caller in the calculus, whose spans are stable by equivariance;
-it is kept as the reference the tests compare those spans against.
+generator matrices with determinant +-1, each of finite order.  The
+operations are the ones the motive calculus needs: tensor products
+(Kronecker, row-major basis order) and duals (inverse transpose).
+``stable_closure`` of a subspace has no caller in the calculus, whose
+spans are stable by equivariance; it is kept as the reference the tests
+compare those spans against.
+
+An action is checked once, where it enters: the public ``GaloisLattice``
+constructor tests integrality, det +-1, finite order of each generator
+and every relator.  ``dual`` and ``tensor`` build their result from
+lattices that passed that test, through the unchecked
+``GaloisLattice._of``: the dual and the tensor product of
+representations of a group are representations of it, with integral
+unimodular matrices, so checking them again could not fail.  Finite
+order of each generator does not make the group finite; that needs a
+search over the group and is not checked.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from .abelian import _minimal_polynomial
 from .exactlin import RatMatrix, Subspace, space_sum
 
 
@@ -86,10 +98,21 @@ class GaloisLattice:
                 raise ValueError("action matrices must be integral")
             if rank > 0 and abs(m.det()) != 1:
                 raise ValueError("action matrices must have determinant +-1")
+            if rank > 0 and not _has_finite_order(m):
+                raise ValueError("action matrices must have finite order")
         self.group = group
         self.rank = rank
         self.action = mats
         self._validate_relators()
+
+    @classmethod
+    def _of(cls, rank: int, action: tuple, group: ActionGroup) -> "GaloisLattice":
+        """Wrap a tuple of action matrices as it is, unchecked."""
+        lat = object.__new__(cls)
+        lat.group = group
+        lat.rank = rank
+        lat.action = action
+        return lat
 
     def _validate_relators(self) -> None:
         for word in self.group.relators:
@@ -122,23 +145,83 @@ class GaloisLattice:
 
 
 def tensor(a: GaloisLattice, b: GaloisLattice) -> GaloisLattice:
-    """Tensor product lattice; basis e_i⊗f_j at flat index (i-1)·rank(b)+j."""
+    """Tensor product lattice; basis e_i⊗f_j at flat index (i-1)·rank(b)+j.
+
+    The result is not checked again.  (a, b) -> a ⊗ b is a homomorphism,
+    so a relator that holds on both factors holds on the product; a
+    Kronecker product of integral matrices is integral, and
+    det(a ⊗ b) = det(a)^rank(b) · det(b)^rank(a) = +-1.
+    """
     if a.group != b.group:
         raise ValueError("tensor factors must share an action group")
-    return GaloisLattice(
+    return GaloisLattice._of(
         a.rank * b.rank,
-        [ma.kron(mb) for ma, mb in zip(a.action, b.action)],
-        group=a.group,
+        tuple(ma.kron(mb) for ma, mb in zip(a.action, b.action)),
+        a.group,
     )
 
 
 def dual(a: GaloisLattice) -> GaloisLattice:
-    """Dual lattice; generators act by the inverse transpose."""
-    return GaloisLattice(
+    """Dual lattice; generators act by the inverse transpose.
+
+    The result is not checked again.  m -> m^-T is a homomorphism, so a
+    relator that holds on a holds on its dual, and the inverse transpose
+    of an integral unimodular matrix is integral and unimodular.
+    """
+    return GaloisLattice._of(
         a.rank,
-        [m.inverse().transpose() for m in a.action],
-        group=a.group,
+        tuple(m.inverse().transpose() for m in a.action),
+        a.group,
     )
+
+
+def _divmod_monic(a, b):
+    """Quotient and remainder of a by the monic b, constant coefficient first."""
+    a = list(a)
+    n = len(b) - 1
+    q = [0] * max(len(a) - n, 0)
+    for shift in range(len(a) - n - 1, -1, -1):
+        c = a[shift + n]
+        q[shift] = c
+        if c:
+            for i, bc in enumerate(b):
+                a[shift + i] -= c * bc
+    return q, a[:n]
+
+
+def _has_finite_order(m: RatMatrix) -> bool:
+    """Whether an integral square matrix of positive size has finite order.
+
+    It does iff its minimal polynomial is a product of distinct
+    cyclotomic polynomials Phi_k.  Each such factor has degree
+    phi(k) <= deg, the degree of the minimal polynomial, and
+    phi(k) >= sqrt(k/2) bounds k by 2·deg².  Phi_k is built as
+    x^k - 1 divided by the Phi_d of the proper divisors d of k, which
+    have phi(d) <= phi(k) and so are built before it.
+    """
+    poly = list(_minimal_polynomial(m))
+    deg = len(poly) - 1
+    limit = 2 * deg * deg
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    cyclotomic = {}
+    for k in range(1, limit + 1):
+        if len(poly) == 1:
+            break
+        if phi[k] > deg:
+            continue
+        c = [-1] + [0] * (k - 1) + [1]
+        for d, phi_d in cyclotomic.items():
+            if k % d == 0:
+                c = _divmod_monic(c, phi_d)[0]
+        cyclotomic[k] = c
+        q, rem = _divmod_monic(poly, c)
+        if not any(rem):
+            poly = q
+    return len(poly) == 1
 
 
 def stable_closure(l: GaloisLattice, s: Subspace) -> Subspace:

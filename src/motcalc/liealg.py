@@ -30,12 +30,11 @@ evaluating a pairing.
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exactlin import RatMatrix
 from .pairings import (
     BlockSpace,
     TorusPairingClass,
+    _weil_table,
     abelian_block,
-    antisymmetrize,
     swap_pullback,
 )
 
@@ -72,6 +71,9 @@ class GradedEndData:
 def build_E(g):
     """Construct E_-1, E_-2, the composition product and the bracket.
 
+    The bracket is the table ``pairings._weil_table(r, s)``, which is the
+    antisymmetrization of the product; the product is its one-sided
+    (l, 0, 1) half.
     With no abelian part both E_-1 summands vanish and the bracket is the
     zero class; E_-2 keeps its full rank r*s either way.
     """
@@ -84,14 +86,11 @@ def build_E(g):
         zero = TorusPairingClass(space, space, em2)
         return GradedEndData(space, em2, zero, zero, r, s, None)
     space = BlockSpace([abelian_block(a, r), abelian_block(a.dual, s)])
-    table = {}
-    for i in range(r):
-        for j in range(s):
-            forward = [[0] * s for _ in range(r)]
-            forward[i][j] = 1
-            table[(i * s + j, 0, 1)] = RatMatrix.from_rows(forward)
-    product = TorusPairingClass(space, space, em2, table)
-    return GradedEndData(space, em2, product, antisymmetrize(product),
+    bracket = _weil_table(r, s)
+    product = {key: mat for key, mat in bracket.items() if key[1:] == (0, 1)}
+    return GradedEndData(space, em2,
+                         TorusPairingClass(space, space, em2, product),
+                         TorusPairingClass(space, space, em2, bracket),
                          r, s, a)
 
 

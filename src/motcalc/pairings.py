@@ -25,6 +25,8 @@ Sign conventions, fixed once and used everywhere:
   is always permitted under the isogeny convention).
 """
 
+from fractions import Fraction
+
 from .errors import ValidationError
 from .exactlin import RatMatrix
 from .lattices import GaloisLattice
@@ -215,29 +217,49 @@ def antisymmetrize(c):
     return c + swapped
 
 
-def assemble_example_biext(x, y, a):
-    """The explicit biextension class on (A^x + (A*)^y)^2 valued in Z^(x*y)(1).
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+
+def _unit(rows, cols, i, j, value):
+    """The rows x cols matrix with ``value`` at (i, j) and 0 elsewhere."""
+    zero_row = (_ZERO,) * cols
+    data = [zero_row] * rows
+    data[i] = zero_row[:j] + (value,) + zero_row[j + 1:]
+    return RatMatrix._of(rows, cols, tuple(data))
+
+
+def _weil_table(x, y):
+    """The coefficient table of the Weil biextension class on (A^x + (A*)^y)^2.
 
     Target component (i, j) is flattened to l = i*y + j.  Its only nonzero
     blocks are the Weil symbol between the i-th copy of A and the j-th
-    copy of A* (coefficient +1) and its swapped role between the j-th copy
-    of A* and the i-th copy of A (coefficient -1, the swap sign rule), so
-    the class is already fixed by the swap pullback.
+    copy of A* (coefficient +1 at (l, 0, 1)) and its swapped role between
+    the j-th copy of A* and the i-th copy of A (coefficient -1 at
+    (l, 1, 0), the swap sign rule), so the class is fixed by the swap
+    pullback.  The table is empty when x or y is 0.
+    """
+    table = {}
+    for i in range(x):
+        for j in range(y):
+            l = i * y + j
+            table[(l, 0, 1)] = _unit(x, y, i, j, _ONE)
+            table[(l, 1, 0)] = _unit(y, x, j, i, _MINUS_ONE)
+    return table
+
+
+def assemble_example_biext(x, y, a):
+    """The explicit biextension class on (A^x + (A*)^y)^2 valued in Z^(x*y)(1).
+
+    Its coefficients are ``_weil_table(x, y)``: the Weil symbol between
+    the i-th copy of A and the j-th copy of A* at target component
+    i*y + j, with the swapped role at coefficient -1.
     """
     if x < 1 or y < 1:
         raise ValidationError("assemble_example_biext needs x >= 1 and y >= 1")
     if a is None or not a.has_dual:
         raise ValidationError("assemble_example_biext needs a registered dual pair")
     space = BlockSpace([abelian_block(a, x), abelian_block(a.dual, y)])
-    target = GaloisLattice(x * y)
-    table = {}
-    for i in range(x):
-        for j in range(y):
-            l = i * y + j
-            forward = [[0] * y for _ in range(x)]
-            forward[i][j] = 1
-            table[(l, 0, 1)] = RatMatrix.from_rows(forward)
-            backward = [[0] * x for _ in range(y)]
-            backward[j][i] = -1
-            table[(l, 1, 0)] = RatMatrix.from_rows(backward)
-    return TorusPairingClass(space, space, target, table)
+    return TorusPairingClass(space, space, GaloisLattice(x * y),
+                             _weil_table(x, y))

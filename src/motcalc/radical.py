@@ -187,15 +187,16 @@ def _extension_values(m, characters):
 class RadicalReport:
     """Everything computed about W_-1(Lie G_mot(M))."""
 
-    def __init__(self, motive, b1, b2, b_data, z1, z, extension,
-                 reductive_dim):
+    def __init__(self, motive, b1, b2, b_data, z1, z, reductive_dim):
         self.motive = motive
         self.b1 = b1
         self.b2 = b2
         self.b = b_data
         self.z1 = z1
         self.z = z
-        self.extension = extension
+        # Filled by ``extension`` on first read: the invariant checks
+        # build reports that never read it.
+        self._extension = None
         self.dim_B = b_data.dim
         self.dim_Z = z.dim
         self.dim_unipotent = self.dim_B + self.dim_Z
@@ -204,6 +205,14 @@ class RadicalReport:
         self.reductive_dim = reductive_dim
         self.total_dim = (self.dim_unipotent + reductive_dim
                           if isinstance(reductive_dim, int) else None)
+
+    @property
+    def extension(self):
+        """V: Z^v -> B* on the basis of Z, built on first read and kept."""
+        if self._extension is None:
+            self._extension = _extension_values(
+                self.motive, tuple(self.z.basis_columns()))
+        return self._extension
 
     def __repr__(self):
         return "RadicalReport(dim_B=%d, dim_Z=%d)" % (self.dim_B, self.dim_Z)
@@ -219,15 +228,13 @@ def unipotent_radical(m, reductive_dim=None):
     b_data = smallest_B(m)
     z1 = derived_torus_Z1(m, b_data)
     z = torus_Z(m, b_data, z1)
-    extension = _extension_values(m, tuple(z.basis_columns()))
     if m.A is None:
         reductive = 1 if m.s > 0 else 0
     elif reductive_dim is not None:
         reductive = int(reductive_dim)
     else:
         reductive = REDUCTIVE_SYMBOL
-    return RadicalReport(m, m.v, m.vstar, b_data, z1, z, extension,
-                         reductive)
+    return RadicalReport(m, m.v, m.vstar, b_data, z1, z, reductive)
 
 
 def _integral_basis(space):
@@ -304,10 +311,6 @@ def radical_cartier_dual(report):
                 cols.append(list(coords))
             restricted.append(RatMatrix.from_columns(cols, nrows=rank))
         zv_action = tuple(r.inverse().transpose() for r in restricted)
-        for mat in zv_action:
-            if any(x.denominator != 1 for row in mat.row_list() for x in row):
-                raise ValidationError(
-                    "induced action on Z^v is not integral")
     else:
         zv_action = tuple(RatMatrix.identity(0) for _ in em2.action)
     lattice = GaloisLattice(rank, action=zv_action, group=m.X.group)

@@ -162,6 +162,20 @@ def test_relator_mismatch_exits_3(capsys, tmp_path):
     assert "relator" in err
 
 
+def test_infinite_order_action_exits_3(capsys, tmp_path):
+    payload = {
+        "group": {"generators": 1},
+        "motives": [{"X_rank": 2, "Yv_rank": 0,
+                     "X_action": [[[1, 1], [0, 1]]]}],
+    }
+    bad = tmp_path / "shear.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run_main(capsys, "analyze", "--check-invariants", str(bad))
+    assert code == EXIT_VALIDATION
+    assert "motives[0].X_action" in err
+    assert "finite order" in err
+
+
 def test_unsupported_model_exits_4(capsys, tmp_path):
     payload = {
         "varieties": [{

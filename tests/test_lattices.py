@@ -1,8 +1,11 @@
 """Tests for group actions on lattices."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motcalc.exactlin import RatMatrix, Subspace
 from motcalc.lattices import (
@@ -32,6 +35,30 @@ def test_action_matrices_must_be_unimodular():
         GaloisLattice(2, [RatMatrix.from_rows([["1/2", 0], [0, 2]])])
 
 
+def test_action_matrices_must_have_finite_order():
+    finite = {
+        1: [[1, 0], [0, 1]],
+        2: [[1, 1], [0, -1]],
+        3: [[0, -1], [1, -1]],
+        4: [[0, -1], [1, 0]],
+        6: [[1, -1], [1, 0]],
+    }
+    for order, rows in finite.items():
+        m = RatMatrix.from_rows(rows)
+        power = RatMatrix.identity(2)
+        for _ in range(order):
+            power = power * m
+        assert power == RatMatrix.identity(2)
+        assert GaloisLattice(2, [m]).action == (m,)
+    # minimal polynomial Phi_3 · Phi_2, distinct factors: order 6
+    GaloisLattice(3, [RatMatrix.from_rows([[0, -1, 0], [1, -1, 0], [0, 0, -1]])])
+    # the shear and Arnold's cat map are unimodular of infinite order, and
+    # so is -1 times the shear, whose minimal polynomial is Phi_2 squared
+    for rows in ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[-1, 1], [0, -1]]):
+        with pytest.raises(ValueError, match="finite order"):
+            GaloisLattice(2, [RatMatrix.from_rows(rows)])
+
+
 def test_relator_mismatch_is_rejected():
     group = ActionGroup(1, relators=[(1, 1)])
     order3 = RatMatrix.from_rows([[0, -1], [1, -1]])
@@ -59,11 +86,11 @@ def test_tensor_examples():
 
 def test_tensor_basis_order_is_row_major():
     group = ActionGroup(1)
-    a = GaloisLattice(2, [RatMatrix.from_rows([[1, 1], [0, 1]])], group=group)
+    a = GaloisLattice(2, [RatMatrix.from_rows([[1, 1], [0, -1]])], group=group)
     b = GaloisLattice(2, [RatMatrix.identity(2)], group=group)
     t = tensor(a, b)
     # e_1⊗f_j sits at flat index j-1, e_2⊗f_j at 2+(j-1).
-    assert t.action[0].column(2) == (1, 0, 1, 0)
+    assert t.action[0].column(2) == (1, 0, -1, 0)
 
 
 def test_tensor_group_mismatch():
@@ -75,8 +102,58 @@ def test_dual_examples():
     assert dual(trivial_lattice(3)).is_trivial_action()
     s = swap_lattice()
     assert dual(s).action[0] == SWAP
-    shear = GaloisLattice(2, [RatMatrix.from_rows([[1, 1], [0, 1]])])
+    shear = GaloisLattice(2, [RatMatrix.from_rows([[1, 1], [0, -1]])])
     assert dual(dual(shear)) == shear
+
+
+@st.composite
+def finite_actions(draw, generators):
+    """Signed permutations of rank 0-4, conjugated by a unimodular U.
+
+    A signed permutation matrix is its own inverse transpose; the
+    conjugation makes m^-T differ from m.
+    """
+    n = draw(st.integers(0, 4))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(st.integers(-2, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    u = RatMatrix(n, n, u)
+    mats = []
+    for _ in range(generators):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n,
+                              max_size=n))
+        sigma = RatMatrix(n, n, [[signs[i] if perm[i] == j else 0
+                                  for j in range(n)] for i in range(n)])
+        mats.append(u * sigma * u.inverse())
+    return n, mats
+
+
+def matrix_order(m):
+    power, order = m, 1
+    while power != RatMatrix.identity(m.rows):
+        power, order = power * m, order + 1
+    return order
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_derived_lattices_pass_the_public_checks(data):
+    generators = data.draw(st.integers(1, 2))
+    xr, xm = data.draw(finite_actions(generators))
+    yr, ym = data.draw(finite_actions(generators))
+    orders = [math.lcm(matrix_order(a), matrix_order(b)) for a, b in zip(xm, ym)]
+    group = ActionGroup(generators, [(k + 1,) * o for k, o in enumerate(orders)])
+    x = GaloisLattice(xr, xm, group=group)
+    yv = GaloisLattice(yr, ym, group=group)
+    for derived in (dual(x), dual(dual(x)), tensor(x, yv), tensor(dual(x), dual(yv))):
+        assert GaloisLattice(derived.rank, derived.action, group=group) == derived
+    # the dual action keeps the evaluation pairing: (m^-T)^T m = 1
+    for m, d in zip(x.action, dual(x).action):
+        assert d.transpose() * m == RatMatrix.identity(xr)
 
 
 def test_stable_closure_examples():

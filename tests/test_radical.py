@@ -1,5 +1,6 @@
 """Tests for the unipotent radical computation."""
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -21,8 +22,8 @@ from motcalc.exactlin import (
     space_intersect,
     space_sum,
 )
-from motcalc import lattices
-from motcalc.document import analyze_motive
+from motcalc import lattices, radical
+from motcalc.document import analyze_motive, check_invariants, parse_input
 from motcalc.lattices import (
     ActionGroup,
     GaloisLattice,
@@ -679,6 +680,63 @@ def test_radical_builds_no_lattice(monkeypatch):
     unipotent_radical(m)
     assert (len(tensors), len(duals)) == (0, 0)
     assert m._graded is None
+
+
+def parsed_cyclic_document(n=3):
+    """C_n shifting X and Yv with relator g^n, over an elliptic pair."""
+    shift = [[1 if i == (j + 1) % n else 0 for j in range(n)]
+             for i in range(n)]
+    return parse_input(json.dumps({
+        "group": {"generators": 1, "relators": [[1] * n]},
+        "mult_basis": ["q"],
+        "varieties": [
+            {"name": "E", "g": 1, "points": ["P"], "dual": "Estar"},
+            {"name": "Estar", "g": 1, "points": ["Q"], "dual": "E"},
+        ],
+        "motives": [{
+            "X_rank": n, "Yv_rank": n,
+            "X_action": [shift], "Yv_action": [shift],
+            "A": "E", "v": ["P"] * n, "vstar": ["Q"] * n,
+            "psi": [[[1 if j == i else 0] for j in range(n)]
+                    for i in range(n)],
+        }],
+    }))
+
+
+def test_only_input_lattices_and_zv_are_checked(monkeypatch):
+    doc = parsed_cyclic_document()
+    inits = []
+    original = GaloisLattice.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaloisLattice, "__init__", counting)
+    _, motive = doc.motives[0]
+    analyze_motive(motive)
+    # Z^v; X^v, Y and X^v tensor Y are derived from checked X and Yv
+    assert len(inits) == 1
+    assert check_invariants(doc) == []
+    assert len(inits) == 1
+
+
+def test_extension_values_are_built_when_read(monkeypatch):
+    doc = parsed_cyclic_document()
+    calls = []
+    original = radical._extension_values
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(radical, "_extension_values", counting)
+    assert check_invariants(doc) == []
+    assert calls == []
+    _, motive = doc.motives[0]
+    analyze_motive(motive)
+    # once for the report's extension, once for the dual radical
+    assert len(calls) == 2
 
 
 def test_dual_motive_gets_its_own_em2():
