@@ -35,17 +35,38 @@ def _flatten(m):
 
 
 def _minimal_polynomial(m):
-    """Monic minimal polynomial of a matrix, constant coefficient first."""
-    size = m.rows * m.cols
-    powers = [RatMatrix.identity(m.rows)]
+    """Monic minimal polynomial of a matrix, constant coefficient first.
+
+    The flattened powers I, M, M^2, ... are reduced one at a time
+    against an echelon basis of the earlier ones.  Each basis row has
+    pivot entry 1 and zeros at the pivots of the rows before it, and
+    carries its expression in the powers, so one pass in row order
+    reduces a new power.  The first power M^j that reduces to zero
+    gives M^j - sum c_i M^i = 0, the minimal relation.
+    """
+    zero = Fraction(0)
+    echelon = []  # (pivot, row, coefficients of row in I, M, ...)
+    power = RatMatrix.identity(m.rows)
+    j = 0
     while True:
-        stacked = RatMatrix.from_columns(
-            [list(_flatten(p)) for p in powers], nrows=size)
-        nxt = powers[-1] * m
-        sol = stacked.solve(_flatten(nxt))
-        if sol is not None:
-            return tuple(-c for c in sol) + (Fraction(1),)
-        powers.append(nxt)
+        vec = list(_flatten(power))
+        coeffs = [zero] * j + [Fraction(1)]
+        for pivot, row, row_coeffs in echelon:
+            f = vec[pivot]
+            if f:
+                vec = [a - f * b if b else a for a, b in zip(vec, row)]
+                for i, c in enumerate(row_coeffs):
+                    coeffs[i] -= f * c
+        pivot = next((k for k, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return tuple(coeffs)
+        f = vec[pivot]
+        if f != 1:
+            vec = [x / f if x else x for x in vec]
+            coeffs = [c / f for c in coeffs]
+        echelon.append((pivot, vec, coeffs))
+        power = power * m
+        j += 1
 
 
 def _poly_trim(p):

@@ -36,6 +36,7 @@ which must not declare an algebra of its own.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .abelian import AbelianVarietyModel, EndAlgebraRep, PointVector, \
     link_duals
@@ -50,14 +51,6 @@ from .radical import radical_cartier_dual, unipotent_radical
 
 def _fail(where, message):
     raise ValidationError("%s: %s" % (where, message))
-
-
-def format_rational(x):
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def parse_rational(value, where):
@@ -122,7 +115,8 @@ def _check_keys(obj, where, allowed, required=()):
 
 
 def _vec_json(vec):
-    return [format_rational(x) for x in vec]
+    # str gives "p" or "p/q" for a Fraction and "p" for an int
+    return list(map(str, vec))
 
 
 def _mat_json(m):
@@ -501,8 +495,68 @@ def load_input(path):
 
 
 def serialize_document(payload):
-    """Deterministic JSON text for a document or report dict."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text for a document or report dict.
+
+    The text is that of ``json.dumps(payload, sort_keys=True, indent=2)``
+    plus a newline, written here because with ``indent`` set ``json``
+    runs its pure-Python encoder.  Payloads hold dicts with str keys,
+    lists, str, int, bool and None; any other value raises TypeError.
+    """
+    chunks = []
+    _write_json(payload, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(value, newline, emit):
+    """Emit ``value`` as indented JSON; ``newline`` ends its line and indents."""
+    if isinstance(value, str):
+        emit(_json_str(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        if isinstance(value[0], str):
+            # Report rows are lists of strings: join them in one step.
+            try:
+                emit("[" + inner + separator.join(map(_json_str, value))
+                     + newline + "]")
+                return
+            except TypeError:  # a mixed list: write it item by item
+                pass
+        lead = "[" + inner
+        for item in value:
+            emit(lead)
+            _write_json(item, inner, emit)
+            lead = separator
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s"
+                                % (type(key).__name__,))
+            emit(lead + _json_str(key) + ": ")
+            _write_json(value[key], inner, emit)
+            lead = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % (type(value).__name__,))
 
 
 def dual_document(doc):

@@ -17,8 +17,9 @@ Everything downstream runs on the three types defined here:
 * ``Subspace``: a subspace of Q^n, canonicalized in reduced column
   echelon form so that equality is structural.
 * ``IntLattice``: a finitely generated subgroup of Z^n with a Hermite
-  canonical generator matrix; ``saturate`` intersects its Q-span with
-  the ambient Z^n (the "up to isogeny" normalization).
+  style echelon generator matrix (canonical only when every pivot is 1);
+  ``saturate`` intersects its Q-span with the ambient Z^n (the "up to
+  isogeny" normalization).
 
 Zero-dimensional ambients are legal everywhere: degenerate inputs
 (rank-0 lattices, empty point tuples) are first-class test cases, not
@@ -502,7 +503,17 @@ class QuotientSpace:
 
 
 def _hermite_rows(rows: list) -> list:
-    """Row-style Hermite normal form of an integer row list (canonical)."""
+    """Row echelon basis of the lattice spanned by integer rows.
+
+    Pivots are positive and the entries above each pivot are reduced
+    modulo it, from the last pivot up.  That order makes the form not
+    canonical: reducing a row against an earlier pivot row can move the
+    entries above a later pivot > 1 out of range again.  So one lattice
+    can get different rows from different generators:
+    [(1,0,5), (0,1,3), (0,0,2)] gives (1,0,1) on top, and
+    [(1,1,8), (0,1,3), (0,0,2)] gives (1,0,-1).  With every pivot 1
+    nothing is left above a pivot, and the rows are canonical.
+    """
     m = [list(r) for r in rows]
     if not m:
         return []
@@ -538,7 +549,7 @@ def _hermite_rows(rows: list) -> list:
         out.append(pivot)
         work = rest
         pivot_col += 1
-    # Reduce entries above each pivot into canonical residues.
+    # Reduce entries above each pivot modulo it, last pivot first.
     for i in range(len(out) - 1, -1, -1):
         p = next(c for c in range(ncols) if out[i][c] != 0)
         d = out[i][p]
@@ -550,7 +561,12 @@ def _hermite_rows(rows: list) -> list:
 
 
 class IntLattice:
-    """A finitely generated subgroup of Z^n, canonicalized by Hermite form."""
+    """A finitely generated subgroup of Z^n, held as ``_hermite_rows``.
+
+    Equal generators give equal lattices, but equal lattices need not
+    compare equal: the form is canonical only when every pivot is 1
+    (see ``_hermite_rows``).
+    """
 
     __slots__ = ("ambient_rank", "generators")
 
@@ -594,27 +610,32 @@ def smith_normal_form(m: list) -> tuple:
         (U, D, V) with U, V unimodular integer row lists and
         U·m·V = D diagonal with the divisibility chain d1 | d2 | ...
     """
-    return _smith(m)[:3]
+    d, v, u_inv = _smith(m)
+    u = RatMatrix(len(u_inv), len(u_inv), u_inv).inverse()
+    return [[int(x) for x in row] for row in u.row_list()], d, v
 
 
 def _smith(m: list) -> tuple:
-    """(U, D, V, U⁻¹) of :func:`smith_normal_form`, all integer row lists.
+    """(D, V, U⁻¹) of :func:`smith_normal_form`, all integer row lists.
 
-    U⁻¹ is kept by undoing each row operation on U as a column operation,
-    so it needs no rational inverse.
+    U⁻¹ is kept by undoing each row operation as a column operation, so
+    it needs no rational inverse; ``saturate`` reads only D and U⁻¹.
+    While the operations run it is held as sparse columns,
+    {row: entry}: U⁻¹ starts as the identity and a column operation adds
+    a multiple of a column that is mostly still a unit vector, so each
+    one touches a few entries, not a whole column.
     """
     a = [list(r) for r in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    u_inv = [row[:] for row in u]
+    u_inv_cols = [{k: 1} for k in range(nrows)]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     def row_op(i, j, q):  # row i -= q * row j; col j of U⁻¹ += q * col i
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        for row in u_inv:
-            row[j] += q * row[i]
+        target = u_inv_cols[j]
+        for k, y in u_inv_cols[i].items():
+            target[k] = target.get(k, 0) + q * y
 
     def col_op(i, j, q):  # col i -= q * col j
         for r in range(nrows):
@@ -624,9 +645,7 @@ def _smith(m: list) -> tuple:
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for row in u_inv:
-            row[i], row[j] = row[j], row[i]
+        u_inv_cols[i], u_inv_cols[j] = u_inv_cols[j], u_inv_cols[i]
 
     def swap_cols(i, j):
         for r in range(nrows):
@@ -674,11 +693,13 @@ def _smith(m: list) -> tuple:
         if fixed:
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
-                for row in u_inv:
-                    row[t] = -row[t]
+                u_inv_cols[t] = {k: -x for k, x in u_inv_cols[t].items()}
             t += 1
-    return u, a, v, u_inv
+    u_inv = [[0] * nrows for _ in range(nrows)]
+    for c, col in enumerate(u_inv_cols):
+        for k, x in col.items():
+            u_inv[k][c] = x
+    return a, v, u_inv
 
 
 def saturate(l: IntLattice) -> IntLattice:
@@ -690,6 +711,6 @@ def saturate(l: IntLattice) -> IntLattice:
     if l.rank == 0:
         return l
     m = [[g[i] for g in l.generators] for i in range(l.ambient_rank)]
-    _, d, _, u_inv = _smith(m)
+    d, _, u_inv = _smith(m)
     r = sum(1 for t in range(min(len(d), len(d[0]))) if d[t][t] != 0)
     return IntLattice(l.ambient_rank, [[row[t] for row in u_inv] for t in range(r)])

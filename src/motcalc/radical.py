@@ -238,13 +238,23 @@ def unipotent_radical(m, reductive_dim=None):
 
 
 def _integral_basis(space):
-    """Integer basis of (space intersect Z^n), canonical via saturation."""
+    """Integer basis of (space intersect Z^n): the HNF rows of its saturation.
+
+    When every echelon row of ``space`` is integral those rows are that
+    HNF already: an integral vector of the span has integer coordinates
+    at the unit pivots, so the rows span the saturation, and unit pivots
+    with zeros above and below them leave nothing to reduce.  Other
+    bases go through ``saturate``, whose HNF depends on the generators
+    it is given (see ``_hermite_rows``); the scaled echelon rows fix
+    them, so the result is a function of the space.
+    """
+    rows = space.basis_columns()
+    if all(x.denominator == 1 for vec in rows for x in vec):
+        return tuple(tuple(x.numerator for x in vec) for vec in rows)
     cols = []
-    for vec in space.basis_columns():
-        denom = math.lcm(*(x.denominator for x in vec)) if vec else 1
+    for vec in rows:
+        denom = math.lcm(*(x.denominator for x in vec))
         cols.append([int(x * denom) for x in vec])
-    if not cols:
-        return ()
     return saturate(IntLattice(space.ambient_dim, cols)).generators
 
 
@@ -292,6 +302,7 @@ def radical_cartier_dual(report):
     The lattice Z^v inherits the dual of the Galois action restricted to
     Z; V is re-evaluated on the integral character basis so that the
     emitted data is independent of the rational basis used internally.
+    When the two bases agree, the report's own table is that evaluation.
     """
     m = report.motive
     chars = _integral_basis(report.z)
@@ -314,5 +325,8 @@ def radical_cartier_dual(report):
     else:
         zv_action = tuple(RatMatrix.identity(0) for _ in em2.action)
     lattice = GaloisLattice(rank, action=zv_action, group=m.X.group)
-    extension = _extension_values(m, chars)
+    if list(chars) == report.z.basis_columns():
+        extension = report.extension
+    else:
+        extension = _extension_values(m, chars)
     return DualRadicalData(report, lattice, chars, extension)

@@ -5,6 +5,9 @@ import itertools
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motcalc import abelian
 from motcalc.abelian import (
@@ -106,6 +109,77 @@ def test_coordinates_outside_algebra():
     alg = EndAlgebraRep(2, [IMAG])
     with pytest.raises(ValidationError):
         alg.coordinates(RatMatrix.from_rows([[1, 1], [0, 1]]))
+
+
+def assert_minimal_polynomial(m):
+    """p(M) = 0 for the monic p, and I, M, ..., M^(deg-1) are independent."""
+    poly = abelian._minimal_polynomial(m)
+    deg = len(poly) - 1
+    assert poly[-1] == 1
+    sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                       for row in m.row_list() for x in row])
+    value = sympy.zeros(m.rows, m.rows)
+    power = sympy.eye(m.rows)
+    flat = []
+    for c in poly:
+        value += sympy.Rational(c.numerator, c.denominator) * power
+        flat.append(list(power))
+        power = power * sm
+    assert value == sympy.zeros(m.rows, m.rows)
+    assert sympy.Matrix(flat[:deg]).rank() == deg
+
+
+@st.composite
+def finite_order_matrices(draw):
+    """A signed permutation of size 1-6 conjugated by a unimodular U."""
+    n = draw(st.integers(1, 6))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 5)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(st.integers(-2, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    u = RatMatrix(n, n, u)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    sigma = RatMatrix(n, n, [[signs[i] if perm[i] == j else 0
+                              for j in range(n)] for i in range(n)])
+    return u * sigma * u.inverse()
+
+
+FIELDS = [
+    EndAlgebraRep(2, [SQRT2]),
+    EndAlgebraRep(2, [IMAG]),
+    EndAlgebraRep(3, [RatMatrix.from_rows([[0, 0, 2], [1, 0, 0], [0, 1, 0]])]),
+    # Q(zeta_5): companion matrix of x^4 + x^3 + x^2 + x + 1
+    EndAlgebraRep(4, [RatMatrix.from_rows([[0, 0, 0, -1], [1, 0, 0, -1],
+                                           [0, 1, 0, -1], [0, 0, 1, -1]])]),
+]
+
+
+@st.composite
+def field_elements(draw):
+    """A random Q-combination of the basis of a number field."""
+    alg = draw(st.sampled_from(FIELDS))
+    element = RatMatrix.zero(alg.degree, alg.degree)
+    for b in alg.basis:
+        c = draw(st.fractions(-3, 3, max_denominator=4))
+        element = element + b.scale(c)
+    return element
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(finite_order_matrices(), field_elements()))
+def test_minimal_polynomial_against_sympy(m):
+    assert_minimal_polynomial(m)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]], [[3]], [[0, 0], [0, 0]], [[1, 1], [0, 1]], [[2, 0], [0, 2]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 2]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+])
+def test_minimal_polynomial_examples(rows):
+    assert_minimal_polynomial(RatMatrix.from_rows(rows))
 
 
 # ------------------------------------------------------------------ models

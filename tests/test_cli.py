@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -257,6 +258,42 @@ def test_generated_workloads_match_recorded_digests(capsys, tmp_path,
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == recorded[label], label
+
+
+# sha256 of ``analyze --format json`` on two n = 8 documents of
+# perfbench/generate.py (seed 0), recorded when reports were written by
+# json.dumps and every character basis was saturated by Smith form.
+LARGER_REPORT_DIGESTS = {
+    "trivial_n8":
+        "fab122ddf917b4aef01b9b1fa8c8d7dc76a8e5c49fbb3bfac74da3d47469929c",
+    "cyclic_n8":
+        "f98e470848cc116fcc0ed6cf0e8b6a29a6aff39ed0573c9ecee7efeabe8f4b4c",
+}
+
+
+@pytest.mark.parametrize("label", sorted(LARGER_REPORT_DIGESTS))
+def test_larger_reports_match_recorded_digests(capsys, tmp_path, label):
+    generate = benchmark_generator()
+    if label == "trivial_n8":
+        doc = generate.trivial_document(random.Random(0), label, 8, True)
+    else:
+        doc = generate.cyclic_document(random.Random(0), label, 8)
+    path = tmp_path / (label + ".json")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
+    code, out, _ = run_main(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == LARGER_REPORT_DIGESTS[label]
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(CORPUS_DIR, "*.json"))))
+@pytest.mark.parametrize("argv", [("dual",), ("gr", "--format", "json")])
+def test_dual_and_gr_json_match_json_dumps(capsys, name, argv):
+    code, out, _ = run_main(capsys, argv[0], corpus_path(name), *argv[1:])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_exit_code_constants_are_distinct():

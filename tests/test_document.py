@@ -5,6 +5,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motcalc.document import (
     analyze_motive,
@@ -350,3 +352,51 @@ def test_split_algebra_raises_unsupported():
 def test_malformed_json_raises_decode_error():
     with pytest.raises(json.JSONDecodeError):
         parse_input("{")
+
+
+# ------------------------------------------------------------- JSON writer
+
+def dumps_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+json_texts = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x07\x1f\x7f\n\t\u00e9'
+                                       '\u2028\u20ac\U0001f600'),
+                       st.characters()),
+    max_size=6)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), json_texts,
+    st.integers(-10 ** 6, 10 ** 6),
+    st.sampled_from([-2 ** 63, -10 ** 40 - 7, 2 ** 64]))
+json_payloads = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(json_texts, max_size=4),
+        st.lists(children, max_size=4),
+        st.dictionaries(json_texts, children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_payloads)
+def test_serialize_document_matches_json_dumps(payload):
+    assert serialize_document(payload) == dumps_text(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], "", None, True, False, 0, -10 ** 30,
+    ["a", 1, None, ["b"], {}], [["x", "y"], []], ["x", {"k": "v"}],
+    {"b": [], "a": {}, "": ["\"\\", "\u00e9\x01"]},
+])
+def test_serialize_document_examples(payload):
+    assert serialize_document(payload) == dumps_text(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, {"a": [0.0]}, (1, 2), {"a": ("x",)}, ["x", ("y",)],
+    {1: "a"}, {"a": {None: 1}}, Fraction(1, 2), {"a": b"x"},
+])
+def test_serialize_document_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        serialize_document(payload)

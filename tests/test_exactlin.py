@@ -282,9 +282,13 @@ def test_smith_tracks_the_exact_inverse_of_u():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        u, d, v, u_inv = _smith(m)
-        assert (u, d, v) == smith_normal_form(m)
-        assert RatMatrix.from_rows(u_inv) == RatMatrix.from_rows(u).inverse()
+        d, v, u_inv = _smith(m)
+        assert smith_normal_form(m)[1:] == (d, v)
+        # m·V = U⁻¹·D with U⁻¹ integral and unimodular
+        u_inv = RatMatrix.from_rows(u_inv)
+        assert abs(u_inv.det()) == 1
+        assert (RatMatrix.from_rows(m) * RatMatrix.from_rows(v)
+                == u_inv * RatMatrix.from_rows(d))
 
 
 # ----- property tests against sympy ---------------------------------------

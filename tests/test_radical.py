@@ -1,11 +1,14 @@
 """Tests for the unipotent radical computation."""
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motcalc.abelian import (
     AbelianVarietyModel,
@@ -15,10 +18,12 @@ from motcalc.abelian import (
     link_duals,
 )
 from motcalc.exactlin import (
+    IntLattice,
     RatMatrix,
     Subspace,
     annihilator,
     kernel,
+    saturate,
     space_intersect,
     space_sum,
 )
@@ -721,8 +726,15 @@ def test_only_input_lattices_and_zv_are_checked(monkeypatch):
     assert len(inits) == 1
 
 
+def parsed_torus_document():
+    """[Z -> Gm^2] with u(1) = (q^2, q): Z is spanned by (1, 1/2)."""
+    return parse_input(json.dumps({
+        "mult_basis": ["q"],
+        "motives": [{"X_rank": 1, "Yv_rank": 2, "psi": [[[2], [1]]]}],
+    }))
+
+
 def test_extension_values_are_built_when_read(monkeypatch):
-    doc = parsed_cyclic_document()
     calls = []
     original = radical._extension_values
 
@@ -731,12 +743,23 @@ def test_extension_values_are_built_when_read(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(radical, "_extension_values", counting)
-    assert check_invariants(doc) == []
-    assert calls == []
-    _, motive = doc.motives[0]
-    analyze_motive(motive)
-    # once for the report's extension, once for the dual radical
-    assert len(calls) == 2
+    for document, integral, builds in [
+            # Z's echelon basis is integral: the dual radical reuses the table
+            (parsed_cyclic_document, True, 1),
+            # it is not: the saturated characters need a table of their own
+            (parsed_torus_document, False, 2)]:
+        doc = document()
+        calls.clear()
+        assert check_invariants(doc) == []
+        assert calls == []
+        _, motive = doc.motives[0]
+        rational = unipotent_radical(motive).z.basis_columns()
+        assert all(x.denominator == 1 for c in rational for x in c) == integral
+        payload, _ = analyze_motive(motive)
+        assert len(calls) == builds
+        same = [e["character"] for e in payload["extension"]] == \
+            payload["dual_radical"]["characters"]
+        assert same == integral
 
 
 def test_dual_motive_gets_its_own_em2():
@@ -763,3 +786,58 @@ def test_cached_lattices_do_not_change_equality_or_dual():
     assert dual_after.structurally_equal(dual_before)
     assert dual_after.structurally_equal(cartier_dual(fresh))
     assert cartier_dual(dual_after).structurally_equal(fresh)
+
+
+def smith_route_basis(space):
+    """The saturation of the scaled echelon rows, through ``saturate``."""
+    cols = []
+    for vec in space.basis_columns():
+        denom = math.lcm(*(x.denominator for x in vec))
+        cols.append([int(x * denom) for x in vec])
+    return saturate(IntLattice(space.ambient_dim, cols)).generators
+
+
+@st.composite
+def subspaces(draw):
+    """Subspaces of Q^0..Q^6; in half of them the echelon basis is
+    integral in every row, or in every row but one."""
+    n = draw(st.integers(0, 6))
+    small = st.fractions(-4, 4, max_denominator=3)
+    if draw(st.booleans()):
+        pivots = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))
+                        if n else [])
+        halves = draw(st.sampled_from(pivots + [None]))
+        rows = []
+        for p in pivots:
+            entries = (st.fractions(-3, 3, max_denominator=2) if p == halves
+                       else st.integers(-3, 3))
+            row = [0] * n
+            row[p] = 1
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    row[j] = draw(entries)
+            rows.append(row)
+        return Subspace(n, rows)
+    vectors = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                            max_size=4))
+    return Subspace(n, vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspaces())
+def test_integral_basis_matches_saturation(space):
+    assert radical._integral_basis(space) == smith_route_basis(space)
+
+
+@pytest.mark.parametrize("space", [
+    Subspace.zero(0), Subspace.zero(3), Subspace.full(0), Subspace.full(4),
+    Subspace(3, [[1, 0, 2], [0, 1, -3]]),            # integral echelon basis
+    Subspace(3, [[2, 1, 0], [0, 0, 3]]),             # (1, 1/2, 0), (0, 0, 1)
+    Subspace(3, [[1, 0, 2], [0, 2, 1]]),             # (1, 0, 2), (0, 1, 1/2)
+    Subspace(4, [[1, 1, 1, 1], [1, -1, 1, -1]]),     # (1, 0, 1, 0), (0, 1, 0, 1)
+    Subspace(2, [[Fraction(1, 3), Fraction(1, 2)]]),  # (1, 3/2)
+])
+def test_integral_basis_examples(space):
+    got = radical._integral_basis(space)
+    assert got == smith_route_basis(space)
+    assert all(type(x) is int for row in got for x in row)
