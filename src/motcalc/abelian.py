@@ -13,7 +13,10 @@ The two computational services are
   points, as a Q-subspace of the flattened module D^m, and
 * ``smallest_subvariety(p)``: the annihilator of that module under the
   multiplication pairing of D, which identifies the smallest abelian
-  subvariety of A^m whose points contain p.
+  subvariety of A^m whose points contain p.  It is computed as one row
+  space, through the trace-dual basis of D on the point space; the
+  kernel route (``relation_module``, then ``annihilator_module``) is
+  kept as the reference the tests compare it with.
 
 The algebra D is restricted to commutative fields in this version; a
 noncommutative declaration raises :class:`UnsupportedModelError`.
@@ -198,6 +201,7 @@ class EndAlgebraRep:
                     "and is not a field"
                 )
         self._structure = self._structure_constants()
+        self._trace_form_inverse = self._trace_form().inverse()
 
     def _close(self):
         """Basis of the generated unital algebra, with generator words.
@@ -259,6 +263,21 @@ class EndAlgebraRep:
     @property
     def structure_constants(self):
         return self._structure
+
+    def _trace_form(self):
+        """G_tu = Tr(e_t e_u), the trace of multiplication on the algebra.
+
+        Tr(e_w) = sum_v lam[w][v][v], and Tr is linear.  The algebra is
+        commutative and reduced (the squarefree minimal polynomials see
+        to that), so it is a product of fields and G is nondegenerate.
+        """
+        lam = self._structure
+        d = self.dimension
+        trace = [sum(lam[w][v][v] for v in range(d)) for w in range(d)]
+        return RatMatrix(d, d, [
+            [sum(c * trace[w] for w, c in enumerate(lam[t][u]) if c)
+             for u in range(d)]
+            for t in range(d)])
 
     def __eq__(self, other):
         if not isinstance(other, EndAlgebraRep):
@@ -331,6 +350,12 @@ class AbelianVarietyModel:
             self._word_matrix(w) for w in self.end_algebra.words
         )
         self._check_action_relations()
+        # P*_u = sum_t (G^-1)_tu P_t: the point-space matrices of the
+        # basis trace-dual to the closure basis (G is symmetric).
+        ginv = self.end_algebra._trace_form_inverse
+        self._trace_dual_basis = tuple(
+            self.element_point_matrix(ginv.column(u))
+            for u in range(ginv.cols))
         self.tracked_points = {}
         for pname, coords in (tracked_points or {}).items():
             vec = tuple(rat(c) for c in coords)
@@ -377,11 +402,16 @@ class AbelianVarietyModel:
 
     def element_point_matrix(self, coords):
         """Point-space matrix of the algebra element with given coordinates."""
-        m = RatMatrix.zero(self.point_space_dim, self.point_space_dim)
+        m = None
         for t, c in enumerate(coords):
             c = rat(c)
             if c:
-                m = m + self._point_basis[t].scale(c)
+                term = self._point_basis[t]
+                if c != 1:
+                    term = term.scale(c)
+                m = term if m is None else m + term
+        if m is None:
+            return RatMatrix.zero(self.point_space_dim, self.point_space_dim)
         return m
 
     @property
@@ -599,6 +629,20 @@ def smallest_subvariety(p):
     subvariety of A^m containing p corresponds to a D-submodule whose
     annihilator consists of relations satisfied by p, hence contains W.
 
+    W is computed as one row space, not as ``annihilator_module`` of
+    ``relation_module`` (which stay as the reference).  Let M be the
+    n x (m*d) evaluation matrix whose column (j, t) is P_t p_j, so that
+    N = ker M.  The model check makes the point-space matrices represent
+    D, so N is a D-submodule, and for a D-submodule the D-valued product
+    sum_j phi_j w_j vanishes for all phi in N iff its trace does:
+    Tr(lambda x) = 0 for every lambda in D forces x = 0, because the
+    trace form G_tu = Tr(e_t e_u) of the reduced algebra D is
+    nondegenerate.  So W is the annihilator of ker M under
+    phi^T (I_m tensor G) w, which is (I_m tensor G)^-1 rowspace(M): the
+    row space of the n x (m*d) matrix whose column (j, u) is P*_u p_j,
+    with P*_u = sum_t (G^-1)_tu P_t the trace-dual basis stored on the
+    model.  For D = Q, P*_0 = I and the rows are those of the points.
+
     >>> A = AbelianVarietyModel("A", 1, point_space_dim=2)
     >>> smallest_subvariety(PointVector(A, [[1, 0], [2, 0]])).dim
     1
@@ -610,8 +654,12 @@ def smallest_subvariety(p):
     variety = p.variety
     d = variety.end_algebra.dimension
     m = p.multiplicity
-    relations = relation_module(p)
-    module = annihilator_module(variety, m, relations)
+    n = variety.point_space_dim
+    points = RatMatrix._of(m, n, p.coords).transpose()
+    images = [(pu * points).row_list() for pu in variety._trace_dual_basis]
+    module = Subspace(m * d, [
+        [image[i][j] for j in range(m) for image in images]
+        for i in range(n)])
     if module.dim % d != 0:
         raise ValidationError(
             "annihilator is not a module over the endomorphism algebra")

@@ -4,7 +4,8 @@ A Galois action on a character or cocharacter lattice always factors
 through a finite quotient, so it is entered here as a tuple of integer
 generator matrices with determinant +-1, each of finite order.  The
 operations are the ones the motive calculus needs: tensor products
-(Kronecker, row-major basis order) and duals (inverse transpose).
+(Kronecker, row-major basis order, formed only when read) and duals
+(inverse transpose).
 ``stable_closure`` of a subspace has no caller in the calculus, whose
 spans are stable by equivariance; it is kept as the reference the tests
 compare those spans against.
@@ -68,9 +69,13 @@ TRIVIAL_GROUP = ActionGroup(0)
 
 
 class GaloisLattice:
-    """A free Z-module of finite rank with an ActionGroup acting on it."""
+    """A free Z-module of finite rank with an ActionGroup acting on it.
 
-    __slots__ = ("group", "rank", "action")
+    A tensor product a ⊗ b (see ``tensor``) keeps its factors and forms
+    its Kronecker matrices only when ``action`` is first read.
+    """
+
+    __slots__ = ("group", "rank", "_action", "_factors")
 
     def __init__(
         self,
@@ -102,7 +107,8 @@ class GaloisLattice:
                 raise ValueError("action matrices must have finite order")
         self.group = group
         self.rank = rank
-        self.action = mats
+        self._action = mats
+        self._factors = None
         self._validate_relators()
 
     @classmethod
@@ -111,8 +117,20 @@ class GaloisLattice:
         lat = object.__new__(cls)
         lat.group = group
         lat.rank = rank
-        lat.action = action
+        lat._action = action
+        lat._factors = None
         return lat
+
+    @property
+    def action(self) -> tuple:
+        """The generator matrices, formed on first read for a tensor product.
+
+        A plain memo, as for ``OneMotive.graded``.
+        """
+        if self._action is None:
+            a, b = self._factors
+            self._action = tuple(ma.kron(mb) for ma, mb in zip(a.action, b.action))
+        return self._action
 
     def _validate_relators(self) -> None:
         for word in self.group.relators:
@@ -126,12 +144,17 @@ class GaloisLattice:
                 )
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, GaloisLattice)
             and self.group == other.group
             and self.rank == other.rank
-            and self.action == other.action
-        )
+        ):
+            return False
+        # equal factors give equal Kronecker matrices, but unequal ones can
+        # too (a ⊗ b = (-a) ⊗ (-b)), so only a match skips the matrices
+        if self._factors is not None and self._factors == other._factors:
+            return True
+        return self.action == other.action
 
     def __hash__(self) -> int:
         return hash((self.group, self.rank, self.action))
@@ -147,6 +170,11 @@ class GaloisLattice:
 def tensor(a: GaloisLattice, b: GaloisLattice) -> GaloisLattice:
     """Tensor product lattice; basis e_i⊗f_j at flat index (i-1)·rank(b)+j.
 
+    The result holds a and b; its ``action``, the Kronecker products
+    ma ⊗ mb, is formed on first read.  On an element read as the
+    rank(a) x rank(b) table C (row-major), ma ⊗ mb is C -> ma·C·mbᵀ, so
+    a caller that has the factors can apply it without forming it.
+
     The result is not checked again.  (a, b) -> a ⊗ b is a homomorphism,
     so a relator that holds on both factors holds on the product; a
     Kronecker product of integral matrices is integral, and
@@ -154,11 +182,9 @@ def tensor(a: GaloisLattice, b: GaloisLattice) -> GaloisLattice:
     """
     if a.group != b.group:
         raise ValueError("tensor factors must share an action group")
-    return GaloisLattice._of(
-        a.rank * b.rank,
-        tuple(ma.kron(mb) for ma, mb in zip(a.action, b.action)),
-        a.group,
-    )
+    lat = GaloisLattice._of(a.rank * b.rank, None, a.group)
+    lat._factors = (a, b)
+    return lat
 
 
 def dual(a: GaloisLattice) -> GaloisLattice:

@@ -142,8 +142,8 @@ class OneMotive:
     def graded(self):
         """The graded pieces (X, A, Y(1)), built on first use and kept.
 
-        Every stage that needs Y or X^v tensor Y reads them from here,
-        so each lattice is built and validated once per motive.
+        Every stage that needs X^v, Y or X^v tensor Y reads them from
+        here, so each lattice is derived once per motive.
         """
         if self._graded is None:
             self._graded = GradedPieces(self.X, self.A, dual(self.Yv))
@@ -204,20 +204,19 @@ class WeightFiltration:
 class GradedPieces:
     """The split weight-graded object X + A + Y(1) of a 1-motive.
 
-    ``em2`` (X^v tensor Y, rank r*s) is built on first use and kept.
+    ``xv`` (X^v) is kept next to ``grm2`` (Y).  ``em2`` (X^v tensor Y,
+    rank r*s) holds those two factors: a generator acts on a character,
+    read as the r x s table C, by a C b^T with a its X^v matrix and b
+    its Y matrix, so no reader on the analyze path forms the
+    (r*s) x (r*s) Kronecker matrices of ``em2.action``.
     """
 
     def __init__(self, gr0, grm1, grm2):
         self.gr0 = gr0
         self.grm1 = grm1
         self.grm2 = grm2
-        self._em2 = None
-
-    @property
-    def em2(self):
-        if self._em2 is None:
-            self._em2 = tensor(dual(self.gr0), self.grm2)
-        return self._em2
+        self.xv = dual(gr0)
+        self.em2 = tensor(self.xv, grm2)
 
     def __repr__(self):
         return "GradedPieces(rank X=%d, dim A=%d, rank Y=%d)" % (

@@ -8,14 +8,18 @@ both pieces exactly from the declared data:
 * b = (b1, b2) is the point of E_-1(k) determined by (v, v*);
 * B is the smallest Galois-stable abelian subvariety of
   X^v tensor A + A* tensor Y (up to isogeny, over k) whose points contain
-  b: per side, the annihilator of the relation module;
+  b: per side, the annihilator of the relation module, computed by
+  ``smallest_subvariety`` as the row space of the frame points under the
+  trace-dual basis of the endomorphism algebra;
 * Z1(1) is the smallest Galois-stable subtorus of (X^v tensor Y)(1)
   containing the image of the Lie bracket restricted to B: the span of
   the bracket rows R;
 * Z(1) is the smallest one that also contains the projection pi(b~) of
   the lifted point: Z1 plus the row space of the psi pairing.
 
-Both are spans because the dot-product pairing on Q^(r*s) is
+All three are spans.  For B that is because the trace form of the
+endomorphism algebra is nondegenerate (see ``smallest_subvariety``);
+for Z1 and Z, because the dot-product pairing on Q^(r*s) is
 nondegenerate.  A character kills the bracket image iff it lies in
 ker R, and ann(ker R) = rowspace(R); a character kills pi(b~) as well
 iff it lies in ann(Z1) intersect ker psi, and ann(A intersect B) =
@@ -24,12 +28,14 @@ ann A + ann B turns that into Z1 + rowspace(psi).
 No Galois closure is taken, because each span is already stable.  Write
 P and Q for the matrices of v and v*, gx and gy for a generator on X and
 Yv, and C for a psi component; the motive check enforces P gx = P,
-Q gy = Q and gx^T C gy = C.  So the relation module of v is gx-stable
-and its annihilator is stable under the X^v action tensored with the
-identity of the endomorphism algebra (likewise on the Y side); the rows
-of R are products u_t tensor w_tau of slices of those two modules, so
-they span an X^v tensor Y stable space; and gx^-T C gy^-1 = C says each
-psi row is a fixed vector.
+Q gy = Q and gx^T C gy = C.  So the rows of P*_u P that span the A-side
+module of B are fixed by the X^v action tensored with the identity of
+the endomorphism algebra (likewise on the Y side); the rows of R are
+products u_t tensor w_tau of slices of those two modules, so they are
+fixed by X^v tensor Y; and gx^-T C gy^-1 = C says each psi row is a
+fixed vector.  Z is therefore fixed pointwise and the action of Z^v is
+the identity; ``radical_cartier_dual`` computes it from the factors all
+the same, and its stability check guards the spans.
 
 The bracket image calculation treats the formal Weil values
 <B_t alpha, B_tau beta> of endomorphism translates as independent
@@ -76,10 +82,10 @@ class BData:
 def smallest_B(m):
     """The smallest Galois-stable abelian subvariety through b.
 
-    Per side this is ``smallest_subvariety`` of the frame points: v and
-    v* are equivariant, so each relation module is stable under its copy
-    lattice (X^v or Y, tensored with the identity of the endomorphism
-    algebra) and so is the annihilator that cuts out the subvariety.
+    Per side this is ``smallest_subvariety`` of the frame points, one
+    row space each: v and v* are equivariant, so the rows that span each
+    module are fixed by its copy lattice (X^v or Y, tensored with the
+    identity of the endomorphism algebra).
     """
     if m.A is None:
         return BData(None, None)
@@ -303,27 +309,45 @@ def radical_cartier_dual(report):
     Z; V is re-evaluated on the integral character basis so that the
     emitted data is independent of the rational basis used internally.
     When the two bases agree, the report's own table is that evaluation.
+
+    A generator acts on X^v tensor Y by a tensor b, with a its X^v and b
+    its Y matrix; on a character read as the r x s table C that is
+    a C b^T.  All k characters are mapped at once: a times the tables
+    side by side (r x k*s), then those products stacked (k*r x s) times
+    b^T.  The restriction to Z is read off one elimination of
+    [characters | images] (columns, r*s x 2k): the characters are
+    independent, so they take the first k pivots, and a pivot among the
+    images means an image left Z.
     """
     m = report.motive
     chars = _integral_basis(report.z)
-    em2 = gr(m).em2
-    rank = len(chars)
-    if rank:
-        basis_mat = RatMatrix.from_columns([list(c) for c in chars],
-                                           nrows=m.r * m.s)
-        restricted = []
-        for g in em2.action:
-            cols = []
-            for c in chars:
-                image = g.apply(c)
-                coords = basis_mat.solve(image)
-                if coords is None:
-                    raise ValidationError("Z is not stable under the action")
-                cols.append(list(coords))
-            restricted.append(RatMatrix.from_columns(cols, nrows=rank))
-        zv_action = tuple(r.inverse().transpose() for r in restricted)
+    pieces = gr(m)
+    r, s, rank = m.r, m.s, len(chars)
+    pairs = tuple(zip(pieces.xv.action, pieces.grm2.action))
+    zv_action = []
+    if rank and pairs:
+        rows = tuple(tuple(Fraction(x) for x in c) for c in chars)
+        side_by_side = RatMatrix._of(r, rank * s, tuple(
+            tuple(x for c in rows for x in c[i * s:(i + 1) * s])
+            for i in range(r)))
+        for a, b in pairs:
+            left = a * side_by_side
+            stacked = RatMatrix._of(rank * r, s, tuple(
+                left.row(i)[t * s:(t + 1) * s]
+                for t in range(rank) for i in range(r)))
+            images = stacked * b.transpose()
+            flat = tuple(
+                tuple(x for i in range(r) for x in images.row(t * r + i))
+                for t in range(rank))
+            red, pivots = RatMatrix._of(
+                2 * rank, r * s, rows + flat).transpose().rref()
+            if len(pivots) > rank:
+                raise ValidationError("Z is not stable under the action")
+            restricted = RatMatrix._of(rank, rank, tuple(
+                red.row(u)[rank:] for u in range(rank)))
+            zv_action.append(restricted.inverse().transpose())
     else:
-        zv_action = tuple(RatMatrix.identity(0) for _ in em2.action)
+        zv_action = [RatMatrix.identity(0) for _ in pairs]
     lattice = GaloisLattice(rank, action=zv_action, group=m.X.group)
     if list(chars) == report.z.basis_columns():
         extension = report.extension

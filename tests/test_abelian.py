@@ -130,16 +130,22 @@ def assert_minimal_polynomial(m):
 
 
 @st.composite
-def finite_order_matrices(draw):
-    """A signed permutation of size 1-6 conjugated by a unimodular U."""
-    n = draw(st.integers(1, 6))
+def unimodular_matrices(draw, n):
+    """The identity of size n after up to five random row additions."""
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(draw(st.integers(0, 5)) if n > 1 else 0):
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                              unique=True))
         c = draw(st.integers(-2, 2))
         u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-    u = RatMatrix(n, n, u)
+    return RatMatrix(n, n, u)
+
+
+@st.composite
+def finite_order_matrices(draw):
+    """A signed permutation of size 1-6 conjugated by a unimodular U."""
+    n = draw(st.integers(1, 6))
+    u = draw(unimodular_matrices(n))
     perm = draw(st.permutations(range(n)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     sigma = RatMatrix(n, n, [[signs[i] if perm[i] == j else 0
@@ -410,6 +416,59 @@ def test_smallest_subvariety_matches_brute_force():
         data = smallest_subvariety(p)
         assert data.contains(p)
         assert data.dim == brute_force_minimum(model, p)
+
+
+# Q, Q(sqrt2), Q(i), Q(cbrt2), Q(zeta_5) and Q(i, sqrt2)
+B_FIELDS = [RATIONAL_FIELD] + FIELDS + [
+    EndAlgebraRep(4, [IMAG.kron(RatMatrix.identity(2)),
+                      RatMatrix.identity(2).kron(SQRT2)]),
+]
+
+
+@st.composite
+def points_on_d_modules(draw):
+    """Points on D^k (k = 1-3), its coordinates moved by a unimodular U.
+
+    Each of the 0-4 points is zero, random, or a D-multiple of an earlier
+    one, so the relation module reaches zero, proper and full.
+    """
+    alg = draw(st.sampled_from(B_FIELDS))
+    k = draw(st.integers(1, 3))
+    n = alg.degree * k
+    u = draw(unimodular_matrices(n))
+    action = [u.inverse() * RatMatrix.identity(k).kron(g) * u
+              for g in alg.generators]
+    model = AbelianVarietyModel("A", 1, end_algebra=alg, point_space_dim=n,
+                                end_action=action)
+    small = st.integers(-2, 2)
+    points = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("zero", "random", "multiple")))
+        if kind == "multiple" and points:
+            earlier = points[draw(st.integers(0, len(points) - 1))]
+            coords = [draw(small) for _ in range(alg.dimension)]
+            points.append(model.element_point_matrix(coords).apply(earlier))
+        elif kind == "random":
+            points.append([draw(small) for _ in range(n)])
+        else:
+            points.append([0] * n)
+    return PointVector(model, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points_on_d_modules())
+def test_smallest_subvariety_matches_kernel_route(p):
+    """The trace-dual row space is the annihilator of the relation module."""
+    data = smallest_subvariety(p)
+    reference = annihilator_module(p.variety, p.multiplicity,
+                                   relation_module(p))
+    assert data.module == reference
+    assert data.contains(p)
+
+
+def test_trace_dual_basis_of_rational_field_is_identity():
+    model = simple_model(n=3)
+    assert model._trace_dual_basis == (RatMatrix.identity(3),)
 
 
 def test_smallest_subvariety_minimality_cm():

@@ -93,6 +93,37 @@ def test_tensor_basis_order_is_row_major():
     assert t.action[0].column(2) == (1, 0, -1, 0)
 
 
+def test_tensor_forms_its_action_on_first_read(monkeypatch):
+    calls = []
+    original = RatMatrix.kron
+
+    def counting(self, other):
+        calls.append((self.rows, other.rows))
+        return original(self, other)
+
+    monkeypatch.setattr(RatMatrix, "kron", counting)
+    group = ActionGroup(1)
+    a = GaloisLattice(2, [SWAP], group=group)
+    b = GaloisLattice(3, [RatMatrix.identity(3).scale(-1)], group=group)
+    t = tensor(a, b)
+    assert (t.rank, t.group) == (6, group)
+    # equal factors: equal without forming the matrices
+    assert t == tensor(a, b)
+    assert calls == []
+    assert t.action == (SWAP.kron(RatMatrix.identity(3).scale(-1)),)
+    assert t.action is t.action
+    assert len(calls) == 2  # one for t, one for the expected value
+    # unequal factors with equal products: (-a) ⊗ (-b) = a ⊗ b
+    neg_a = GaloisLattice(2, [SWAP.scale(-1)], group=group)
+    neg_b = GaloisLattice(3, [RatMatrix.identity(3)], group=group)
+    assert tensor(neg_a, neg_b) == t and t == tensor(neg_a, neg_b)
+    assert tensor(a, neg_b) != t
+    # a plain lattice with the same matrices is equal either way round
+    plain = GaloisLattice(6, t.action, group=group)
+    assert plain == t and t == plain
+    assert hash(plain) == hash(t)
+
+
 def test_tensor_group_mismatch():
     with pytest.raises(ValueError):
         tensor(GaloisLattice(1, [RatMatrix.identity(1)]), trivial_lattice(1))

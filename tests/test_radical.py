@@ -29,6 +29,7 @@ from motcalc.exactlin import (
 )
 from motcalc import lattices, radical
 from motcalc.document import analyze_motive, check_invariants, parse_input
+from motcalc.errors import ValidationError
 from motcalc.lattices import (
     ActionGroup,
     GaloisLattice,
@@ -40,6 +41,7 @@ from motcalc.motive import OneMotive, cartier_dual, gr
 from motcalc.multgroup import MultSpace
 from motcalc.radical import (
     REDUCTIVE_SYMBOL,
+    RadicalReport,
     derived_torus_Z1,
     psi_matrix,
     radical_cartier_dual,
@@ -590,6 +592,95 @@ def test_smallest_B_without_abelian_part():
     assert b.w_a is None and b.w_astar is None and b.dim == 0
 
 
+def random_unimodular(rng, n):
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randrange(4) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return RatMatrix.from_rows(u)
+
+
+def conjugated_motive(m, u, w):
+    """m with X acted on by u^-1 gx u and Yv by w^-1 gy w.
+
+    v, v* and psi move along, to P u, Q w and u^T C w, so the motive
+    check still passes.  A signed permutation is its own inverse
+    transpose; its conjugate in general is not, so X^v and X differ.
+    """
+    x = GaloisLattice(m.r, [u.inverse() * g * u for g in m.X.action],
+                      group=m.X.group)
+    yv = GaloisLattice(m.s, [w.inverse() * g * w for g in m.Yv.action],
+                       group=m.Yv.group)
+    v = RatMatrix.from_columns([list(c) for c in m.v.coords],
+                               nrows=m.A.point_space_dim) * u
+    vstar = RatMatrix.from_columns([list(c) for c in m.vstar.coords],
+                                   nrows=m.Astar.point_space_dim) * w
+    comps = [(u.transpose() * m.psi_component(t) * w).row_list()
+             for t in range(m.mult_space.dim)]
+    psi = [[[c[i][j] for c in comps] for j in range(m.s)] for i in range(m.r)]
+    return OneMotive(x, yv, A=m.A, Astar=m.Astar,
+                     v=PointVector(m.A, v.column_list()),
+                     vstar=PointVector(m.Astar, vstar.column_list()),
+                     psi=psi, mult_space=m.mult_space)
+
+
+def kronecker_route_zv_action(m, chars):
+    """Z^v's action through the (rs) x (rs) matrices of X^v tensor Y."""
+    basis = RatMatrix.from_columns([list(c) for c in chars], nrows=m.r * m.s)
+    action = []
+    for g in tensor(dual(m.X), dual(m.Yv)).action:
+        cols = [list(basis.solve(g.apply(c))) for c in chars]
+        restricted = RatMatrix.from_columns(cols, nrows=len(chars))
+        action.append(restricted.inverse().transpose())
+    return tuple(action)
+
+
+def with_z(report, space):
+    """The report with Z replaced by another subspace of X^v tensor Y."""
+    return RadicalReport(report.motive, report.b1, report.b2, report.b,
+                         report.z1, space, report.reductive_dim)
+
+
+def test_zv_action_matches_kronecker_route():
+    """The factor route restricts X^v tensor Y to Z as the Kronecker one.
+
+    v, v* and psi are Galois-fixed, so a motive's Z is pointwise fixed
+    and its Z^v action is the identity.  Each motive's report is also
+    given a stable Z that is not fixed: the closure of a random vector.
+    """
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(60):
+        m = random_equivariant_motive(rng)
+        if rng.randrange(2):
+            m = conjugated_motive(m, random_unimodular(rng, m.r),
+                                  random_unimodular(rng, m.s))
+        report = unipotent_radical(m)
+        em2 = tensor(dual(m.X), dual(m.Yv))
+        vector = [rng.randrange(-2, 3) for _ in range(em2.rank)]
+        orbit = stable_closure(em2, Subspace(em2.rank, [vector]))
+        for space in (report.z, orbit):
+            data = radical_cartier_dual(with_z(report, space))
+            if data.characters:
+                assert data.lattice.action == kronecker_route_zv_action(
+                    m, data.characters)
+                seen.add((dual(m.X) != m.X,
+                          not data.lattice.is_trivial_action()))
+    # nontrivial Z^v actions, with X^v equal to X and not
+    assert seen >= {(False, True), (True, True)}
+
+
+def test_unstable_z_is_rejected():
+    group = ActionGroup(1, relators=[(1, 1)])
+    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+    m = OneMotive(GaloisLattice(2, action=[swap], group=group),
+                  GaloisLattice(1, group=group))
+    report = with_z(unipotent_radical(m), Subspace(2, [(1, 0)]))
+    with pytest.raises(ValidationError, match="Z is not stable"):
+        radical_cartier_dual(report)
+
+
 def test_radical_dual_of_torus_examples():
     rep = unipotent_radical(z4_gm_motive())
     data = radical_cartier_dual(rep)
@@ -724,6 +815,25 @@ def test_only_input_lattices_and_zv_are_checked(monkeypatch):
     assert len(inits) == 1
     assert check_invariants(doc) == []
     assert len(inits) == 1
+
+
+def test_analyze_and_check_form_no_kronecker_matrix(monkeypatch):
+    doc = parsed_cyclic_document(4)
+    calls = []
+    original = RatMatrix.kron
+
+    def counting(self, other):
+        calls.append((self.rows, other.rows))
+        return original(self, other)
+
+    monkeypatch.setattr(RatMatrix, "kron", counting)
+    _, motive = doc.motives[0]
+    analyze_motive(motive)
+    assert check_invariants(doc) == []
+    assert calls == []
+    # E_-2 still has its Kronecker matrices for a reader that asks
+    assert gr(motive).em2.action[0].rows == 16
+    assert calls == [(4, 4)]
 
 
 def parsed_torus_document():
