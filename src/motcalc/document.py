@@ -765,20 +765,54 @@ def gr_text(summary):
 
 
 def _scaled_motive(m, n):
-    kwargs = {}
+    """The isogenous copy with v, v* scaled by n and psi by n^2.
+
+    Built unchecked (``OneMotive._of``): every check on a motive is
+    linear in (v, v*, psi) or about shapes, so the copy passes them
+    because m did.
+    """
+    v = vstar = None
     if m.A is not None:
-        kwargs = dict(
-            A=m.A, Astar=m.Astar,
-            v=PointVector(m.A, [[n * c for c in row] for row in m.v.coords]),
-            vstar=PointVector(m.Astar, [[n * c for c in row]
-                                        for row in m.vstar.coords]))
-    psi = [[[n * n * c for c in m.psi[i][j]] for j in range(m.s)]
-           for i in range(m.r)]
-    return OneMotive(m.X, m.Yv, psi=psi, mult_space=m.mult_space, **kwargs)
+        v = PointVector(m.A, [[n * c for c in row] for row in m.v.coords])
+        vstar = PointVector(m.Astar, [[n * c for c in row]
+                                      for row in m.vstar.coords])
+    n2 = n * n
+    psi = tuple(tuple(tuple(n2 * c for c in entry) for entry in row)
+                for row in m.psi)
+    return OneMotive._of(m.X, m.Yv, m.A, m.Astar, v, vstar, psi,
+                         m.mult_space)
+
+
+def _witness(space, other):
+    """A basis vector of ``space`` that ``other`` does not contain, as
+    text, or None."""
+    for vec in space.basis_columns():
+        if not other.contains(vec):
+            return "(" + ", ".join(map(str, vec)) + ")"
+    return None
+
+
+def _moved(name, before, after):
+    """Why ``after`` differs from ``before``: a witness in one, not the other."""
+    vec = _witness(after, before)
+    if vec is not None:
+        return "%s lies in the scaled %s and not in %s" % (vec, name, name)
+    return "%s lies in %s and not in the scaled %s" % (
+        _witness(before, after), name, name)
 
 
 def check_invariants(doc):
-    """Property checks on every motive; returns failure messages."""
+    """Property checks on every motive; returns failure messages.
+
+    Per motive: dim U = dim B + dim Z, Z1 inside Z, equal dimensions for
+    the Cartier dual, the double dual equal to the motive, and the same
+    Z1, Z, W_A and W_A* for the copy with (v, v*, psi) scaled by
+    (2, 2, 4), an isogeny.  A failure names the subspace and gives a
+    witness vector that lies in one space and not in the other.  The
+    duals and the scaled copy are derived from a motive that passed the
+    entry checks, and are built without checking them again
+    (``OneMotive._of``).
+    """
     failures = []
     for index, (_, motive) in enumerate(doc.motives):
         label = motive.name or "motives[%d]" % (index,)
@@ -787,7 +821,9 @@ def check_invariants(doc):
             failures.append("%s: dim_unipotent is not dim_B + dim_Z"
                             % (label,))
         if not report.z.contains_space(report.z1):
-            failures.append("%s: Z1 is not contained in Z" % (label,))
+            failures.append("%s: Z1 is not contained in Z: %s lies in Z1 "
+                            "and not in Z"
+                            % (label, _witness(report.z1, report.z)))
         dual_report = unipotent_radical(cartier_dual(motive))
         if (report.dim_B, report.dim_Z) != \
                 (dual_report.dim_B, dual_report.dim_Z):
@@ -798,11 +834,14 @@ def check_invariants(doc):
             failures.append("%s: double dual differs from the motive"
                             % (label,))
         scaled = unipotent_radical(_scaled_motive(motive, 2))
-        same = (scaled.z1 == report.z1 and scaled.z == report.z)
-        if same and motive.A is not None:
-            same = (scaled.b.w_a.module == report.b.w_a.module
-                    and scaled.b.w_astar.module == report.b.w_astar.module)
-        if not same:
-            failures.append("%s: scaling (v, v*, psi) by (2, 2, 4) moved "
-                            "a reported subspace" % (label,))
+        pairs = [("Z1", report.z1, scaled.z1), ("Z", report.z, scaled.z)]
+        if motive.A is not None:
+            pairs += [("W_A", report.b.w_a.module, scaled.b.w_a.module),
+                      ("W_A*", report.b.w_astar.module,
+                       scaled.b.w_astar.module)]
+        for name, before, after in pairs:
+            if before != after:
+                failures.append("%s: scaling (v, v*, psi) by (2, 2, 4) "
+                                "moved %s: %s"
+                                % (label, name, _moved(name, before, after)))
     return failures

@@ -73,7 +73,10 @@ def build_E(g):
 
     The bracket is the table ``pairings._weil_table(r, s)``, which is the
     antisymmetrization of the product; the product is its one-sided
-    (l, 0, 1) half.
+    (l, 0, 1) half.  Both are wrapped unchecked
+    (``TorusPairingClass._of``): each entry is a nonzero unit matrix of
+    its block's shape, at component l = i*s + j < r*s = rank E_-2,
+    between A^r and (A*)^s or back, a registered dual pair.
     With no abelian part both E_-1 summands vanish and the bracket is the
     zero class; E_-2 keeps its full rank r*s either way.
     """
@@ -89,8 +92,8 @@ def build_E(g):
     bracket = _weil_table(r, s)
     product = {key: mat for key, mat in bracket.items() if key[1:] == (0, 1)}
     return GradedEndData(space, em2,
-                         TorusPairingClass(space, space, em2, product),
-                         TorusPairingClass(space, space, em2, bracket),
+                         TorusPairingClass._of(space, space, em2, product),
+                         TorusPairingClass._of(space, space, em2, bracket),
                          r, s, a)
 
 

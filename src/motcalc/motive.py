@@ -16,8 +16,14 @@ form (X, Yv, A, A*, v, v*, psi):
 The group G itself is never materialized; every computation downstream
 consumes the 7-tuple directly.  Tracked points and psi values are taken
 Galois-fixed (defined over k), so equivariance of (v, v*, psi) amounts to
-invariance under the declared action on X and Yv; construction checks this
-and rejects non-equivariant data.
+invariance under the declared action on X and Yv.
+
+A motive is checked once, where it enters: the public ``OneMotive``
+constructor checks shapes, the registered dual pair and equivariance,
+and rejects data that fails.  The Cartier dual and the isogenous copies
+that the invariant checks build from a motive that passed are valid by
+construction, so they go through the unchecked ``OneMotive._of`` (the
+argument is in ``cartier_dual`` and ``_of``).
 
 The weight filtration has W_-1 = [0 -> G] of dimension g + s and
 W_-2 = the torus of dimension s; the graded pieces are X, A and Y(1).
@@ -65,6 +71,35 @@ class OneMotive:
         self.mult_space = mult_space if mult_space is not None else MultSpace()
         self.psi = self._check_psi(psi)
         self._check_equivariance()
+
+    @classmethod
+    def _of(cls, X, Yv, A, Astar, v, vstar, psi, mult_space, name=None):
+        """Wrap the parts of a valid motive as they are, unchecked.
+
+        The parts must be what the public constructor stores: ``v`` and
+        ``vstar`` are point vectors (None without an abelian part) and
+        ``psi`` is an r x s tuple of value tuples of ``Fraction``.  The
+        callers derive them from a motive that passed the public checks,
+        by a map that keeps every check true:
+
+        * the Cartier dual swaps (X, v) with (Yv, v*) and transposes
+          psi (see ``cartier_dual``);
+        * the copy scaled by n (``document._scaled_motive``) multiplies v
+          and v* by n and psi by n^2; every check is linear (P gx = P,
+          Q gy = Q, gx^T C gy = C) or about shapes, so it still holds.
+        """
+        m = object.__new__(cls)
+        m.X = X
+        m.Yv = Yv
+        m.name = name
+        m._graded = None
+        m.A = A
+        m.Astar = Astar
+        m.v = v
+        m.vstar = vstar
+        m.mult_space = mult_space
+        m.psi = psi
+        return m
 
     @staticmethod
     def _check_points(points, variety, multiplicity, label):
@@ -252,10 +287,17 @@ def cartier_dual(m):
     Transposition of psi: the dual's entry at (j, i) is psi(e_i, f_j).
     Applying the operation twice returns a motive structurally equal to
     the input.
+
+    The dual is built unchecked (``OneMotive._of``): it is valid because
+    m is.  It swaps (X, v) with (Yv, v*), so the shapes swap with them
+    (v* has multiplicity s = rank of the new X), and the registered dual
+    pair (A, A*) becomes (A*, A), which is registered too.  The point
+    conditions Q gy = Q and P gx = P carry over unchanged, now read on
+    the new X and Yv, and for each psi component C the dual's component
+    is C^T, with gy^T C^T gx = (gx^T C gy)^T = C^T.
     """
     psi_t = tuple(
         tuple(m.psi[i][j] for i in range(m.r)) for j in range(m.s))
-    return OneMotive(
-        X=m.Yv, Yv=m.X, A=m.Astar, Astar=m.A, v=m.vstar, vstar=m.v,
-        psi=psi_t, mult_space=m.mult_space,
+    return OneMotive._of(
+        m.Yv, m.X, m.Astar, m.A, m.vstar, m.v, psi_t, m.mult_space,
         name=None if m.name is None else m.name + "*")

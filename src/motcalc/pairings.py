@@ -151,6 +151,23 @@ class TorusPairingClass:
             table[(l, p, q)] = mat
         self.coefficients = table
 
+    @classmethod
+    def _of(cls, left_space, right_space, target, coefficients):
+        """Wrap a normalized coefficient table as it is, unchecked.
+
+        Every key must be in range, every matrix nonzero and of its
+        block's shape, and every entry between a registered dual pair of
+        abelian blocks or between two torus blocks: what the public
+        constructor keeps.  ``liealg.build_E`` wraps ``_weil_table`` this
+        way (see there).
+        """
+        c = object.__new__(cls)
+        c.left_space = left_space
+        c.right_space = right_space
+        c.target = target
+        c.coefficients = coefficients
+        return c
+
     def entry(self, l, p, q):
         """Coefficient matrix at (component, left block, right block)."""
         key = (l, p, q)

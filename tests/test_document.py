@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motcalc import document
+from motcalc.abelian import SubvarietyData
 from motcalc.document import (
     analyze_motive,
     build_report,
@@ -20,7 +22,8 @@ from motcalc.document import (
     serialize_document,
 )
 from motcalc.errors import UnsupportedModelError, ValidationError
-from motcalc.radical import unipotent_radical
+from motcalc.exactlin import Subspace
+from motcalc.radical import BData, RadicalReport, unipotent_radical
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "motives")
 
@@ -216,6 +219,88 @@ def test_check_invariants_clean_on_corpus():
     for name in CORPUS_FILES:
         doc = load_input(corpus_path(name))
         assert check_invariants(doc) == []
+
+
+def replaced(report, name, space):
+    """The report with its Z1, Z, W_A or W_A* replaced by ``space``."""
+    z1 = space if name == "Z1" else report.z1
+    z = space if name == "Z" else report.z
+    w_a, w_astar = report.b.w_a, report.b.w_astar
+    if name == "W_A":
+        w_a = SubvarietyData(w_a.variety, w_a.multiplicity, space, w_a.dim)
+    if name == "W_A*":
+        w_astar = SubvarietyData(w_astar.variety, w_astar.multiplicity,
+                                 space, w_astar.dim)
+    return RadicalReport(report.motive, report.b1, report.b2,
+                         BData(w_a, w_astar), z1, z, report.reductive_dim)
+
+
+def space_of(report, name):
+    if name in ("W_A", "W_A*"):
+        side = report.b.w_a if name == "W_A" else report.b.w_astar
+        return side.module
+    return report.z1 if name == "Z1" else report.z
+
+
+def witness(text):
+    """The vector of a "(a, b) lies in ..." clause, as Fractions."""
+    return [Fraction(x) for x in text[1:text.index(")")].split(", ")]
+
+
+def test_check_invariants_names_z1_outside_z(monkeypatch):
+    # every report gets Z = 0, so Z1 = <(1)> of ext_weil is outside it
+    def radical_with_zero_z(m):
+        report = unipotent_radical(m)
+        return replaced(report, "Z", Subspace.zero(report.z.ambient_dim))
+
+    monkeypatch.setattr(document, "unipotent_radical", radical_with_zero_z)
+    doc = load_input(corpus_path("ext_weil.json"))
+    assert check_invariants(doc) == [
+        "ext_weil: Z1 is not contained in Z: (1) lies in Z1 and not in Z"]
+
+
+@pytest.mark.parametrize("name, file, moved_to", [
+    ("Z1", "ext_weil.json", "zero"),
+    ("Z", "sec39_gm3.json", "full"),
+    ("W_A", "ell_rel.json", "full"),
+    ("W_A*", "ext_weil.json", "zero"),
+])
+def test_check_invariants_names_the_subspace_scaling_moved(
+        monkeypatch, name, file, moved_to):
+    scaled = []
+    original_scaled = document._scaled_motive
+
+    def recording(m, n):
+        scaled.append(original_scaled(m, n))
+        return scaled[-1]
+
+    def radical_moving_one_space(m):
+        report = unipotent_radical(m)
+        if not any(m is c for c in scaled):
+            return report
+        n = space_of(report, name).ambient_dim
+        space = Subspace.zero(n) if moved_to == "zero" else Subspace.full(n)
+        return replaced(report, name, space)
+
+    monkeypatch.setattr(document, "_scaled_motive", recording)
+    monkeypatch.setattr(document, "unipotent_radical",
+                        radical_moving_one_space)
+    doc = load_input(corpus_path(file))
+    (message,) = check_invariants(doc)
+    label = doc.motives[0][1].name
+    head = "%s: scaling (v, v*, psi) by (2, 2, 4) moved %s: " % (label, name)
+    assert message.startswith(head)
+    clause = message[len(head):]
+    vec = witness(clause)
+    before = space_of(unipotent_radical(doc.motives[0][1]), name)
+    if moved_to == "full":
+        assert clause.endswith(" lies in the scaled %s and not in %s"
+                               % (name, name))
+        assert not before.contains(vec)
+    else:
+        assert clause.endswith(" lies in %s and not in the scaled %s"
+                               % (name, name))
+        assert before.contains(vec) and any(vec)
 
 
 def test_analyze_motive_matches_unipotent_radical():

@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from motcalc.abelian import AbelianVarietyModel, PointVector, link_duals
 from motcalc.exactlin import RatMatrix
 from motcalc.lattices import GaloisLattice
@@ -17,7 +19,12 @@ from motcalc.liealg import (
 )
 from motcalc.motive import GradedPieces, OneMotive, cartier_dual, gr
 from motcalc.multgroup import MultSpace
-from motcalc.pairings import antisymmetrize, assemble_example_biext
+from motcalc.pairings import (
+    TorusPairingClass,
+    _weil_table,
+    antisymmetrize,
+    assemble_example_biext,
+)
 
 
 def dual_pair(name="E"):
@@ -75,6 +82,27 @@ def test_product_is_one_sided():
     for (l, p, q) in data.product.coefficients:
         assert (p, q) == (0, 1)
     assert antisymmetrize(data.product) == data.bracket
+
+
+@pytest.mark.parametrize("r, s", [(0, 2), (1, 1), (2, 3)])
+def test_build_E_wraps_the_weil_table_unchecked(monkeypatch, r, s):
+    a, _ = dual_pair()
+    g = pieces(r, a, s)
+    calls = []
+    original = RatMatrix.is_zero
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RatMatrix, "is_zero", counting)
+    data = build_E(g)
+    assert calls == []
+    table = _weil_table(r, s)
+    half = {key: mat for key, mat in table.items() if key[1:] == (0, 1)}
+    space = data.em1_space
+    assert data.bracket == TorusPairingClass(space, space, g.em2, table)
+    assert data.product == TorusPairingClass(space, space, g.em2, half)
 
 
 # ------------------------------------------------------------- action maps

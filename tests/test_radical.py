@@ -1,7 +1,9 @@
 """Tests for the unipotent radical computation."""
 
+import glob
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -28,7 +30,13 @@ from motcalc.exactlin import (
     space_sum,
 )
 from motcalc import lattices, radical
-from motcalc.document import analyze_motive, check_invariants, parse_input
+from motcalc.document import (
+    _scaled_motive,
+    analyze_motive,
+    check_invariants,
+    load_input,
+    parse_input,
+)
 from motcalc.errors import ValidationError
 from motcalc.lattices import (
     ActionGroup,
@@ -727,15 +735,22 @@ def test_radical_dual_respects_galois_action():
     assert emitted.X.group is group
 
 
-def count_calls(monkeypatch, name):
-    """Count calls of ``motcalc.lattices.<name>`` from every motcalc module."""
-    original = getattr(lattices, name)
+def count_calls(monkeypatch, name, owner=lattices):
+    """Count calls of ``owner.<name>``.
+
+    A module function (``motcalc.lattices`` by default) is counted from
+    every motcalc module that imported it; a class method on its class.
+    """
+    original = getattr(owner, name)
     calls = []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counting)
+        return calls
     for key, module in list(sys.modules.items()):
         if key.startswith("motcalc") and vars(module).get(name) is original:
             monkeypatch.setattr(module, name, counting)
@@ -778,8 +793,11 @@ def test_radical_builds_no_lattice(monkeypatch):
     assert m._graded is None
 
 
-def parsed_cyclic_document(n=3):
-    """C_n shifting X and Yv with relator g^n, over an elliptic pair."""
+def parsed_cyclic_document(n=3, copies=1):
+    """C_n shifting X and Yv with relator g^n, over an elliptic pair.
+
+    The document holds ``copies`` equal motives.
+    """
     shift = [[1 if i == (j + 1) % n else 0 for j in range(n)]
              for i in range(n)]
     return parse_input(json.dumps({
@@ -795,7 +813,7 @@ def parsed_cyclic_document(n=3):
             "A": "E", "v": ["P"] * n, "vstar": ["Q"] * n,
             "psi": [[[1 if j == i else 0] for j in range(n)]
                     for i in range(n)],
-        }],
+        }] * copies,
     }))
 
 
@@ -896,6 +914,66 @@ def test_cached_lattices_do_not_change_equality_or_dual():
     assert dual_after.structurally_equal(dual_before)
     assert dual_after.structurally_equal(cartier_dual(fresh))
     assert cartier_dual(dual_after).structurally_equal(fresh)
+
+
+def checked_copy(m):
+    """m passed field by field through the public, checking constructor."""
+    return OneMotive(m.X, m.Yv, A=m.A, Astar=m.Astar, v=m.v, vstar=m.vstar,
+                     psi=m.psi, mult_space=m.mult_space, name=m.name)
+
+
+def assert_derived_motives_pass_entry_checks(m):
+    """The unchecked duals and scaled copies of m are valid motives.
+
+    The public constructor accepts each one and stores the same fields.
+    """
+    derived = [cartier_dual(m), cartier_dual(cartier_dual(m))]
+    derived += [_scaled_motive(m, n) for n in (2, 3, -1)]
+    for d in derived:
+        checked = checked_copy(d)
+        assert checked.structurally_equal(d)
+        assert d.structurally_equal(checked)
+    assert derived[1].structurally_equal(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_derived_motives_pass_entry_checks(seed):
+    assert_derived_motives_pass_entry_checks(
+        random_equivariant_motive(random.Random(seed)))
+
+
+def test_derived_motives_of_draws_with_a_group_pass_entry_checks():
+    seen = set()
+    for seed in range(40):
+        m = random_equivariant_motive(random.Random(seed))
+        assert_derived_motives_pass_entry_checks(m)
+        seen.add((m.r != m.s, not (m.X.is_trivial_action()
+                                   and m.Yv.is_trivial_action())))
+    # r != s makes an untransposed psi the wrong shape; a nontrivial
+    # group makes the point and psi conditions read the actions
+    assert (True, True) in seen
+
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "motives")
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(CORPUS_DIR, "*.json"))))
+def test_derived_corpus_motives_pass_entry_checks(name):
+    for _, m in load_input(os.path.join(CORPUS_DIR, name)).motives:
+        assert_derived_motives_pass_entry_checks(m)
+
+
+def test_only_parsed_motives_are_checked(monkeypatch):
+    calls = count_calls(monkeypatch, "_check_equivariance", OneMotive)
+    doc = parsed_cyclic_document(copies=2)
+    # once per motive, where it enters
+    assert len(calls) == len(doc.motives) == 2
+    calls.clear()
+    # the duals and the scaled copies are derived from checked motives
+    assert check_invariants(doc) == []
+    assert calls == []
 
 
 def smith_route_basis(space):
