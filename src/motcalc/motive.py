@@ -239,19 +239,16 @@ class WeightFiltration:
 class GradedPieces:
     """The split weight-graded object X + A + Y(1) of a 1-motive.
 
-    ``xv`` (X^v) is kept next to ``grm2`` (Y).  ``em2`` (X^v tensor Y,
-    rank r*s) holds those two factors: a generator acts on a character,
-    read as the r x s table C, by a C b^T with a its X^v matrix and b
-    its Y matrix, so no reader on the analyze path forms the
-    (r*s) x (r*s) Kronecker matrices of ``em2.action``.
+    ``em2`` is X^v tensor Y (rank r*s).  It forms its (r*s) x (r*s)
+    Kronecker matrices only when ``em2.action`` is read, which no reader
+    on the analyze path does.
     """
 
     def __init__(self, gr0, grm1, grm2):
         self.gr0 = gr0
         self.grm1 = grm1
         self.grm2 = grm2
-        self.xv = dual(gr0)
-        self.em2 = tensor(self.xv, grm2)
+        self.em2 = tensor(dual(gr0), grm2)
 
     def __repr__(self):
         return "GradedPieces(rank X=%d, dim A=%d, rank Y=%d)" % (

@@ -25,7 +25,7 @@ ker R, and ann(ker R) = rowspace(R); a character kills pi(b~) as well
 iff it lies in ann(Z1) intersect ker psi, and ann(A intersect B) =
 ann A + ann B turns that into Z1 + rowspace(psi).
 
-No Galois closure is taken, because each span is already stable.  Write
+No Galois closure is taken, because each span is fixed pointwise.  Write
 P and Q for the matrices of v and v*, gx and gy for a generator on X and
 Yv, and C for a psi component; the motive check enforces P gx = P,
 Q gy = Q and gx^T C gy = C.  So the rows of P*_u P that span the A-side
@@ -33,9 +33,9 @@ module of B are fixed by the X^v action tensored with the identity of
 the endomorphism algebra (likewise on the Y side); the rows of R are
 products u_t tensor w_tau of slices of those two modules, so they are
 fixed by X^v tensor Y; and gx^-T C gy^-1 = C says each psi row is a
-fixed vector.  Z is therefore fixed pointwise and the action of Z^v is
-the identity; ``radical_cartier_dual`` computes it from the factors all
-the same, and its stability check guards the spans.
+fixed vector.  A generator therefore restricts to the identity on Z,
+the dual of the identity is the identity, and ``radical_cartier_dual``
+gives Z^v the trivial action.
 
 The bracket image calculation treats the formal Weil values
 <B_t alpha, B_tau beta> of endomorphism translates as independent
@@ -57,10 +57,9 @@ import math
 from fractions import Fraction
 
 from .abelian import PointVector, smallest_subvariety
-from .errors import ValidationError
 from .exactlin import IntLattice, RatMatrix, Subspace, saturate
 from .lattices import GaloisLattice
-from .motive import OneMotive, gr
+from .motive import OneMotive
 from .multgroup import MultSpace
 
 REDUCTIVE_SYMBOL = "dim Lie G_mot(A)"
@@ -267,12 +266,13 @@ def _integral_basis(space):
 class DualRadicalData:
     """The 1-motive [V: Z^v -> B*] dual to the unipotent radical.
 
-    ``lattice`` is Z^v with the action induced from X^v tensor Y (the
-    dual of the restriction to Z).  ``characters`` is the matching
-    integral basis of Z.  ``astar_values``/``a_values`` give V on each
-    basis character as points on the two sides of B* ((A*)^r restricted
-    by the W_A module, A^s restricted by the W_A* module; the module
-    data itself sits in ``report.b``).
+    ``lattice`` is Z^v with the trivial action: X^v tensor Y fixes Z
+    pointwise, so the dual of its restriction to Z is the identity.
+    ``characters`` is the matching integral basis of Z.
+    ``astar_values``/``a_values`` give V on each basis character as
+    points on the two sides of B* ((A*)^r restricted by the W_A module,
+    A^s restricted by the W_A* module; the module data itself sits in
+    ``report.b``).
     """
 
     def __init__(self, report, lattice, characters, extension):
@@ -305,50 +305,16 @@ class DualRadicalData:
 def radical_cartier_dual(report):
     """Emit [V: Z^v -> B*] from a computed radical report.
 
-    The lattice Z^v inherits the dual of the Galois action restricted to
-    Z; V is re-evaluated on the integral character basis so that the
-    emitted data is independent of the rational basis used internally.
-    When the two bases agree, the report's own table is that evaluation.
-
-    A generator acts on X^v tensor Y by a tensor b, with a its X^v and b
-    its Y matrix; on a character read as the r x s table C that is
-    a C b^T.  All k characters are mapped at once: a times the tables
-    side by side (r x k*s), then those products stacked (k*r x s) times
-    b^T.  The restriction to Z is read off one elimination of
-    [characters | images] (columns, r*s x 2k): the characters are
-    independent, so they take the first k pivots, and a pivot among the
-    images means an image left Z.
+    Z^v carries the trivial action: each row spanning Z is a fixed
+    vector of X^v tensor Y (see the module docstring), so the action
+    restricted to Z and its dual are the identity.  V is re-evaluated on
+    the integral character basis so that the emitted data is independent
+    of the rational basis used internally.  When the two bases agree,
+    the report's own table is that evaluation.
     """
     m = report.motive
     chars = _integral_basis(report.z)
-    pieces = gr(m)
-    r, s, rank = m.r, m.s, len(chars)
-    pairs = tuple(zip(pieces.xv.action, pieces.grm2.action))
-    zv_action = []
-    if rank and pairs:
-        rows = tuple(tuple(Fraction(x) for x in c) for c in chars)
-        side_by_side = RatMatrix._of(r, rank * s, tuple(
-            tuple(x for c in rows for x in c[i * s:(i + 1) * s])
-            for i in range(r)))
-        for a, b in pairs:
-            left = a * side_by_side
-            stacked = RatMatrix._of(rank * r, s, tuple(
-                left.row(i)[t * s:(t + 1) * s]
-                for t in range(rank) for i in range(r)))
-            images = stacked * b.transpose()
-            flat = tuple(
-                tuple(x for i in range(r) for x in images.row(t * r + i))
-                for t in range(rank))
-            red, pivots = RatMatrix._of(
-                2 * rank, r * s, rows + flat).transpose().rref()
-            if len(pivots) > rank:
-                raise ValidationError("Z is not stable under the action")
-            restricted = RatMatrix._of(rank, rank, tuple(
-                red.row(u)[rank:] for u in range(rank)))
-            zv_action.append(restricted.inverse().transpose())
-    else:
-        zv_action = [RatMatrix.identity(0) for _ in pairs]
-    lattice = GaloisLattice(rank, action=zv_action, group=m.X.group)
+    lattice = GaloisLattice(len(chars), group=m.X.group)
     if list(chars) == report.z.basis_columns():
         extension = report.extension
     else:

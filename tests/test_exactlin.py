@@ -235,6 +235,16 @@ def test_hermite_canonical_form_is_generator_order_independent():
     assert a == b
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "_hermite_rows reduces above the pivots from the last one up, so "
+    "clearing column 1 puts (1, 0, -1) where the other order holds "
+    "(1, 0, 1)"))
+def test_hermite_canonical_form_is_generator_order_independent_above_pivots():
+    a = IntLattice(3, [(1, 0, 5), (0, 1, 3), (0, 0, 2)])
+    b = IntLattice(3, [(1, 1, 8), (0, 1, 3), (0, 0, 2)])
+    assert a == b
+
+
 def test_quotient_space_no_relations_is_identity():
     q = QuotientSpace(3)
     assert q.dim == 3
