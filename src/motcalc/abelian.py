@@ -19,14 +19,18 @@ The two computational services are
   kept as the reference the tests compare it with.
 
 The algebra D is restricted to commutative fields in this version; a
-noncommutative declaration raises :class:`UnsupportedModelError`.
+noncommutative declaration raises :class:`UnsupportedModelError`.  The
+field checks read the minimal polynomial of each generator, found by
+reducing its flattened powers with the ``exactlin`` reduction step, and
+divide polynomials with ``_poly_divmod``, which the finite-order check
+of ``lattices`` shares.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import UnsupportedModelError, ValidationError
-from .exactlin import RatMatrix, Subspace, kernel, rat
+from .exactlin import RatMatrix, Subspace, _reduce, kernel, rat
 
 
 def _flatten(m):
@@ -40,34 +44,30 @@ def _flatten(m):
 def _minimal_polynomial(m):
     """Monic minimal polynomial of a matrix, constant coefficient first.
 
-    The flattened powers I, M, M^2, ... are reduced one at a time
-    against an echelon basis of the earlier ones.  Each basis row has
-    pivot entry 1 and zeros at the pivots of the rows before it, and
-    carries its expression in the powers, so one pass in row order
-    reduces a new power.  The first power M^j that reduces to zero
-    gives M^j - sum c_i M^i = 0, the minimal relation.
+    Each power M^j is flattened and extended by the unit vector e_j of
+    Q^(n+1) (n = m.rows; by Cayley–Hamilton the degree is at most n), so
+    the e part of a combination of such vectors records its coefficients
+    in I, M, M^2, ...  The vectors are reduced in turn (``_reduce``)
+    against an echelon of the earlier ones, pivoted in the matrix part.
+    The first whose matrix part reduces to zero gives the minimal
+    relation: its e part is sum c_i x^i with c_j = 1.
     """
-    zero = Fraction(0)
-    echelon = []  # (pivot, row, coefficients of row in I, M, ...)
-    power = RatMatrix.identity(m.rows)
+    n = m.rows
+    size = n * n
+    echelon = []
+    power = RatMatrix.identity(n)
     j = 0
     while True:
-        vec = list(_flatten(power))
-        coeffs = [zero] * j + [Fraction(1)]
-        for pivot, row, row_coeffs in echelon:
-            f = vec[pivot]
-            if f:
-                vec = [a - f * b if b else a for a, b in zip(vec, row)]
-                for i, c in enumerate(row_coeffs):
-                    coeffs[i] -= f * c
-        pivot = next((k for k, x in enumerate(vec) if x), None)
+        unit = [Fraction(0)] * (n + 1)
+        unit[j] = Fraction(1)
+        vec = _reduce(echelon, _flatten(power) + tuple(unit))
+        pivot = next((k for k in range(size) if vec[k]), None)
         if pivot is None:
-            return tuple(coeffs)
+            return tuple(vec[size:size + j + 1])
         f = vec[pivot]
         if f != 1:
             vec = [x / f if x else x for x in vec]
-            coeffs = [c / f for c in coeffs]
-        echelon.append((pivot, vec, coeffs))
+        echelon.append((pivot, vec))
         power = power * m
         j += 1
 
@@ -79,15 +79,21 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mod(a, b):
-    a = _poly_trim(a)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] -= f * c
-        a = _poly_trim(a)
-    return a
+def _poly_divmod(a, b):
+    """Quotient and trimmed remainder of a by b, constant coefficient first.
+
+    b must have a nonzero leading coefficient.
+    """
+    a = list(a)
+    n = len(b) - 1
+    q = [Fraction(0)] * max(len(a) - n, 0)
+    for shift in range(len(a) - n - 1, -1, -1):
+        c = Fraction(a[shift + n]) / b[-1]
+        q[shift] = c
+        if c:
+            for i, bc in enumerate(b):
+                a[shift + i] -= c * bc
+    return q, _poly_trim(a[:n])
 
 
 def _is_squarefree(p):
@@ -95,7 +101,7 @@ def _is_squarefree(p):
         [Fraction(k) * c for k, c in enumerate(p)][1:])
     a, b = _poly_trim(p), derivative
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return len(a) == 1
 
 
@@ -210,12 +216,11 @@ class EndAlgebraRep:
         product produced it; the identity carries the empty word.  The words
         let a variety model replay the same products on its point space.
         """
+        size = self.degree * self.degree
         basis = [RatMatrix.identity(self.degree)]
         words = [()]
-        span = Subspace.from_matrix_columns(
-            RatMatrix.from_columns([list(_flatten(basis[0]))],
-                                   nrows=self.degree * self.degree)
-        )
+        flats = [_flatten(basis[0])]
+        span = Subspace(size, flats)
         queue = list(range(len(basis)))
         while queue:
             idx = queue.pop(0)
@@ -224,10 +229,8 @@ class EndAlgebraRep:
                 vec = _flatten(cand)
                 if span.contains(vec):
                     continue
-                cols = [list(_flatten(b)) for b in basis] + [list(vec)]
-                span = Subspace.from_matrix_columns(
-                    RatMatrix.from_columns(cols, nrows=self.degree * self.degree)
-                )
+                flats.append(vec)
+                span = Subspace(size, flats)
                 basis.append(cand)
                 words.append(words[idx] + (gi,))
                 queue.append(len(basis) - 1)
@@ -581,11 +584,7 @@ class SubvarietyData:
                 for blk in blocks:
                     vec.extend(blk.column(k))
                 cols.append(vec)
-        if not cols:
-            return all(c == 0 for c in p.flat())
-        span = Subspace.from_matrix_columns(
-            RatMatrix.from_columns(cols, nrows=m * n))
-        return span.contains(p.flat())
+        return Subspace(m * n, cols).contains(p.flat())
 
     def __repr__(self):
         return "SubvarietyData(%r, m=%d, dim=%d)" % (

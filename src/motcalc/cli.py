@@ -9,8 +9,9 @@ Three subcommands over motive description files:
 * ``motcalc gr <file>`` prints the graded-pieces summary.
 
 Exit codes: 0 on success, 1 when ``--check-invariants`` finds a
-violation, 2 on a parse error (with line and column), 3 on a validation
-error (with the JSON path), 4 on an unsupported model.
+violation, 2 when the input cannot be read or decoded (a parse error
+comes with line and column), 3 on a validation error (with the JSON
+path), 4 on an unsupported model.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .document import (
     report_text,
     serialize_document,
 )
-from .errors import UnsupportedModelError, ValidationError
+from .errors import UnreadableInputError, UnsupportedModelError, ValidationError
 
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
@@ -94,7 +95,7 @@ def main(argv=None):
         print("parse error at line %d, column %d: %s"
               % (exc.lineno, exc.colno, exc.msg), file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnreadableInputError) as exc:
         print("cannot read input: %s" % (exc,), file=sys.stderr)
         return EXIT_PARSE
     except UnsupportedModelError as exc:

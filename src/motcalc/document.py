@@ -40,7 +40,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .abelian import AbelianVarietyModel, EndAlgebraRep, PointVector, \
     link_duals
-from .errors import ValidationError
+from .errors import UnreadableInputError, ValidationError
 from .exactlin import QuotientSpace, RatMatrix
 from .lattices import ActionGroup, GaloisLattice, TRIVIAL_GROUP
 from .liealg import build_E
@@ -428,7 +428,10 @@ def _parse_motive(entry, index, group, mult_space, models):
 
 def parse_input(text):
     """Parse and validate a JSON document string."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise UnreadableInputError("JSON nested too deeply to decode") from None
     _check_keys(data, "document",
                 {"group", "mult_basis", "mult_relations", "varieties",
                  "motives", "options"},
@@ -491,7 +494,11 @@ def parse_input(text):
 
 def load_input(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_input(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise UnreadableInputError("not UTF-8 text: %s" % (exc,)) from None
+    return parse_input(text)
 
 
 def serialize_document(payload):
@@ -688,6 +695,8 @@ def build_report(doc, reductive_dim=None):
     effective = reductive_dim
     if effective is None:
         effective = doc.options.get("reductive_dim")
+    if effective is not None and effective < 0:
+        _fail("reductive_dim", "must be >= 0")
     reports = []
     for _, motive in doc.motives:
         payload, _ = analyze_motive(motive, reductive_dim=effective)

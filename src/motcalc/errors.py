@@ -9,3 +9,8 @@ class ValidationError(ValueError):
 class UnsupportedModelError(ValueError):
     """The data is internally consistent but outside the supported model
     class (for example a noncommutative endomorphism algebra)."""
+
+
+class UnreadableInputError(ValueError):
+    """The input file is not UTF-8 text, or is JSON nested too deeply for
+    the decoder to take apart."""

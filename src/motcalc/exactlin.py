@@ -9,13 +9,15 @@ Everything downstream runs on the three types defined here:
   common denominator, take integer dot products, and divide once, so
   they return the same exact ``Fraction``s with far fewer rational
   operations.  Elimination (``rref``, ``det``, and through ``rref``
-  ``inverse``, ``solve`` and ``kernel``) runs on integer rows too, in one
-  fraction-free Gauss–Jordan kernel that divides exactly by the previous
-  pivot (E. H. Bareiss, "Sylvester's identity and multistep
-  integer-preserving Gaussian elimination", Math. Comp. 22 (1968)), and
-  builds ``Fraction``s only for the result.
-* ``Subspace``: a subspace of Q^n, canonicalized in reduced column
-  echelon form so that equality is structural.
+  ``inverse``, ``solve``, ``kernel`` and the ``Subspace`` constructor)
+  runs on integer rows too, in one fraction-free Gauss–Jordan kernel
+  that divides exactly by the previous pivot (E. H. Bareiss, "Sylvester's
+  identity and multistep integer-preserving Gaussian elimination",
+  Math. Comp. 22 (1968)), and builds ``Fraction``s only for the result.
+* ``Subspace``: a subspace of Q^n, held as its reduced row echelon rows
+  and their pivots, so that equality is structural.  Membership,
+  containment and ``QuotientSpace`` coordinates reduce a vector against
+  those rows in one pass (``_reduce``), with no further elimination.
 * ``IntLattice``: a finitely generated subgroup of Z^n with a Hermite
   style echelon generator matrix (canonical only when every pivot is 1);
   ``saturate`` intersects its Q-span with the ambient Z^n (the "up to
@@ -169,9 +171,6 @@ class RatMatrix:
     def row_list(self) -> list:
         return [list(r) for r in self._entries]
 
-    def column_list(self) -> list:
-        return [list(self.column(j)) for j in range(self.cols)]
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._entries for x in row)
 
@@ -322,10 +321,33 @@ class RatMatrix:
         return tuple(x)
 
 
-class Subspace:
-    """A subspace of Q^n with a canonical reduced-column-echelon basis."""
+def _reduce(echelon: Iterable, vec: Sequence) -> list:
+    """vec minus the multiples of echelon rows that clear their pivots.
 
-    __slots__ = ("ambient_dim", "basis")
+    ``echelon`` yields (pivot, row) pairs in order, each row 1 at its pivot
+    and 0 at the pivots of the rows before it.  One pass subtracts, for
+    each pair, the multiple of the row that clears the pivot entry; the
+    result is 0 at every pivot, and it is the zero vector iff vec lies in
+    the span of the rows.
+    """
+    v = list(vec)
+    for p, row in echelon:
+        f = v[p]
+        if f:
+            v = [a - f * b if b else a for a, b in zip(v, row)]
+    return v
+
+
+class Subspace:
+    """A subspace of Q^n held as its reduced row echelon basis.
+
+    ``rows`` are the nonzero rows of the RREF of any spanning set and
+    ``pivots`` their pivot columns, in order.  The RREF of a space is
+    unique, so equality is structural.  Membership and containment reduce
+    vectors against ``rows`` (``_reduce``) with no further elimination.
+    """
+
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]) -> None:
         self.ambient_dim = ambient_dim
@@ -335,12 +357,10 @@ class Subspace:
                 raise ValueError("vector length does not match ambient dimension")
         if rows:
             red, pivots = RatMatrix._of(len(rows), ambient_dim, rows).rref()
-            echelon = red._entries[: len(pivots)]
+            self.rows = red._entries[: len(pivots)]
+            self.pivots = tuple(pivots)
         else:
-            echelon = ()
-        # Columns of ``basis`` are the echelon rows transposed: pivot
-        # entries 1, pivot rows cleared elsewhere, ordered by pivot.
-        self.basis = RatMatrix._of(len(echelon), ambient_dim, echelon).transpose()
+            self.rows = self.pivots = ()
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -350,46 +370,48 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, RatMatrix.identity(ambient_dim).row_list())
 
-    @classmethod
-    def from_matrix_columns(cls, m: RatMatrix) -> "Subspace":
-        return cls(m.rows, m.column_list())
-
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.rows)
+
+    @property
+    def basis(self) -> RatMatrix:
+        """The echelon rows as the columns of an ambient_dim x dim matrix."""
+        return RatMatrix._of(self.dim, self.ambient_dim, self.rows).transpose()
 
     def basis_columns(self) -> list:
-        return [self.basis.column(j) for j in range(self.basis.cols)]
+        return list(self.rows)
 
-    def contains(self, vec: Sequence) -> bool:
+    def _remainder(self, vec: Sequence) -> list:
+        """vec reduced against the echelon rows: zero iff vec lies in self."""
         v = [rat(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        if self.dim == 0:
-            return all(x == 0 for x in v)
-        return self.basis.solve(v) is not None
+        return _reduce(zip(self.pivots, self.rows), v)
+
+    def contains(self, vec: Sequence) -> bool:
+        return not any(self._remainder(vec))
 
     def contains_space(self, other: "Subspace") -> bool:
-        """other ⊆ self: adding other's basis leaves the echelon basis as it is."""
+        """other ⊆ self: every echelon row of other reduces to zero."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if other.dim == 0:
-            return True
-        return Subspace(self.ambient_dim, self.basis_columns() + other.basis_columns()) == self
+        echelon = tuple(zip(self.pivots, self.rows))
+        return all(not any(_reduce(echelon, row)) for row in other.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
         cols = ", ".join(
-            "(" + ", ".join(str(x) for x in col) + ")" for col in self.basis_columns()
+            "(" + ", ".join(str(x) for x in col) + ")" for col in self.rows
         )
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {cols})"
 
@@ -449,9 +471,11 @@ def space_intersect(a: Subspace, b: Subspace) -> Subspace:
 class QuotientSpace:
     """Q^k modulo the span of declared relation vectors.
 
-    Canonical coordinates are taken at the non-pivot columns of the reduced
-    relation matrix, so two presentations with the same relation span give
-    bit-identical coordinates.
+    ``relations`` is that span as a ``Subspace``, and ``free`` the columns
+    that are not its pivots.  A vector reduced against the relation rows
+    is zero at every pivot, so its entries at the free columns are its
+    canonical coordinates: two presentations with the same relation span
+    give bit-identical coordinates.
 
     >>> q = QuotientSpace(2, [(-2, 1)])   # second generator is twice the first
     >>> q.dim
@@ -460,21 +484,18 @@ class QuotientSpace:
     ((Fraction(1, 2),), (Fraction(1, 1),))
     """
 
-    __slots__ = ("ambient_dim", "pivots", "free", "_reduced")
+    __slots__ = ("relations", "free")
 
     def __init__(self, ambient_dim: int, relations=()):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be >= 0")
-        rows = [[rat(c) for c in r] for r in relations]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("relation length does not match ambient dimension")
-        m = RatMatrix(len(rows), ambient_dim, rows)
-        reduced, pivots = m.rref()
-        self.ambient_dim = ambient_dim
-        self.pivots = pivots
-        self.free = tuple(j for j in range(ambient_dim) if j not in set(pivots))
-        self._reduced = reduced
+        self.relations = Subspace(ambient_dim, relations)
+        pivots = set(self.relations.pivots)
+        self.free = tuple(j for j in range(ambient_dim) if j not in pivots)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.relations.ambient_dim
 
     @property
     def dim(self) -> int:
@@ -482,14 +503,7 @@ class QuotientSpace:
 
     def project(self, vec) -> tuple:
         """Quotient coordinates of an ambient vector."""
-        v = [rat(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        for r, p in enumerate(self.pivots):
-            c = v[p]
-            if c:
-                for j in range(self.ambient_dim):
-                    v[j] -= c * self._reduced[r, j]
+        v = self.relations._remainder(vec)
         return tuple(v[j] for j in self.free)
 
     def generator(self, i: int) -> tuple:

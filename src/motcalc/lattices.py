@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .abelian import _minimal_polynomial
+from .abelian import _minimal_polynomial, _poly_divmod
 from .exactlin import RatMatrix, Subspace, space_sum
 
 
@@ -123,10 +123,7 @@ class GaloisLattice:
 
     @property
     def action(self) -> tuple:
-        """The generator matrices, formed on first read for a tensor product.
-
-        A plain memo, as for ``OneMotive.graded``.
-        """
+        """The generator matrices, formed on first read for a tensor product."""
         if self._action is None:
             a, b = self._factors
             self._action = tuple(ma.kron(mb) for ma, mb in zip(a.action, b.action))
@@ -201,20 +198,6 @@ def dual(a: GaloisLattice) -> GaloisLattice:
     )
 
 
-def _divmod_monic(a, b):
-    """Quotient and remainder of a by the monic b, constant coefficient first."""
-    a = list(a)
-    n = len(b) - 1
-    q = [0] * max(len(a) - n, 0)
-    for shift in range(len(a) - n - 1, -1, -1):
-        c = a[shift + n]
-        q[shift] = c
-        if c:
-            for i, bc in enumerate(b):
-                a[shift + i] -= c * bc
-    return q, a[:n]
-
-
 def _has_finite_order(m: RatMatrix) -> bool:
     """Whether an integral square matrix of positive size has finite order.
 
@@ -242,10 +225,10 @@ def _has_finite_order(m: RatMatrix) -> bool:
         c = [-1] + [0] * (k - 1) + [1]
         for d, phi_d in cyclotomic.items():
             if k % d == 0:
-                c = _divmod_monic(c, phi_d)[0]
+                c = _poly_divmod(c, phi_d)[0]
         cyclotomic[k] = c
-        q, rem = _divmod_monic(poly, c)
-        if not any(rem):
+        q, rem = _poly_divmod(poly, c)
+        if not rem:
             poly = q
     return len(poly) == 1
 

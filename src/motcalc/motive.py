@@ -50,10 +50,6 @@ class OneMotive:
         self.X = X
         self.Yv = Yv
         self.name = name
-        # Filled by ``graded`` on first use.  A plain memo, not
-        # functools.cached_property: on Python 3.11 that takes a lock on
-        # each first access, a measurable cost on small motives.
-        self._graded = None
 
         if (A is None) != (Astar is None):
             raise ValidationError("A and Astar must be given together or not at all")
@@ -92,7 +88,6 @@ class OneMotive:
         m.X = X
         m.Yv = Yv
         m.name = name
-        m._graded = None
         m.A = A
         m.Astar = Astar
         m.v = v
@@ -172,17 +167,6 @@ class OneMotive:
     @property
     def g(self):
         return self.A.g if self.A is not None else 0
-
-    @property
-    def graded(self):
-        """The graded pieces (X, A, Y(1)), built on first use and kept.
-
-        Every stage that needs X^v, Y or X^v tensor Y reads them from
-        here, so each lattice is derived once per motive.
-        """
-        if self._graded is None:
-            self._graded = GradedPieces(self.X, self.A, dual(self.Yv))
-        return self._graded
 
     def psi_component(self, m):
         """The r x s rational matrix of the m-th value-group coordinate."""
@@ -271,11 +255,8 @@ def weight_filtration(m):
 
 
 def gr(m):
-    """Graded pieces (X, A, Y(1)); Y is the dual lattice of Yv.
-
-    The same object on every call for one motive (``m.graded``).
-    """
-    return m.graded
+    """Graded pieces (X, A, Y(1)); Y is the dual lattice of Yv."""
+    return GradedPieces(m.X, m.A, dual(m.Yv))
 
 
 def cartier_dual(m):

@@ -3,6 +3,7 @@
 import doctest
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -177,6 +178,29 @@ def field_elements(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(finite_order_matrices(), field_elements()))
 def test_minimal_polynomial_against_sympy(m):
+    assert_minimal_polynomial(m)
+
+
+@st.composite
+def similar_to_triangular(draw):
+    """u T u^-1 for an upper triangular T of size 0-5.
+
+    The diagonal of T repeats values from {0, 1, -1, 2} and its entries
+    above the diagonal are zero half the time, so the minimal polynomial
+    often has lower degree than the size, and repeated roots.
+    """
+    n = draw(st.integers(0, 5))
+    diag = draw(st.lists(st.sampled_from((0, 1, -1, 2)), min_size=n, max_size=n))
+    above = st.sampled_from((0, 0, 1, Fraction(-1, 2)))
+    t = RatMatrix(n, n, [[diag[i] if i == j else draw(above) if j > i else 0
+                          for j in range(n)] for i in range(n)])
+    u = draw(unimodular_matrices(n))
+    return u * t * u.inverse()
+
+
+@settings(max_examples=150, deadline=None)
+@given(similar_to_triangular())
+def test_minimal_polynomial_with_repeated_roots_against_sympy(m):
     assert_minimal_polynomial(m)
 
 
@@ -389,8 +413,7 @@ def brute_force_minimum(model, p, span_range=2):
     for a in range(-span_range, span_range + 1):
         for b in range(-span_range, span_range + 1):
             if a or b:
-                candidates.append(Subspace.from_matrix_columns(
-                    RatMatrix.from_columns([[a, b]], nrows=2)))
+                candidates.append(Subspace(2, [[a, b]]))
     for module in candidates:
         data = SubvarietyData(model, 2, module,
                               module.dim * model.g)
@@ -490,8 +513,7 @@ def test_smallest_subvariety_minimality_cm():
             lmul = left_multiplication_matrix(model.end_algebra, 0)
             vecs = [w1 + w2,
                     tuple(lmul.apply(w1)) + tuple(lmul.apply(w2))]
-            module = Subspace.from_matrix_columns(
-                RatMatrix.from_columns([list(v) for v in vecs], nrows=4))
+            module = Subspace(4, vecs)
             line = SubvarietyData(model, 2, module, (module.dim // d) * model.g)
             if line.contains(p):
                 assert data.dim <= line.dim

@@ -193,16 +193,52 @@ def test_unsupported_model_exits_4(capsys, tmp_path):
     assert "not a field" in err
 
 
-def test_entry_point_runs_as_module():
+def run_module(*argv):
+    """Run ``python -m motcalc.cli`` in a fresh process on this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "motcalc.cli", "analyze",
-         corpus_path("sec39_gm3.json")],
+    return subprocess.run(
+        [sys.executable, "-m", "motcalc.cli", *argv],
         capture_output=True, text=True, env=env)
+
+
+def test_entry_point_runs_as_module():
+    result = run_module("analyze", corpus_path("sec39_gm3.json"))
     assert result.returncode == 0
     assert "dim Lie" in result.stdout
+
+
+@pytest.mark.parametrize("content", [b'\xff\xfe{"motives": []}', b"[" * 100000],
+                         ids=["not_utf8", "nested_past_the_recursion_limit"])
+def test_unreadable_input_exits_2_without_traceback(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    result = run_module("analyze", str(bad))
+    assert result.returncode == EXIT_PARSE
+    assert result.stdout == ""
+    assert result.stderr.startswith("cannot read input: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_negative_reductive_dim_flag_exits_3(capsys):
+    code, out, err = run_main(capsys, "analyze", corpus_path("ext_weil.json"),
+                              "--reductive-dim", "-5")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "reductive_dim: must be >= 0" in err
+
+
+def test_negative_reductive_dim_option_exits_3(capsys, tmp_path):
+    with open(corpus_path("ext_weil.json"), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["options"] = {"reductive_dim": -5}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(capsys, "analyze", str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "reductive_dim: must be >= 0" in err
 
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,

@@ -401,6 +401,89 @@ def test_contains_space_matches_per_column_solve(spaces):
     assert a.contains_space(a) and a.contains_space(Subspace.zero(a.ambient_dim))
 
 
+def sympy_rank(n, vectors):
+    """Rank of a list of vectors in Q^n, computed by sympy."""
+    return sympy.Matrix(len(vectors), n, [sympy.Rational(x) for v in vectors for x in v]).rank()
+
+
+@st.composite
+def spans_with_vectors(draw):
+    """(n, generators, vectors) in Q^n for n = 0..5.
+
+    The generators span the zero space one time in five, the full space
+    one time in five, and otherwise are the rows of a drawn matrix.  Each
+    vector is, half the time when there are generators, a rational
+    combination of them, so that membership holds as often as not.
+    """
+    n = draw(st.integers(0, 5))
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        gens = []
+    elif kind == 1:
+        gens = RatMatrix.identity(n).row_list()
+    else:
+        gens = draw(deficient_matrices(cols=n)).row_list()
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        if gens and draw(st.booleans()):
+            coeffs = draw(st.lists(small_rationals, min_size=len(gens), max_size=len(gens)))
+            vectors.append([sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0))
+                            for j in range(n)])
+        else:
+            vectors.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return n, gens, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_with_vectors())
+def test_membership_agrees_with_sympy_rank(case):
+    """v in S iff rank [S; v] = dim S, and T within S iff rank [S; T] = dim S."""
+    n, gens, vectors = case
+    s = Subspace(n, gens)
+    dim = sympy_rank(n, gens)
+    assert s.dim == dim
+    for v in vectors:
+        assert s.contains(v) == (sympy_rank(n, gens + [v]) == dim)
+    assert s.contains_space(Subspace(n, vectors)) == (sympy_rank(n, gens + vectors) == dim)
+    assert s.contains_space(Subspace.zero(n)) and Subspace.full(n).contains_space(s)
+    assert Subspace.zero(n).contains_space(s) == (dim == 0)
+    assert s.contains_space(Subspace.full(n)) == (dim == n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_with_vectors())
+def test_quotient_coordinates_agree_with_sympy_rank(case):
+    """project(v) == project(w) iff v - w lies in the relation span."""
+    n, gens, vectors = case
+    q = QuotientSpace(n, gens)
+    dim = sympy_rank(n, gens)
+    assert q.dim == n - dim
+    for v, u in itertools.product(vectors, repeat=2):
+        w = [a + b for a, b in zip(v, u)]
+        in_span = sympy_rank(n, gens + [u]) == dim
+        assert (q.project(v) == q.project(w)) == in_span
+
+
+def test_span_queries_run_no_elimination(monkeypatch):
+    s = Subspace(4, [(1, 2, 0, 1), (0, 1, 1, 3), (2, 5, 1, 5)])
+    t = Subspace(4, [(1, 3, 1, 4)])
+    q = QuotientSpace(4, [(1, -1, 0, 0), (0, 0, 2, 1)])
+    original = exactlin._gauss_jordan
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactlin, "_gauss_jordan", counting)
+    assert s.contains((1, 3, 1, 4)) and not s.contains((0, 0, 0, 1))
+    assert s.contains_space(t) and not t.contains_space(s)
+    assert q.project((1, -1, 2, 1)) == (0, 0) and q.generator(2) == (0, Fraction(-1, 2))
+    assert calls == []
+    Subspace(2, [(1, 1)])
+    assert len(calls) == 1
+
+
 @st.composite
 def deficient_matrices(draw, rows=None, cols=None):
     """Rational matrices up to 6 x 6, empty shapes included, where each row
