@@ -156,14 +156,9 @@ class EndAlgebraRep:
     2
     """
 
-    def __init__(self, degree, generators=(), commutative=True):
+    def __init__(self, degree, generators=()):
         if degree < 1:
             raise ValidationError("endomorphism algebra degree must be >= 1")
-        if not commutative:
-            raise UnsupportedModelError(
-                "noncommutative endomorphism algebras are not supported; "
-                "only commutative fields are accepted"
-            )
         gens = tuple(generators)
         for m in gens:
             if not isinstance(m, RatMatrix):

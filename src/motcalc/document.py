@@ -4,7 +4,11 @@ An input document is a single JSON object describing abelian variety
 models, an optional Galois action group, a multiplicative value group,
 and a list of motives over these.  Rationals are written as integers or
 as strings "p/q"; every declared name must resolve; validation failures
-carry the JSON path of the offending field.
+carry the JSON path of the offending field.  Every list-valued field is
+read through ``_items``, which checks that it is a list (of the length
+the schema fixes, if any) and pairs each item with its path
+``field[i]``, and every constructor on parsed data runs through
+``_build``, which reports a ValueError it raises at the field's path.
 
 The same schema is used for machine-readable output, so documents can be
 regenerated: parsing and serializing is idempotent after one
@@ -40,7 +44,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .abelian import AbelianVarietyModel, EndAlgebraRep, PointVector, \
     link_duals
-from .errors import UnreadableInputError, ValidationError
+from .errors import UnreadableInputError, UnsupportedModelError, \
+    ValidationError
 from .exactlin import QuotientSpace, RatMatrix
 from .lattices import ActionGroup, GaloisLattice, TRIVIAL_GROUP
 from .liealg import build_E
@@ -51,6 +56,32 @@ from .radical import radical_cartier_dual, unipotent_radical
 
 def _fail(where, message):
     raise ValidationError("%s: %s" % (where, message))
+
+
+def _items(value, where, what, length=None, unit="entries"):
+    """The items of the JSON list ``value`` as (path, item) pairs.
+
+    The path of item i is ``where[i]``.  A value that is not a list
+    fails as "expected <what>"; where the schema fixes the length, a list
+    of another length fails as "expected N <unit>, got M".
+    """
+    if type(value) is not list:
+        _fail(where, "expected " + what)
+    if length is not None and len(value) != length:
+        _fail(where, "expected %d %s, got %d" % (length, unit, len(value)))
+    return [("%s[%d]" % (where, i), item) for i, item in enumerate(value)]
+
+
+def _build(where, constructor, *args, **kwargs):
+    """``constructor(*args, **kwargs)`` on parsed data, with any
+    ValueError it raises reported at ``where``.  UnsupportedModelError
+    passes through: the data is valid, the model is out of scope."""
+    try:
+        return constructor(*args, **kwargs)
+    except UnsupportedModelError:
+        raise
+    except ValueError as exc:
+        _fail(where, str(exc))
 
 
 def parse_rational(value, where):
@@ -80,28 +111,19 @@ def _parse_int(value, where, minimum=0):
 
 
 def _parse_vector(value, where, length=None):
-    _expect(value, list, where, "a list of rationals")
-    if length is not None and len(value) != length:
-        _fail(where, "expected %d entries, got %d" % (length, len(value)))
-    return tuple(parse_rational(x, "%s[%d]" % (where, i))
-                 for i, x in enumerate(value))
+    return tuple(parse_rational(x, path) for path, x in
+                 _items(value, where, "a list of rationals", length))
 
 
 def _parse_square_matrix(value, where, size):
-    _expect(value, list, where, "a matrix as a list of rows")
-    if len(value) != size:
-        _fail(where, "expected %d rows, got %d" % (size, len(value)))
-    rows = [_parse_vector(row, "%s[%d]" % (where, i), size)
-            for i, row in enumerate(value)]
+    rows = [_parse_vector(row, path, size) for path, row in
+            _items(value, where, "a matrix as a list of rows", size, "rows")]
     return RatMatrix(size, size, rows)
 
 
 def _parse_matrix_list(value, where, count, size):
-    _expect(value, list, where, "a list of matrices")
-    if len(value) != count:
-        _fail(where, "expected %d matrices, got %d" % (count, len(value)))
-    return tuple(_parse_square_matrix(m, "%s[%d]" % (where, i), size)
-                 for i, m in enumerate(value))
+    return tuple(_parse_square_matrix(m, path, size) for path, m in
+                 _items(value, where, "a list of matrices", count, "matrices"))
 
 
 def _check_keys(obj, where, allowed, required=()):
@@ -143,51 +165,43 @@ class InputDocument:
 
 def _parse_group(entry):
     where = "group"
-    _check_keys(entry, where, {"generators", "relators"}, {"generators"})
+    _check_keys(entry, where, {"generators", "relators"}, ("generators",))
     count = _parse_int(entry["generators"], where + ".generators")
-    relators = []
-    for i, word in enumerate(entry.get("relators", [])):
-        wword = "%s.relators[%d]" % (where, i)
-        _expect(word, list, wword, "a list of signed generator indices")
-        relators.append([_parse_int(k, "%s[%d]" % (wword, j),
-                                    minimum=-(10 ** 9))
-                         for j, k in enumerate(word)])
-    try:
-        return ActionGroup(count, relators)
-    except ValueError as exc:
-        _fail(where, str(exc))
+    relators = [
+        [_parse_int(k, path, minimum=-(10 ** 9)) for path, k in
+         _items(word, wword, "a list of signed generator indices")]
+        for wword, word in _items(entry.get("relators", []),
+                                  where + ".relators", "a list of words")]
+    return _build(where, ActionGroup, count, relators)
 
 
-def _parse_varieties(entries, group):
+def _parse_varieties(entries):
     models = {}
     parsed = []
-    for i, entry in enumerate(entries):
-        where = "varieties[%d]" % (i,)
+    for where, entry in _items(entries, "varieties", "a list"):
         _check_keys(entry, where,
                     {"name", "g", "points", "relations", "end_generators",
                      "end_action", "dual", "dual_transfer"},
-                    {"name", "g"})
+                    ("name", "g"))
         name = _expect(entry["name"], str, where + ".name", "a string")
         if name in (p["name"] for p in parsed):
             _fail(where + ".name", "duplicate variety name %r" % (name,))
         g = _parse_int(entry["g"], where + ".g", minimum=1)
         point_names = []
-        for j, pname in enumerate(entry.get("points", [])):
-            _expect(pname, str, "%s.points[%d]" % (where, j), "a string")
+        for path, pname in _items(entry.get("points", []), where + ".points",
+                                  "a list of names"):
+            _expect(pname, str, path, "a string")
             if pname in point_names:
-                _fail("%s.points[%d]" % (where, j),
-                      "duplicate point name %r" % (pname,))
+                _fail(path, "duplicate point name %r" % (pname,))
             point_names.append(pname)
-        relations = []
-        for j, rel in enumerate(entry.get("relations", [])):
-            relations.append(_parse_vector(
-                rel, "%s.relations[%d]" % (where, j), len(point_names)))
+        relations = [_parse_vector(rel, path, len(point_names))
+                     for path, rel in _items(entry.get("relations", []),
+                                             where + ".relations",
+                                             "a list of rows")]
         if relations and not point_names:
             _fail(where + ".relations", "relations need declared points")
-        try:
-            quotient = QuotientSpace(len(point_names), relations)
-        except ValueError as exc:
-            _fail(where + ".relations", str(exc))
+        quotient = _build(where + ".relations", QuotientSpace,
+                          len(point_names), relations)
         parsed.append({
             "name": name, "g": g, "where": where,
             "point_names": point_names, "relations": relations,
@@ -217,19 +231,16 @@ def _parse_varieties(entries, group):
         algebra = None
         action = ()
         if "end_generators" in entry:
-            gens = entry["end_generators"]
-            _expect(gens, list, where + ".end_generators",
-                    "a list of matrices")
+            gens = _items(entry["end_generators"], where + ".end_generators",
+                          "a list of matrices")
             if not gens:
                 _fail(where + ".end_generators", "need at least one matrix")
-            degree = len(_expect(gens[0], list,
-                                 where + ".end_generators[0]", "a matrix"))
-            mats = _parse_matrix_list(gens, where + ".end_generators",
-                                      len(gens), degree)
-            try:
-                algebra = EndAlgebraRep(degree, mats)
-            except ValidationError as exc:
-                _fail(where + ".end_generators", str(exc))
+            first_path, first = gens[0]
+            degree = len(_items(first, first_path, "a matrix"))
+            mats = tuple(_parse_square_matrix(m, path, degree)
+                         for path, m in gens)
+            algebra = _build(where + ".end_generators", EndAlgebraRep,
+                             degree, mats)
             action = _parse_matrix_list(
                 entry.get("end_action", []), where + ".end_action",
                 len(mats), dim)
@@ -255,26 +266,20 @@ def _parse_varieties(entries, group):
         partner["action"] = transfer
 
     for p in parsed:
-        where = p["where"]
         tracked = {pname: p["quotient"].generator(j)
                    for j, pname in enumerate(p["point_names"])}
-        try:
-            models[p["name"]] = AbelianVarietyModel(
-                p["name"], p["g"],
-                end_algebra=p["algebra"],
-                point_space_dim=p["quotient"].dim,
-                end_action=p["action"],
-                tracked_points=tracked)
-        except ValidationError as exc:
-            _fail(where, str(exc))
+        models[p["name"]] = _build(
+            p["where"], AbelianVarietyModel, p["name"], p["g"],
+            end_algebra=p["algebra"],
+            point_space_dim=p["quotient"].dim,
+            end_action=p["action"],
+            tracked_points=tracked)
 
     for p in parsed:
         dual_name = p["entry"].get("dual")
         if dual_name is not None:
-            try:
-                link_duals(models[p["name"]], models[dual_name])
-            except ValidationError as exc:
-                _fail(p["where"] + ".dual", str(exc))
+            _build(p["where"] + ".dual", link_duals,
+                   models[p["name"]], models[dual_name])
 
     normalized = []
     for p in parsed:
@@ -304,10 +309,7 @@ def _parse_varieties(entries, group):
 
 def _parse_point_entry(value, model, where):
     if isinstance(value, str):
-        try:
-            return model.point(value)
-        except ValidationError as exc:
-            _fail(where, str(exc))
+        return _build(where, model.point, value)
     return _parse_vector(value, where, model.point_space_dim)
 
 
@@ -317,12 +319,11 @@ def _normalize_point_entry(value):
     return _vec_json(tuple(Fraction(x) for x in value))
 
 
-def _parse_motive(entry, index, group, mult_space, models):
-    where = "motives[%d]" % (index,)
+def _parse_motive(entry, where, group, mult_space, models):
     _check_keys(entry, where,
                 {"name", "X_rank", "Yv_rank", "X_action", "Yv_action",
                  "A", "v", "vstar", "psi"},
-                {"X_rank", "Yv_rank"})
+                ("X_rank", "Yv_rank"))
     name = entry.get("name")
     if name is not None:
         _expect(name, str, where + ".name", "a string")
@@ -330,14 +331,12 @@ def _parse_motive(entry, index, group, mult_space, models):
     s = _parse_int(entry["Yv_rank"], where + ".Yv_rank")
 
     def lattice(rank, key):
+        path = "%s.%s" % (where, key)
         action = None
         if key in entry:
-            action = _parse_matrix_list(entry[key], "%s.%s" % (where, key),
+            action = _parse_matrix_list(entry[key], path,
                                         group.generator_count, rank)
-        try:
-            return GaloisLattice(rank, action=action, group=group)
-        except ValueError as exc:
-            _fail("%s.%s" % (where, key), str(exc))
+        return _build(path, GaloisLattice, rank, action=action, group=group)
 
     x = lattice(r, "X_action")
     yv = lattice(s, "Yv_action")
@@ -353,22 +352,13 @@ def _parse_motive(entry, index, group, mult_space, models):
                   "variety %r needs a dual link to serve as the abelian part"
                   % (a_name,))
         astar = a.dual
-        v_entries = entry.get("v", [])
-        _expect(v_entries, list, where + ".v", "a list")
-        if len(v_entries) != r:
-            _fail(where + ".v", "expected %d entries, got %d"
-                  % (r, len(v_entries)))
-        vstar_entries = entry.get("vstar", [])
-        _expect(vstar_entries, list, where + ".vstar", "a list")
-        if len(vstar_entries) != s:
-            _fail(where + ".vstar", "expected %d entries, got %d"
-                  % (s, len(vstar_entries)))
-        v = PointVector(a, [
-            _parse_point_entry(e, a, "%s.v[%d]" % (where, i))
-            for i, e in enumerate(v_entries)])
-        vstar = PointVector(astar, [
-            _parse_point_entry(e, astar, "%s.vstar[%d]" % (where, i))
-            for i, e in enumerate(vstar_entries)])
+        v_items = _items(entry.get("v", []), where + ".v", "a list", r)
+        vstar_items = _items(entry.get("vstar", []), where + ".vstar",
+                             "a list", s)
+        v = PointVector(a, [_parse_point_entry(e, a, path)
+                            for path, e in v_items])
+        vstar = PointVector(astar, [_parse_point_entry(e, astar, path)
+                                    for path, e in vstar_items])
         kwargs = dict(A=a, Astar=astar, v=v, vstar=vstar)
     else:
         for key in ("v", "vstar"):
@@ -379,33 +369,15 @@ def _parse_motive(entry, index, group, mult_space, models):
     psi = None
     raw_psi = None
     if "psi" in entry:
-        table = _expect(entry["psi"], list, where + ".psi", "a list of rows")
-        if len(table) != r:
-            _fail(where + ".psi", "expected %d rows, got %d"
-                  % (r, len(table)))
-        raw_psi = []
-        psi = []
-        for i, row in enumerate(table):
-            wrow = "%s.psi[%d]" % (where, i)
-            _expect(row, list, wrow, "a list of exponent vectors")
-            if len(row) != s:
-                _fail(wrow, "expected %d entries, got %d" % (s, len(row)))
-            raw_row = []
-            psi_row = []
-            for j, vec in enumerate(row):
-                exponents = _parse_vector(
-                    vec, "%s[%d]" % (wrow, j),
-                    len(mult_space.generator_names))
-                raw_row.append(exponents)
-                psi_row.append(mult_space.element(exponents))
-            raw_psi.append(raw_row)
-            psi.append(psi_row)
+        width = len(mult_space.generator_names)
+        raw_psi = [[_parse_vector(vec, path, width) for path, vec in
+                    _items(row, wrow, "a list of exponent vectors", s)]
+                   for wrow, row in _items(entry["psi"], where + ".psi",
+                                           "a list of rows", r, "rows")]
+        psi = [[mult_space.element(vec) for vec in row] for row in raw_psi]
 
-    try:
-        motive = OneMotive(x, yv, psi=psi, mult_space=mult_space,
-                           name=name, **kwargs)
-    except ValidationError as exc:
-        _fail(where, str(exc))
+    motive = _build(where, OneMotive, x, yv, psi=psi, mult_space=mult_space,
+                    name=name, **kwargs)
 
     normalized = {"X_rank": r, "Yv_rank": s}
     if name is not None:
@@ -430,40 +402,36 @@ def parse_input(text):
     """Parse and validate a JSON document string."""
     try:
         data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise UnreadableInputError("JSON nested too deeply to decode") from None
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise UnreadableInputError(str(exc)) from None
     _check_keys(data, "document",
                 {"group", "mult_basis", "mult_relations", "varieties",
                  "motives", "options"},
-                {"motives"})
+                ("motives",))
 
     group = TRIVIAL_GROUP
     if "group" in data:
         group = _parse_group(data["group"])
 
-    names = data.get("mult_basis", [])
-    _expect(names, list, "mult_basis", "a list of names")
-    for i, n in enumerate(names):
-        _expect(n, str, "mult_basis[%d]" % (i,), "a string")
-    relations = []
-    for i, rel in enumerate(data.get("mult_relations", [])):
-        relations.append(_parse_vector(rel, "mult_relations[%d]" % (i,),
-                                       len(names)))
+    names = [_expect(n, str, path, "a string") for path, n in
+             _items(data.get("mult_basis", []), "mult_basis",
+                    "a list of names")]
+    relations = [_parse_vector(rel, path, len(names)) for path, rel in
+                 _items(data.get("mult_relations", []), "mult_relations",
+                        "a list of rows")]
     if relations and not names:
         _fail("mult_relations", "relations need mult_basis generators")
-    try:
-        mult_space = MultSpace(names, relations)
-    except ValidationError as exc:
-        _fail("mult_basis", str(exc))
+    mult_space = _build("mult_basis", MultSpace, names, relations)
 
-    entries = data.get("varieties", [])
-    _expect(entries, list, "varieties", "a list")
-    models, varieties_norm = _parse_varieties(entries, group)
+    models, varieties_norm = _parse_varieties(data.get("varieties", []))
 
-    motive_entries = _expect(data["motives"], list, "motives", "a list")
-    motives = []
-    for i, entry in enumerate(motive_entries):
-        motives.append(_parse_motive(entry, i, group, mult_space, models))
+    motives = [_parse_motive(entry, where, group, mult_space, models)
+               for where, entry in _items(data["motives"], "motives",
+                                          "a list")]
 
     options = {}
     if "options" in data:
@@ -479,7 +447,7 @@ def parse_input(text):
             "relators": [list(w) for w in group.relators],
         }
     if names:
-        normalized["mult_basis"] = list(names)
+        normalized["mult_basis"] = names
     if relations:
         normalized["mult_relations"] = [_vec_json(rel) for rel in relations]
     if varieties_norm:

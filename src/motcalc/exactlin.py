@@ -29,8 +29,8 @@ errors.
 
 >>> kernel(RatMatrix.from_rows([[1, 2]])).basis_columns()
 [(Fraction(1, 1), Fraction(-1, 2))]
->>> saturate(IntLattice(2, [(2, 4)])).generator_columns()
-[(1, 2)]
+>>> saturate(IntLattice(2, [(2, 4)])).generators
+((1, 2),)
 """
 
 from __future__ import annotations
@@ -204,12 +204,6 @@ class RatMatrix:
             self.cols,
             tuple(tuple(map(add, a, b)) for a, b in zip(self._entries, other._entries)),
         )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RatMatrix":
-        return self.scale(-1)
 
     def scale(self, q) -> "RatMatrix":
         q = rat(q)
@@ -599,9 +593,6 @@ class IntLattice:
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    def generator_columns(self) -> list:
-        return [tuple(g) for g in self.generators]
 
     def __eq__(self, other) -> bool:
         return (

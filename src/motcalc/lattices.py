@@ -159,10 +159,6 @@ class GaloisLattice:
     def __repr__(self) -> str:
         return f"GaloisLattice(rank {self.rank}, {self.group.generator_count} generators)"
 
-    def is_trivial_action(self) -> bool:
-        ident = RatMatrix.identity(self.rank)
-        return all(m == ident for m in self.action)
-
 
 def tensor(a: GaloisLattice, b: GaloisLattice) -> GaloisLattice:
     """Tensor product lattice; basis e_i⊗f_j at flat index (i-1)·rank(b)+j.

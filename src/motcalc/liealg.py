@@ -157,10 +157,6 @@ class ActionMaps:
         return out
 
 
-def action_maps(data):
-    return ActionMaps(data)
-
-
 def bracket_value(data, x, y):
     """The bracket of two E_-1 basis symbols as a formal E_-2 element."""
     part_to_block = {XA: 0, AY: 1}
@@ -174,11 +170,7 @@ def bracket_value(data, x, y):
         if not coeff:
             continue
         left_variety = data.em1_space.blocks[p].variety
-        if left_variety.is_primal:
-            key = ("weil", namex, namey)
-        else:
-            key = ("weil", namey, namex)
-        _add_term(out, (l, key), coeff)
+        _add_term(out, (l, _weil_key(left_variety, namex, namey)), coeff)
     return out
 
 
@@ -228,7 +220,7 @@ def verify_lie_module(data, g):
     # no component of the bracket may target anything but E_-2
     if data.bracket.target.rank != data.r * data.s:
         return LieModuleCheck(False, "bracket target is not E_-2")
-    acts = action_maps(data)
+    acts = ActionMaps(data)
     xs = _e1_basis(data, "p")
     ys = _e1_basis(data, "q")
     for x in xs:

@@ -30,8 +30,6 @@ class MultSpace:
     1
     >>> cube.element({"r1": 1}), cube.element({"r2": 1})
     ((Fraction(1, 3),), (Fraction(1, 1),))
-    >>> cube.one()
-    (Fraction(0, 1),)
     """
 
     def __init__(self, generator_names=(), relations=()):
@@ -72,10 +70,6 @@ class MultSpace:
                     "exponent vector has length %d, expected %d"
                     % (len(vec), len(self.generator_names)))
         return self.quotient.project(vec)
-
-    def one(self):
-        """Coordinates of the identity (and of any root of unity)."""
-        return (rat(0),) * self.dim
 
     def __repr__(self):
         return "MultSpace(%r, dim=%d)" % (list(self.generator_names), self.dim)

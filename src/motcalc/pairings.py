@@ -92,9 +92,6 @@ class BlockSpace:
             return NotImplemented
         return self.blocks == other.blocks
 
-    def __len__(self):
-        return len(self.blocks)
-
     def __repr__(self):
         return "BlockSpace(%r)" % (list(self.blocks),)
 

@@ -78,11 +78,6 @@ def test_noncommutative_rejected():
         EndAlgebraRep(2, [a, b])
 
 
-def test_noncommutative_flag_rejected():
-    with pytest.raises(UnsupportedModelError):
-        EndAlgebraRep(1, commutative=False)
-
-
 def test_nonfield_rejected():
     # the algebra generated by a projector contains a noninvertible element
     proj = RatMatrix.from_rows([[1, 0], [0, 0]])

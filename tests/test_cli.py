@@ -177,6 +177,18 @@ def test_infinite_order_action_exits_3(capsys, tmp_path):
     assert "finite order" in err
 
 
+def test_non_list_points_exit_3(capsys, tmp_path):
+    bad = tmp_path / "points.json"
+    bad.write_text(json.dumps({
+        "varieties": [{"name": "E", "g": 1, "points": "PQ"}],
+        "motives": [],
+    }))
+    code, out, err = run_main(capsys, "analyze", str(bad))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "varieties[0].points: expected a list" in err
+
+
 def test_unsupported_model_exits_4(capsys, tmp_path):
     payload = {
         "varieties": [{
@@ -209,8 +221,12 @@ def test_entry_point_runs_as_module():
     assert "dim Lie" in result.stdout
 
 
-@pytest.mark.parametrize("content", [b'\xff\xfe{"motives": []}', b"[" * 100000],
-                         ids=["not_utf8", "nested_past_the_recursion_limit"])
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"motives": []}', b"[" * 100000,
+     b'{"motives": [{"X_rank": ' + b"1" * 5000 + b', "Yv_rank": 1}]}'],
+    ids=["not_utf8", "nested_past_the_recursion_limit",
+         "integer_past_the_digit_limit"])
 def test_unreadable_input_exits_2_without_traceback(tmp_path, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)

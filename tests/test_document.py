@@ -372,6 +372,8 @@ def test_validation_positions():
     fails_with({"varieties": [{"name": "E", "g": 1,
                                "relations": [["1"]]}], "motives": []},
                "varieties[0].relations")
+    fails_with({"varieties": [{"name": "E", "g": 1, "points": "PQ"}],
+                "motives": []}, "varieties[0].points")
     fails_with({"varieties": [{"name": "E", "g": 1, "dual": "F"}],
                 "motives": []}, "varieties[0].dual")
     fails_with({"group": {"generators": 1, "relators": [[2]]},
@@ -437,6 +439,89 @@ def test_split_algebra_raises_unsupported():
 def test_malformed_json_raises_decode_error():
     with pytest.raises(json.JSONDecodeError):
         parse_input("{")
+
+
+IMAG = [["0", "-1"], ["1", "0"]]
+
+# Declares every optional list-valued field of the schema.
+ALL_LISTS_DOC = {
+    "group": {"generators": 1, "relators": [[1, 1]]},
+    "mult_basis": ["q", "u", "w"],
+    "mult_relations": [["1", "-1", "0"]],
+    "varieties": [
+        {"name": "E", "g": 1, "points": ["P", "R", "S"],
+         "relations": [["1", "1", "-1"]],
+         "end_generators": [IMAG], "end_action": [IMAG],
+         "dual": "F", "dual_transfer": [[["0", "1"], ["-1", "0"]]]},
+        {"name": "F", "g": 1, "points": ["Q", "T"], "dual": "E"},
+    ],
+    "motives": [{
+        "name": "all_lists", "X_rank": 2, "Yv_rank": 1,
+        "X_action": [[[1, 0], [0, 1]]], "Yv_action": [[[1]]],
+        "A": "E", "v": ["P", ["0", "1"]], "vstar": ["Q"],
+        "psi": [[["1", "0", "2"]], [["0", "0", "1"]]],
+    }],
+}
+
+
+def list_fields(node, path=""):
+    """(JSON path, key path) of every list in a document, outermost first."""
+    if isinstance(node, list):
+        yield path, ()
+        items = (("%s[%d]" % (path, i), i, x) for i, x in enumerate(node))
+    elif isinstance(node, dict):
+        items = (("%s.%s" % (path, k) if path else k, k, x)
+                 for k, x in node.items())
+    else:
+        return
+    for sub, key, value in items:
+        for where, keys in list_fields(value, sub):
+            yield where, (key,) + keys
+
+
+def point_names(payload):
+    return {name for variety in payload.get("varieties", [])
+            for name in variety.get("points", [])}
+
+
+def test_all_lists_document_parses():
+    doc = parse_input(doc_text(ALL_LISTS_DOC))
+    assert doc.normalized["motives"][0]["v"] == ["P", ["0", "1"]]
+
+
+def corpus_payload(name):
+    with open(corpus_path(name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+LIST_FIELD_DOCS = [corpus_payload(name) for name in CORPUS_FILES]
+LIST_FIELD_DOCS.append(ALL_LISTS_DOC)
+
+
+
+def non_list_values(names):
+    """Any JSON value but a list; a string in a v or vstar row would read
+    as a point name, so no string in ``names`` is drawn."""
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=4).filter(lambda text: text not in names),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LIST_FIELD_DOCS), st.data())
+def test_non_list_field_is_rejected_at_its_path(payload, data):
+    where, keys = data.draw(st.sampled_from(list(list_fields(payload))))
+    value = data.draw(non_list_values(point_names(payload)))
+    broken = json.loads(json.dumps(payload))
+    node = broken
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ValidationError) as info:
+        parse_input(doc_text(broken))
+    assert str(info.value).startswith(where + ": ")
 
 
 # ------------------------------------------------------------- JSON writer

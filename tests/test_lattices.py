@@ -72,7 +72,7 @@ def test_relator_mismatch_is_rejected():
 def test_tensor_examples():
     t = tensor(trivial_lattice(2), trivial_lattice(3))
     assert t.rank == 6
-    assert t.is_trivial_action()
+    assert all(m == RatMatrix.identity(6) for m in t.action)
 
     assert tensor(trivial_lattice(0), trivial_lattice(5)).rank == 0
 
@@ -130,7 +130,8 @@ def test_tensor_group_mismatch():
 
 
 def test_dual_examples():
-    assert dual(trivial_lattice(3)).is_trivial_action()
+    assert all(m == RatMatrix.identity(3)
+               for m in dual(trivial_lattice(3)).action)
     s = swap_lattice()
     assert dual(s).action[0] == SWAP
     shear = GaloisLattice(2, [RatMatrix.from_rows([[1, 1], [0, -1]])])

@@ -11,8 +11,8 @@ from motcalc.lattices import GaloisLattice
 from motcalc.liealg import (
     AY,
     XA,
+    ActionMaps,
     GradedEndData,
-    action_maps,
     bracket_value,
     build_E,
     verify_lie_module,
@@ -109,7 +109,7 @@ def test_build_E_wraps_the_weil_table_unchecked(monkeypatch, r, s):
 
 def test_alpha1_evaluation():
     a, _ = dual_pair()
-    acts = action_maps(build_E(pieces(2, a, 1)))
+    acts = ActionMaps(build_E(pieces(2, a, 1)))
     assert acts.alpha1((XA, 0, "P"), 0) == {"P": Fraction(1)}
     assert acts.alpha1((XA, 0, "P"), 1) == {}
     assert acts.alpha1((AY, 0, "Q"), 0) == {}
@@ -117,7 +117,7 @@ def test_alpha1_evaluation():
 
 def test_alpha2_weil_per_copy():
     a, _ = dual_pair()
-    acts = action_maps(build_E(pieces(1, a, 2)))
+    acts = ActionMaps(build_E(pieces(1, a, 2)))
     out = acts.alpha2((AY, 1, "Q"), {"P": Fraction(2)})
     assert out == {(1, ("weil", "P", "Q")): Fraction(2)}
     assert acts.alpha2((XA, 0, "P"), {"R": Fraction(1)}) == {}
@@ -125,7 +125,7 @@ def test_alpha2_weil_per_copy():
 
 def test_gamma_evaluation():
     a, _ = dual_pair()
-    acts = action_maps(build_E(pieces(2, a, 2)))
+    acts = ActionMaps(build_E(pieces(2, a, 2)))
     z = {(2, 1): Fraction(1)}  # coordinate (i=1, j=0), rational key
     assert acts.gamma(z, 1) == {(0, 1): Fraction(1)}
     assert acts.gamma(z, 0) == {}

@@ -32,7 +32,7 @@ def torus_motive():
         GaloisLattice(1), GaloisLattice(3), mult_space=space,
         psi=[[space.element({"q1": 1}),
               space.element({"q2": 1}),
-              space.one()]])
+              space.element({})]])
 
 
 def test_torus_motive_weights():

@@ -20,7 +20,6 @@ def test_independent_generators():
     assert space.element({"q1": 1}) == (1, 0)
     assert space.element({"q2": 1}) == (0, 1)
     assert space.element({}) == (0, 0)
-    assert space.one() == (0, 0)
 
 
 def test_power_relation():
@@ -63,4 +62,4 @@ def test_bad_relation_length():
 def test_empty_space():
     space = MultSpace()
     assert space.dim == 0
-    assert space.one() == ()
+    assert space.element({}) == ()
