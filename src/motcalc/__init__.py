@@ -35,7 +35,6 @@ from motcalc.lattices import (
     ActionGroup,
     GaloisLattice,
     dual,
-    stable_closure,
     tensor,
 )
 from motcalc.liealg import GradedEndData, build_E, verify_lie_module
@@ -106,7 +105,6 @@ __all__ = [
     "serialize_document",
     "smallest_B",
     "smallest_subvariety",
-    "stable_closure",
     "swap_pullback",
     "tensor",
     "torus_Z",

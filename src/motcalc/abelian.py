@@ -7,23 +7,24 @@ points, typically a subgroup of A(k) tensor Q), and the action of D on that
 space.  All questions asked later reduce to exact linear algebra over the
 declared data.
 
-The two computational services are
-
-* ``relation_module(p)``: all D-linear relations satisfied by a tuple of
-  points, as a Q-subspace of the flattened module D^m, and
-* ``smallest_subvariety(p)``: the annihilator of that module under the
-  multiplication pairing of D, which identifies the smallest abelian
-  subvariety of A^m whose points contain p.  It is computed as one row
-  space, through the trace-dual basis of D on the point space; the
-  kernel route (``relation_module``, then ``annihilator_module``) is
-  kept as the reference the tests compare it with.
+The computational service is ``smallest_subvariety(p)``: the smallest
+abelian subvariety of A^m whose points contain a tuple p of points.  It
+is the annihilator, under the multiplication pairing of D, of the module
+of D-linear relations satisfied by p, and it is computed as one row
+space, through the trace-dual basis of D on the point space.
+``annihilator_module`` takes the annihilator of a given relation module;
+the tests compare the row space with it, applied to the relation module
+found as a kernel.
 
 The algebra D is restricted to commutative fields in this version; a
-noncommutative declaration raises :class:`UnsupportedModelError`.  The
-field checks read the minimal polynomial of each generator, found by
-reducing its flattened powers with the ``exactlin`` reduction step, and
-divide polynomials with ``_poly_divmod``, which the finite-order check
-of ``lattices`` shares.
+noncommutative declaration raises :class:`UnsupportedModelError`.  One
+reduction step, ``_reduce_tagged``, answers "which combination of earlier
+matrices is this matrix?": it reduces a flattened matrix, tagged with a
+unit vector, against an echelon of tagged earlier ones.  The closure of
+the generators, the coordinates of an algebra element and the minimal
+polynomial of a generator all read their answer from it.  The field
+checks read that minimal polynomial and divide polynomials with
+``_poly_divmod``, which the finite-order check of ``lattices`` shares.
 """
 
 import math
@@ -41,33 +42,49 @@ def _flatten(m):
     return tuple(out)
 
 
+def _reduce_tagged(echelon, m, index, width):
+    """Reduce flatten(m), tagged with the unit vector e_index, against echelon.
+
+    Each row of ``echelon`` is a (pivot, row) pair: a flattened matrix
+    followed by a tag in Q^width, together the combination
+    sum_i c_i (flatten(M_i), e_i) of tagged inputs M_i, scaled to 1 at its
+    pivot (the first nonzero of the matrix part).  ``_reduce`` keeps that
+    form.  Returns (None, tag) when the matrix part reduces to zero: then
+    sum_i tag_i M_i = 0, with tag_index = 1 (an ``index`` of None tags m
+    with zero, so m = -sum_i tag_i M_i).  Otherwise returns the
+    (pivot, row) pair that extends the echelon by m.
+    """
+    size = m.rows * m.cols
+    tag = [Fraction(0)] * width
+    if index is not None:
+        tag[index] = Fraction(1)
+    vec = _reduce(echelon, _flatten(m) + tuple(tag))
+    pivot = next((k for k in range(size) if vec[k]), None)
+    if pivot is None:
+        return None, vec[size:]
+    f = vec[pivot]
+    if f != 1:
+        vec = [x / f if x else x for x in vec]
+    return pivot, vec
+
+
 def _minimal_polynomial(m):
     """Monic minimal polynomial of a matrix, constant coefficient first.
 
-    Each power M^j is flattened and extended by the unit vector e_j of
-    Q^(n+1) (n = m.rows; by Cayley–Hamilton the degree is at most n), so
-    the e part of a combination of such vectors records its coefficients
-    in I, M, M^2, ...  The vectors are reduced in turn (``_reduce``)
-    against an echelon of the earlier ones, pivoted in the matrix part.
-    The first whose matrix part reduces to zero gives the minimal
-    relation: its e part is sum c_i x^i with c_j = 1.
+    The powers M^j are reduced in turn (``_reduce_tagged``), each tagged
+    with e_j in Q^(n+1) (n = m.rows; by Cayley–Hamilton the degree is at
+    most n).  The first that reduces to zero gives the minimal relation
+    sum c_i M^i = 0 with c_j = 1.
     """
     n = m.rows
-    size = n * n
     echelon = []
     power = RatMatrix.identity(n)
     j = 0
     while True:
-        unit = [Fraction(0)] * (n + 1)
-        unit[j] = Fraction(1)
-        vec = _reduce(echelon, _flatten(power) + tuple(unit))
-        pivot = next((k for k in range(size) if vec[k]), None)
+        pivot, row = _reduce_tagged(echelon, power, j, n + 1)
         if pivot is None:
-            return tuple(vec[size:size + j + 1])
-        f = vec[pivot]
-        if f != 1:
-            vec = [x / f if x else x for x in vec]
-        echelon.append((pivot, vec))
+            return tuple(row[:j + 1])
+        echelon.append((pivot, row))
         power = power * m
         j += 1
 
@@ -177,10 +194,7 @@ class EndAlgebraRep:
                     )
         self.degree = degree
         self.generators = gens
-        self._basis, self._words = self._close()
-        self._flat = RatMatrix.from_columns(
-            [list(_flatten(b)) for b in self._basis], nrows=degree * degree
-        )
+        self._basis, self._words, self._echelon = self._close()
         for b in self._basis:
             if b.det() == 0:
                 raise UnsupportedModelError(
@@ -210,26 +224,32 @@ class EndAlgebraRep:
         Each basis element carries the tuple of generator indices whose
         product produced it; the identity carries the empty word.  The words
         let a variety model replay the same products on its point space.
+        Each candidate product is reduced against the tagged echelon of the
+        basis found so far (``_reduce_tagged``, tagged with its would-be
+        index); one that does not reduce to zero is a new basis element.
+        The echelon is returned with its tags cut to the dimension, for
+        ``coordinates``.
         """
         size = self.degree * self.degree
+        # the dimension is at most size, so a candidate's index fits
+        width = size + 1
         basis = [RatMatrix.identity(self.degree)]
         words = [()]
-        flats = [_flatten(basis[0])]
-        span = Subspace(size, flats)
-        queue = list(range(len(basis)))
+        echelon = [_reduce_tagged([], basis[0], 0, width)]
+        queue = [0]
         while queue:
             idx = queue.pop(0)
             for gi, g in enumerate(self.generators):
                 cand = basis[idx] * g
-                vec = _flatten(cand)
-                if span.contains(vec):
+                pivot, row = _reduce_tagged(echelon, cand, len(basis), width)
+                if pivot is None:
                     continue
-                flats.append(vec)
-                span = Subspace(size, flats)
+                echelon.append((pivot, row))
                 basis.append(cand)
                 words.append(words[idx] + (gi,))
                 queue.append(len(basis) - 1)
-        return tuple(basis), tuple(words)
+        echelon = tuple((p, row[:size + len(basis)]) for p, row in echelon)
+        return tuple(basis), tuple(words), echelon
 
     @property
     def dimension(self):
@@ -245,11 +265,17 @@ class EndAlgebraRep:
         return self._words
 
     def coordinates(self, m):
-        """Coordinates of an algebra element in the closure basis."""
-        coords = self._flat.solve(_flatten(m))
-        if coords is None:
-            raise ValidationError("matrix does not lie in the algebra")
-        return coords
+        """Coordinates of an algebra element in the closure basis.
+
+        m is reduced untagged against the closure echelon; it lies in the
+        algebra iff it reduces to zero, and then its coordinates are the
+        negated tag.
+        """
+        if m.rows == m.cols == self.degree:
+            pivot, tag = _reduce_tagged(self._echelon, m, None, self.dimension)
+            if pivot is None:
+                return tuple(-x for x in tag)
+        raise ValidationError("matrix does not lie in the algebra")
 
     def _structure_constants(self):
         """lam[t][u] = coordinates of basis[t] * basis[u]."""
@@ -382,13 +408,8 @@ class AbelianVarietyModel:
         alg = self.end_algebra
         for t, bt in enumerate(alg.basis):
             for gi, g in enumerate(alg.generators):
-                coords = alg.coordinates(bt * g)
-                lhs = self._point_basis[t] * self.end_action[gi]
-                rhs = RatMatrix.zero(self.point_space_dim, self.point_space_dim)
-                for v, c in enumerate(coords):
-                    if c:
-                        rhs = rhs + self._point_basis[v].scale(c)
-                if lhs != rhs:
+                rhs = self.element_point_matrix(alg.coordinates(bt * g))
+                if self._point_basis[t] * self.end_action[gi] != rhs:
                     raise ValidationError(
                         "point-space action of %r does not satisfy the "
                         "algebra relations" % (self.name,)
@@ -510,37 +531,6 @@ class PointVector:
         return "PointVector(%r, m=%d)" % (self.variety.name, self.multiplicity)
 
 
-def relation_module(p):
-    """All D-linear relations among the entries of a point vector.
-
-    For p = (P_1, ..., P_m) on A with End(A) tensor Q = D of Q-dimension d,
-    the module of relations is
-
-        N = { phi in D^m : phi_1(P_1) + ... + phi_m(P_m) = 0 },
-
-    returned as a Q-subspace of Q^(m*d).  Flattened coordinates are
-    copy-major: position j*d + t is the coefficient of the t-th algebra
-    basis element in phi_j.
-
-    >>> A = AbelianVarietyModel("A", 1, point_space_dim=2)
-    >>> n = relation_module(PointVector(A, [[1, 0], [2, 0]]))
-    >>> n.dim, n.contains((-2, 1))
-    (1, True)
-    >>> relation_module(PointVector(A, [[1, 0], [0, 1]])).dim
-    0
-    """
-    variety = p.variety
-    d = variety.end_algebra.dimension
-    m = p.multiplicity
-    n = variety.point_space_dim
-    cols = []
-    for j in range(m):
-        pj = p.coords[j]
-        for t in range(d):
-            cols.append(list(variety.point_matrix(t).apply(pj)))
-    return kernel(RatMatrix.from_columns(cols, nrows=n))
-
-
 class SubvarietyData:
     """Result of :func:`smallest_subvariety`.
 
@@ -592,7 +582,10 @@ def annihilator_module(variety, multiplicity, relations):
     Returns { w in D^m : sum_j phi_j * w_j = 0 in D for all phi } as a
     Q-subspace of the same flattened Q^(m*d).  Because D is a field, this
     is the exact annihilator of the relation module, and it is itself a
-    D-submodule.
+    D-submodule.  Applied to the relation module of a point vector,
+    found as a kernel by the ``relation_module`` oracle of
+    ``tests/test_abelian.py``, it is the reference the tests compare
+    ``smallest_subvariety`` with.
     """
     d = variety.end_algebra.dimension
     lam = variety.end_algebra.structure_constants
@@ -623,8 +616,8 @@ def smallest_subvariety(p):
     subvariety of A^m containing p corresponds to a D-submodule whose
     annihilator consists of relations satisfied by p, hence contains W.
 
-    W is computed as one row space, not as ``annihilator_module`` of
-    ``relation_module`` (which stay as the reference).  Let M be the
+    W is computed as one row space, not as ``annihilator_module`` of the
+    kernel N (the route the tests keep as the reference).  Let M be the
     n x (m*d) evaluation matrix whose column (j, t) is P_t p_j, so that
     N = ker M.  The model check makes the point-space matrices represent
     D, so N is a D-submodule, and for a D-submodule the D-valued product

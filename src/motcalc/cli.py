@@ -66,8 +66,12 @@ def _build_parser():
     return parser
 
 
+# parse_args leaves the parser as it found it, so one serves every call
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc = load_input(args.file)
         if args.command == "analyze":

@@ -362,9 +362,9 @@ def _parse_motive(entry, where, group, mult_space, models):
         kwargs = dict(A=a, Astar=astar, v=v, vstar=vstar)
     else:
         for key in ("v", "vstar"):
-            if entry.get(key):
-                _fail("%s.%s" % (where, key),
-                      "given but the motive declares no abelian part")
+            path = "%s.%s" % (where, key)
+            if key in entry and _items(entry[key], path, "a list"):
+                _fail(path, "given but the motive declares no abelian part")
 
     psi = None
     raw_psi = None

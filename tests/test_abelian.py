@@ -19,11 +19,10 @@ from motcalc.abelian import (
     SubvarietyData,
     annihilator_module,
     link_duals,
-    relation_module,
     smallest_subvariety,
 )
 from motcalc.errors import UnsupportedModelError, ValidationError
-from motcalc.exactlin import RatMatrix, Subspace
+from motcalc.exactlin import RatMatrix, Subspace, kernel
 
 
 def test_doctests():
@@ -207,6 +206,102 @@ def test_minimal_polynomial_examples(rows):
     assert_minimal_polynomial(RatMatrix.from_rows(rows))
 
 
+def reference_closure(degree, generators):
+    """Basis, words and flattened-basis matrix of the generated algebra.
+
+    The reference for ``EndAlgebraRep``: a candidate product is new when
+    it lies outside a ``Subspace`` rebuilt from every flattened basis
+    element found so far; coordinates then come from ``RatMatrix.solve``
+    against the flattened basis.
+    """
+    size = degree * degree
+    basis = [RatMatrix.identity(degree)]
+    words = [()]
+    flats = [abelian._flatten(basis[0])]
+    span = Subspace(size, flats)
+    queue = [0]
+    while queue:
+        idx = queue.pop(0)
+        for gi, g in enumerate(generators):
+            cand = basis[idx] * g
+            vec = abelian._flatten(cand)
+            if span.contains(vec):
+                continue
+            flats.append(vec)
+            span = Subspace(size, flats)
+            basis.append(cand)
+            words.append(words[idx] + (gi,))
+            queue.append(len(basis) - 1)
+    return tuple(basis), tuple(words), RatMatrix.from_columns(
+        [list(f) for f in flats], nrows=size)
+
+
+def companion(coeffs):
+    """Companion matrix of the monic x^n + sum c_i x^i, c_0 first."""
+    n = len(coeffs)
+    return RatMatrix(n, n, [[int(i == j + 1) for j in range(n - 1)]
+                            + [-coeffs[i]] for i in range(n)])
+
+
+# Phi_3, Phi_4, Phi_5, Phi_7, Phi_8 and Phi_12 without their leading 1
+CYCLOTOMIC = [(1, 1), (1, 0), (1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
+              (1, 0, 0, 0), (1, 0, -1, 0)]
+
+
+@st.composite
+def field_generators(draw):
+    """Generators of a number field, conjugated by a unimodular U.
+
+    A cyclotomic field, a quadratic field Q(sqrt a), or Q(i, sqrt2) on
+    4 x 4 matrices with two commuting generators.
+    """
+    kind = draw(st.sampled_from(("cyclotomic", "quadratic", "biquadratic")))
+    if kind == "cyclotomic":
+        gens = [companion(draw(st.sampled_from(CYCLOTOMIC)))]
+    elif kind == "quadratic":
+        a = draw(st.sampled_from((-5, -3, -2, -1, 2, 3, 5, 6, 7)))
+        gens = [companion((-a, 0))]
+    else:
+        gens = [IMAG.kron(RatMatrix.identity(2)),
+                RatMatrix.identity(2).kron(SQRT2)]
+    n = gens[0].rows
+    u = draw(unimodular_matrices(n))
+    return n, [u * g * u.inverse() for g in gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_generators(), st.data())
+def test_algebra_closure_matches_subspace_and_solve_reference(field, data):
+    degree, gens = field
+    alg = EndAlgebraRep(degree, gens)
+    basis, words, flat = reference_closure(degree, gens)
+    assert alg.basis == basis
+    assert alg.words == words
+
+    def reference_coordinates(m):
+        return flat.solve(abelian._flatten(m))
+
+    assert alg.structure_constants == tuple(
+        tuple(reference_coordinates(bt * bu) for bu in basis)
+        for bt in basis)
+    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                                min_size=len(basis), max_size=len(basis)))
+    element = RatMatrix.zero(degree, degree)
+    for b, c in zip(basis, coeffs):
+        element = element + b.scale(c)
+    assert alg.coordinates(element) == tuple(coeffs)
+    assert reference_coordinates(element) == tuple(coeffs)
+    # a field has no nonzero singular element, so element + E_ij is not in it
+    i, j = data.draw(st.tuples(st.integers(0, degree - 1),
+                               st.integers(0, degree - 1)))
+    outside = element + RatMatrix(degree, degree, [
+        [int((r, c) == (i, j)) for c in range(degree)]
+        for r in range(degree)])
+    assert reference_coordinates(outside) is None
+    with pytest.raises(ValidationError):
+        alg.coordinates(outside)
+
+
 # ------------------------------------------------------------------ models
 
 def simple_model(name="A", n=2):
@@ -293,6 +388,28 @@ def test_dual_unset():
 
 
 # --------------------------------------------------------- point relations
+
+def relation_module(p):
+    """All D-linear relations among the entries of a point vector.
+
+    For p = (P_1, ..., P_m) on A with End(A) tensor Q = D of Q-dimension d,
+    the module of relations is
+
+        N = { phi in D^m : phi_1(P_1) + ... + phi_m(P_m) = 0 },
+
+    returned as a Q-subspace of Q^(m*d): the kernel of the evaluation
+    matrix whose column (j, t) is P_t p_j.  Flattened coordinates are
+    copy-major: position j*d + t is the coefficient of the t-th algebra
+    basis element in phi_j.  With ``annihilator_module`` it is the kernel
+    route that ``smallest_subvariety`` is compared with.
+    """
+    variety = p.variety
+    d = variety.end_algebra.dimension
+    n = variety.point_space_dim
+    cols = [list(variety.point_matrix(t).apply(pj))
+            for pj in p.coords for t in range(d)]
+    return kernel(RatMatrix.from_columns(cols, nrows=n))
+
 
 def test_relation_module_multiple():
     model = simple_model()

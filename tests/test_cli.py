@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import glob
 import hashlib
 import importlib.util
@@ -219,6 +220,40 @@ def test_entry_point_runs_as_module():
     result = run_module("analyze", corpus_path("sec39_gm3.json"))
     assert result.returncode == 0
     assert "dim Lie" in result.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch,
+                                                   tmp_path):
+    """Calls of ``main`` in one process, mixing subcommands, a missing
+    file and a usage error, print the same stdout and exit with the same
+    codes as fresh processes, and build no argument parser."""
+    calls = [
+        ("analyze", corpus_path("ext_weil.json"), "--format", "json"),
+        ("dual", corpus_path("sec39_gm3.json")),
+        ("gr", corpus_path("ell_rel.json"), "--format", "json"),
+        ("analyze", str(tmp_path / "missing.json")),
+        ("gr", corpus_path("z1.json"), "--format", "yaml"),
+        ("analyze", corpus_path("sec39_z4_gm.json")),
+        ("gr", corpus_path("ext_weil.json")),
+    ]
+    fresh = [run_module(*argv) for argv in calls]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        for argv, expected in zip(calls, fresh):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            assert (code, out) == (expected.returncode, expected.stdout), argv
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -383,6 +383,18 @@ def test_validation_positions():
     fails_with({"options": {"reductive": 1}, "motives": []}, "options")
 
 
+@pytest.mark.parametrize("key", ["v", "vstar"])
+@pytest.mark.parametrize("value, message", [
+    (0, "expected a list"), (None, "expected a list"),
+    (False, "expected a list"), ({}, "expected a list"),
+    ("", "expected a list"), ("x", "expected a list"),
+    (["P"], "given but the motive declares no abelian part"),
+])
+def test_points_without_abelian_part_rejected(key, value, message):
+    fails_with({"motives": [{"X_rank": 1, "Yv_rank": 0, key: value}]},
+               "motives[0].%s: %s" % (key, message))
+
+
 def test_unknown_point_name_position():
     payload = json.loads(doc_text(ELL_REL_DOC))
     payload["motives"][0]["v"] = ["P1", "P9"]
