@@ -21,17 +21,18 @@ noncommutative declaration raises :class:`UnsupportedModelError`.  One
 reduction step, ``_reduce_tagged``, answers "which combination of earlier
 matrices is this matrix?": it reduces a flattened matrix, tagged with a
 unit vector, against an echelon of tagged earlier ones.  The closure of
-the generators, the coordinates of an algebra element and the minimal
-polynomial of a generator all read their answer from it.  The field
-checks read that minimal polynomial and divide polynomials with
-``_poly_divmod``, which the finite-order check of ``lattices`` shares.
+the generators and the coordinates of an algebra element read their
+answer from it.  ``_minimal_polynomial`` eliminates the flattened powers
+of the scaled integer matrix with ``exactlin._gauss_jordan``; the field
+checks read it, and so does the finite-order check of ``lattices``, on
+integer matrices, where it and ``_poly_divmod`` stay in ints.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import UnsupportedModelError, ValidationError
-from .exactlin import RatMatrix, Subspace, _reduce, kernel, rat
+from .exactlin import (RatMatrix, Subspace, _gauss_jordan, _int_matmul,
+                       _integer_row, _integer_rows, _reduce, kernel, rat)
 
 
 def _flatten(m):
@@ -68,25 +69,31 @@ def _reduce_tagged(echelon, m, index, width):
     return pivot, vec
 
 
-def _minimal_polynomial(m):
-    """Monic minimal polynomial of a matrix, constant coefficient first.
+def _minimal_polynomial(rows):
+    """Monic minimal polynomial of a square matrix, constant coefficient first.
 
-    The powers M^j are reduced in turn (``_reduce_tagged``), each tagged
-    with e_j in Q^(n+1) (n = m.rows; by Cayley–Hamilton the degree is at
-    most n).  The first that reduces to zero gives the minimal relation
-    sum c_i M^i = 0 with c_j = 1.
+    The matrix, given as rows, is M/d with M integral.  ``_gauss_jordan``
+    eliminates the flattened powers M^0, ..., M^n (n the size) as columns.
+    Once M^k depends on the powers before it so do all later ones, so
+    the degree k is the number of pivots, and column k gives
+    M^k = sum_i c_i M^i.  The c_i are integers (Gauss's lemma), so an
+    integer matrix gets a tuple of ints; otherwise c_i is divided by d^(k-i).
     """
-    n = m.rows
-    echelon = []
-    power = RatMatrix.identity(n)
-    j = 0
-    while True:
-        pivot, row = _reduce_tagged(echelon, power, j, n + 1)
-        if pivot is None:
-            return tuple(row[:j + 1])
-        echelon.append((pivot, row))
-        power = power * m
-        j += 1
+    ints, d = _integer_rows(rows)
+    n = len(ints)
+    cols = list(zip(*ints))
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    flats = [[x for row in power for x in row]]
+    for _ in range(n):
+        power = _int_matmul(power, cols)
+        flats.append([x for row in power for x in row])
+    columns = [list(c) for c in zip(*flats)]
+    reduced, pivots, last, _ = _gauss_jordan(columns, n + 1)
+    k = len(pivots)
+    poly = tuple(-reduced[i][k] // last for i in range(k)) + (1,)
+    if d == 1:
+        return poly
+    return tuple(Fraction(c, d ** (k - i)) for i, c in enumerate(poly))
 
 
 def _poly_trim(p):
@@ -99,13 +106,13 @@ def _poly_trim(p):
 def _poly_divmod(a, b):
     """Quotient and trimmed remainder of a by b, constant coefficient first.
 
-    b must have a nonzero leading coefficient.
+    b must have a nonzero leading coefficient; a monic b keeps ints ints.
     """
     a = list(a)
     n = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - n, 0)
+    q = [0] * max(len(a) - n, 0)
     for shift in range(len(a) - n - 1, -1, -1):
-        c = Fraction(a[shift + n]) / b[-1]
+        c = a[shift + n] if b[-1] == 1 else Fraction(a[shift + n]) / b[-1]
         q[shift] = c
         if c:
             for i, bc in enumerate(b):
@@ -135,8 +142,7 @@ def _divisors(n):
 
 
 def _has_rational_root(p):
-    denom = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * denom) for c in p]
+    ints = _integer_row(p)[0]
     if ints[0] == 0:
         return True
     for den in _divisors(ints[-1]):
@@ -202,7 +208,7 @@ class EndAlgebraRep:
                     "element, so it is not a field"
                 )
         for g in gens:
-            poly = _minimal_polynomial(g)
+            poly = _minimal_polynomial(g.row_list())
             if not _is_squarefree(poly):
                 raise UnsupportedModelError(
                     "an algebra generator has a repeated factor in its "

@@ -8,12 +8,15 @@ Everything downstream runs on the three types defined here:
   operand and each column of the right one as integers over their
   common denominator, take integer dot products, and divide once, so
   they return the same exact ``Fraction``s with far fewer rational
-  operations.  Elimination (``rref``, ``det``, and through ``rref``
-  ``inverse``, ``solve``, ``kernel`` and the ``Subspace`` constructor)
-  runs on integer rows too, in one fraction-free Gauss–Jordan kernel
-  that divides exactly by the previous pivot (E. H. Bareiss, "Sylvester's
+  operations.  Elimination (``rref``, ``det``, ``inverse``, and through
+  ``rref`` ``solve``, ``kernel`` and the ``Subspace`` constructor) runs
+  on integer rows too, in one fraction-free Gauss–Jordan kernel that
+  divides exactly by the previous pivot (E. H. Bareiss, "Sylvester's
   identity and multistep integer-preserving Gaussian elimination",
   Math. Comp. 22 (1968)), and builds ``Fraction``s only for the result.
+  The checks of integral actions (``lattices``, ``motive``) run on
+  plain ints: ``_integer_rows`` scales a matrix by one denominator,
+  ``_int_matmul`` multiplies and ``_int_det`` takes determinants.
 * ``Subspace``: a subspace of Q^n, held as its reduced row echelon rows
   and their pivots, so that equality is structural.  Membership,
   containment and ``QuotientSpace`` coordinates reduce a vector against
@@ -37,11 +40,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -64,6 +69,24 @@ def _integer_row(vec: Sequence[Fraction]) -> tuple:
     return [x.numerator * (d // e) for x, e in zip(vec, dens)], d
 
 
+def _integer_rows(rows: Sequence[Sequence]) -> tuple:
+    """(ints, d) with rows[i][k] == ints[i][k] / d: one d, the lcm of every denominator."""
+    flat, d = _integer_row([x for row in rows for x in row])
+    entries = iter(flat)
+    return [list(islice(entries, len(row))) for row in rows], d
+
+
+def _int_matmul(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list:
+    """The integer product A·B, from the rows of A and the columns of B, as row lists."""
+    return [[sum(map(mul, a, b)) for b in cols] for a in rows]
+
+
+def _int_det(rows: list) -> int:
+    """Determinant of a square integer matrix given as a row list, which is reordered."""
+    _, pivots, last, sign = _gauss_jordan(rows, len(rows))
+    return sign * last if len(pivots) == len(rows) else 0
+
+
 def _gauss_jordan(rows: list, ncols: int) -> tuple:
     """Fraction-free Gauss–Jordan elimination of integer rows, in place.
 
@@ -75,6 +98,9 @@ def _gauss_jordan(rows: list, ncols: int) -> tuple:
     zeros in the other pivot columns, and the rows below the pivot rows are
     zero: the reduced echelon form is the pivot rows divided by the last
     pivot.
+
+    Pivots are sought in the first ``ncols`` columns only, so rows [A | B]
+    with A square, invertible and ``ncols`` wide end as last·[I | A⁻¹B].
 
     Returns:
         (rows, pivots, last_pivot, swap_sign), with pivots the pivot
@@ -150,11 +176,12 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+        return cls._of(n, n, rows)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._of(rows, cols, ((_ZERO,) * cols,) * rows)
 
     # ----- access -------------------------------------------------------
 
@@ -284,21 +311,22 @@ class RatMatrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        scaled = [_integer_row(row) for row in self._entries]
-        _, pivots, last, sign = _gauss_jordan([ints for ints, _ in scaled], self.cols)
-        if len(pivots) < self.rows:
-            return Fraction(0)
-        return Fraction(sign * last, math.prod(d for _, d in scaled))
+        ints, d = _integer_rows(self._entries)
+        return Fraction(_int_det(ints), d ** self.rows)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = self.hstack(RatMatrix.identity(n))
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
+        scaled = enumerate(map(_integer_row, self._entries))
+        # [d_i·row_i | d_i·e_i] reduces to last·[I | A⁻¹]
+        aug = [ints + [d * (i == j) for j in range(n)] for i, (ints, d) in scaled]
+        rows, pivots, last, _ = _gauss_jordan(aug, n)
+        if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return RatMatrix._of(n, n, tuple(row[n:] for row in red._entries))
+        return RatMatrix._of(
+            n, n, tuple(tuple(Fraction(x, last) if x else _ZERO for x in row[n:]) for row in rows)
+        )
 
     def solve(self, rhs: Sequence) -> Optional[tuple]:
         """One exact solution of self·x = rhs, or None if inconsistent."""

@@ -11,14 +11,22 @@ spans are stable by equivariance; it is kept as the reference the tests
 compare those spans against.
 
 An action is checked once, where it enters: the public ``GaloisLattice``
-constructor tests integrality, det +-1, finite order of each generator
-and every relator.  ``dual`` and ``tensor`` build their result from
-lattices that passed that test, through the unchecked
+constructor tests integrality, then, on the numerators as plain ints,
+det +-1 (``_gauss_jordan``), finite order of each generator (its
+integer minimal polynomial divided by cyclotomic polynomials) and every
+relator (integer products).  ``dual`` and ``tensor`` build their result
+from lattices that passed that test, through the unchecked
 ``GaloisLattice._of``: the dual and the tensor product of
 representations of a group are representations of it, with integral
 unimodular matrices, so checking them again could not fail.  Finite
 order of each generator does not make the group finite; that needs a
 search over the group and is not checked.
+
+>>> GaloisLattice(2, [RatMatrix.from_rows([[0, -1], [1, -1]])]).rank  # order 3
+2
+>>> GaloisLattice(2, [RatMatrix.from_rows([[1, 1], [0, 1]])])  # the shear
+Traceback (most recent call last):
+ValueError: action matrices must have finite order
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .abelian import _minimal_polynomial, _poly_divmod
-from .exactlin import RatMatrix, Subspace, space_sum
+from .exactlin import (RatMatrix, Subspace, _gauss_jordan, _int_det,
+                       _int_matmul, _integer_rows, space_sum)
 
 
 class ActionGroup:
@@ -96,20 +105,23 @@ class GaloisLattice:
             group = ActionGroup(len(mats)) if mats else TRIVIAL_GROUP
         if len(mats) != group.generator_count:
             raise ValueError("one action matrix per group generator required")
+        integral = []
         for m in mats:
             if m.rows != rank or m.cols != rank:
                 raise ValueError("action matrix shape does not match rank")
-            if any(x.denominator != 1 for row in m.row_list() for x in row):
+            ints, d = _integer_rows(m.row_list())
+            if d != 1:
                 raise ValueError("action matrices must be integral")
-            if rank > 0 and abs(m.det()) != 1:
+            if rank > 0 and abs(_int_det(list(ints))) != 1:
                 raise ValueError("action matrices must have determinant +-1")
-            if rank > 0 and not _has_finite_order(m):
+            if rank > 0 and not _has_finite_order(ints):
                 raise ValueError("action matrices must have finite order")
+            integral.append(ints)
+        _validate_relators(group, rank, integral)
         self.group = group
         self.rank = rank
         self._action = mats
         self._factors = None
-        self._validate_relators()
 
     @classmethod
     def _of(cls, rank: int, action: tuple, group: ActionGroup) -> "GaloisLattice":
@@ -128,17 +140,6 @@ class GaloisLattice:
             a, b = self._factors
             self._action = tuple(ma.kron(mb) for ma, mb in zip(a.action, b.action))
         return self._action
-
-    def _validate_relators(self) -> None:
-        for word in self.group.relators:
-            prod = RatMatrix.identity(self.rank)
-            for k in word:
-                m = self.action[abs(k) - 1]
-                prod = prod * (m if k > 0 else m.inverse())
-            if prod != RatMatrix.identity(self.rank):
-                raise ValueError(
-                    f"relator {word} does not evaluate to the identity on rank-{self.rank} lattice"
-                )
 
     def __eq__(self, other) -> bool:
         if not (
@@ -194,8 +195,30 @@ def dual(a: GaloisLattice) -> GaloisLattice:
     )
 
 
-def _has_finite_order(m: RatMatrix) -> bool:
-    """Whether an integral square matrix of positive size has finite order.
+def _validate_relators(group: ActionGroup, rank: int, action: list) -> None:
+    """Multiply out each relator on integer generator matrices; reject one that is not I."""
+    if not group.relators:
+        return
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    columns = {}  # letter -> columns of its matrix; an inverse only for a negative letter
+    for word in group.relators:
+        prod = identity
+        for k in word:
+            if k not in columns:
+                m = action[abs(k) - 1]
+                if k < 0:  # [m | I] reduces to last·[I | m⁻¹], and last is ±1
+                    rows, _, last, _ = _gauss_jordan([a + b for a, b in zip(m, identity)], rank)
+                    m = [[x // last for x in row[rank:]] for row in rows]
+                columns[k] = list(zip(*m))
+            prod = _int_matmul(prod, columns[k])
+        if prod != identity:
+            raise ValueError(
+                f"relator {word} does not evaluate to the identity on rank-{rank} lattice"
+            )
+
+
+def _has_finite_order(m: list) -> bool:
+    """Whether a square integer matrix (row lists) of positive size has finite order.
 
     It does iff its minimal polynomial is a product of distinct
     cyclotomic polynomials Phi_k.  Each such factor has degree

@@ -33,7 +33,7 @@ psi; it is an involution.
 
 from .abelian import AbelianVarietyModel, PointVector
 from .errors import ValidationError
-from .exactlin import RatMatrix, rat
+from .exactlin import _int_matmul, _integer_rows, rat
 from .lattices import GaloisLattice, dual, tensor
 from .multgroup import MultSpace
 
@@ -131,30 +131,35 @@ class OneMotive:
         return rows
 
     def _check_equivariance(self):
-        group = self.X.group
-        for k in range(group.generator_count):
-            gx = self.X.action[k]
-            gy = self.Yv.action[k]
-            if self.A is not None and self.X.rank > 0:
-                p = RatMatrix.from_columns(
-                    [list(c) for c in self.v.coords],
-                    nrows=self.A.point_space_dim)
-                if p * gx != p:
+        """P gx = P, Q gy = Q and gx^T C gy = C for every generator.
+
+        P, Q (the points of v and v* as columns, held transposed) and each
+        psi component C are scaled by one common denominator per matrix,
+        and the products are compared in integers.
+        """
+        if not self.X.group.generator_count:
+            return
+        r, s = self.X.rank, self.Yv.rank
+        pt = (_integer_rows(self.v.coords)[0]
+              if self.A is not None and r else None)
+        qt = (_integer_rows(self.vstar.coords)[0]
+              if self.Astar is not None and s else None)
+        comps = [_integer_rows([[e[m] for e in row] for row in self.psi])[0]
+                 for m in range(self.mult_space.dim)] if r and s else []
+        for k in range(self.X.group.generator_count):
+            gxt = _integer_rows(self.X.action[k].transpose().row_list())[0]
+            gyt = _integer_rows(self.Yv.action[k].transpose().row_list())[0]
+            if pt is not None and _int_matmul(gxt, list(zip(*pt))) != pt:
+                raise ValidationError(
+                    "v is not equivariant under generator %d" % (k,))
+            if qt is not None and _int_matmul(gyt, list(zip(*qt))) != qt:
+                raise ValidationError(
+                    "vstar is not equivariant under generator %d" % (k,))
+            for c in comps:
+                # the columns of gy are the rows of gy^T
+                if _int_matmul(_int_matmul(gxt, list(zip(*c))), gyt) != c:
                     raise ValidationError(
-                        "v is not equivariant under generator %d" % (k,))
-            if self.Astar is not None and self.Yv.rank > 0:
-                q = RatMatrix.from_columns(
-                    [list(c) for c in self.vstar.coords],
-                    nrows=self.Astar.point_space_dim)
-                if q * gy != q:
-                    raise ValidationError(
-                        "vstar is not equivariant under generator %d" % (k,))
-            if self.X.rank and self.Yv.rank:
-                for m in range(self.mult_space.dim):
-                    comp = self.psi_component(m)
-                    if gx.transpose() * comp * gy != comp:
-                        raise ValidationError(
-                            "psi is not equivariant under generator %d" % (k,))
+                        "psi is not equivariant under generator %d" % (k,))
 
     @property
     def r(self):
@@ -167,12 +172,6 @@ class OneMotive:
     @property
     def g(self):
         return self.A.g if self.A is not None else 0
-
-    def psi_component(self, m):
-        """The r x s rational matrix of the m-th value-group coordinate."""
-        return RatMatrix(
-            self.r, self.s,
-            [[self.psi[i][j][m] for j in range(self.s)] for i in range(self.r)])
 
     def structurally_equal(self, other):
         """Field-by-field comparison (models compared by identity)."""

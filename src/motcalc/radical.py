@@ -53,11 +53,10 @@ The torus Z(1) is reported through characters: all subspaces of
 X^v tensor Y are flattened with index (i, j) -> i*s + j.
 """
 
-import math
 from fractions import Fraction
 
 from .abelian import PointVector, smallest_subvariety
-from .exactlin import IntLattice, RatMatrix, Subspace, saturate
+from .exactlin import IntLattice, RatMatrix, Subspace, _integer_row, saturate
 from .lattices import GaloisLattice
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -256,10 +255,7 @@ def _integral_basis(space):
     rows = space.basis_columns()
     if all(x.denominator == 1 for vec in rows for x in vec):
         return tuple(tuple(x.numerator for x in vec) for vec in rows)
-    cols = []
-    for vec in rows:
-        denom = math.lcm(*(x.denominator for x in vec))
-        cols.append([int(x * denom) for x in vec])
+    cols = [_integer_row(vec)[0] for vec in rows]
     return saturate(IntLattice(space.ambient_dim, cols)).generators
 
 

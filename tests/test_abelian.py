@@ -108,7 +108,7 @@ def test_coordinates_outside_algebra():
 
 def assert_minimal_polynomial(m):
     """p(M) = 0 for the monic p, and I, M, ..., M^(deg-1) are independent."""
-    poly = abelian._minimal_polynomial(m)
+    poly = abelian._minimal_polynomial(m.row_list())
     deg = len(poly) - 1
     assert poly[-1] == 1
     sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)

@@ -1,5 +1,6 @@
 """Tests for group actions on lattices."""
 
+import doctest
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motcalc import lattices
 from motcalc.exactlin import RatMatrix, Subspace
 from motcalc.lattices import (
     TRIVIAL_GROUP,
@@ -18,6 +20,11 @@ from motcalc.lattices import (
 )
 
 SWAP = RatMatrix.from_rows([[0, 1], [1, 0]])
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(lattices)
+    assert failed == 0
 
 
 def swap_lattice():
@@ -67,6 +74,18 @@ def test_relator_mismatch_is_rejected():
     # A consistent relator is accepted.
     ok_group = ActionGroup(1, relators=[(1, 1)])
     assert GaloisLattice(2, [SWAP], group=ok_group).rank == 2
+    # The commutator has inverse letters: it holds for commuting
+    # generators and fails for SWAP and [[1, 1], [0, -1]], two
+    # involutions whose product has order 6.
+    commutator = ActionGroup(2, relators=[(1, 2, -1, -2)])
+    minus = RatMatrix.identity(2).scale(-1)
+    assert GaloisLattice(2, [SWAP, minus], group=commutator).rank == 2
+    with pytest.raises(ValueError, match=r"relator \(1, 2, -1, -2\)"):
+        GaloisLattice(2, [SWAP, RatMatrix.from_rows([[1, 1], [0, -1]])],
+                      group=commutator)
+    # Involutions are their own inverses; an element of order 3 is not.
+    inverses = ActionGroup(1, relators=[(1, -1), (-1, -1, -1)])
+    assert GaloisLattice(2, [order3], group=inverses).rank == 2
 
 
 def test_tensor_examples():
@@ -186,6 +205,89 @@ def test_derived_lattices_pass_the_public_checks(data):
     # the dual action keeps the evaluation pairing: (m^-T)^T m = 1
     for m, d in zip(x.action, dual(x).action):
         assert d.transpose() * m == RatMatrix.identity(xr)
+
+
+# Phi_k for every k with phi(k) <= 4, monic, constant coefficient first
+CYCLOTOMIC = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1],
+              5: [1, 1, 1, 1, 1], 6: [1, -1, 1], 8: [1, 0, 0, 0, 1],
+              10: [1, -1, 1, -1, 1], 12: [1, 0, -1, 0, 1]}
+
+
+def elementary_product(draw, n, steps):
+    """The identity of size n after row additions, then a row negated or not."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(steps) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        m[0] = [-a for a in m[0]]
+    return m
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """A unimodular integer matrix of rank 1-4, as row lists, of finite order or not.
+
+    Drawn as a conjugated signed permutation, a product of elementary
+    matrices, or a conjugated block sum of companion matrices of
+    cyclotomic polynomials (orders 5, 8, 10 and 12 are not signed
+    permutations' orders in rank <= 4).
+    """
+    kind = draw(st.sampled_from(("signed", "elementary", "cyclotomic")))
+    if kind == "signed":
+        n, mats = draw(finite_actions(1).filter(lambda nm: nm[0] > 0))
+        return [[int(x) for x in row] for row in mats[0].row_list()]
+    n = draw(st.integers(1, 4))
+    if kind == "elementary":
+        return elementary_product(draw, n, st.integers(1, 6))
+    blocks, size = [], 0
+    while size < n:
+        k = draw(st.sampled_from(sorted(k for k, p in CYCLOTOMIC.items()
+                                        if len(p) - 1 <= n - size)))
+        blocks.append(CYCLOTOMIC[k])
+        size += len(CYCLOTOMIC[k]) - 1
+    block_sum = [[0] * n for _ in range(n)]
+    at = 0
+    for p in blocks:
+        d = len(p) - 1
+        for i in range(d):
+            if i:
+                block_sum[at + i][at + i - 1] = 1
+            block_sum[at + i][at + d - 1] = -p[i]
+        at += d
+    u = RatMatrix.from_rows(elementary_product(draw, n, st.integers(0, 3)))
+    conjugate = u * RatMatrix.from_rows(block_sum) * u.inverse()
+    return [[int(x) for x in row] for row in conjugate.row_list()]
+
+
+def has_order_at_most_12(m):
+    n = len(m)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = m
+    for _ in range(12):
+        if power == identity:
+            return True
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)]
+                 for row in power]
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_matrices())
+def test_finite_order_check_matches_powers(m):
+    """Accepted iff m^k = I for some 1 <= k <= 12.
+
+    12 is the largest order of a finite-order element of GL_n(Z) for
+    n <= 4, so the oracle is complete at these ranks.
+    """
+    matrix = RatMatrix.from_rows(m)
+    if has_order_at_most_12(m):
+        assert GaloisLattice(len(m), [matrix]).action == (matrix,)
+    else:
+        with pytest.raises(ValueError, match="finite order"):
+            GaloisLattice(len(m), [matrix])
 
 
 def test_stable_closure_examples():

@@ -190,11 +190,13 @@ def test_equivariance_of_v():
     x = GaloisLattice(2, action=[swap], group=group)
     yv = GaloisLattice(0, group=group)
     # v constant on the swapped basis vectors is equivariant
-    OneMotive(x, yv, A=a, Astar=astar,
-              v=PointVector(a, [[1, 0], [1, 0]]))
-    with pytest.raises(ValidationError):
-        OneMotive(x, yv, A=a, Astar=astar,
-                  v=PointVector(a, [[1, 0], [0, 1]]))
+    for points in ([[1, 0], [1, 0]], [["1/2", 0], ["1/2", 0]]):
+        OneMotive(x, yv, A=a, Astar=astar, v=PointVector(a, points))
+    # [[1/2, 0], [1, 0]] is not: scaled point by point it would read as
+    # [[1, 0], [1, 0]], so the check needs one denominator for all of v
+    for points in ([[1, 0], [0, 1]], [["1/2", 0], [1, 0]]):
+        with pytest.raises(ValidationError, match="v is not equivariant"):
+            OneMotive(x, yv, A=a, Astar=astar, v=PointVector(a, points))
 
 
 def test_equivariance_of_vstar():
@@ -216,9 +218,12 @@ def test_equivariance_of_psi():
     space = MultSpace(["q1", "q2"])
     same = space.element({"q1": 1})
     OneMotive(x, yv, mult_space=space, psi=[[same], [same]])
-    with pytest.raises(ValidationError):
-        OneMotive(x, yv, mult_space=space,
-                  psi=[[space.element({"q1": 1})], [space.element({"q2": 1})]])
+    # the second pair is the psi component [[1/2], [1]], which looks
+    # constant when each row is scaled by its own denominator
+    for first, second in (({"q1": 1}, {"q2": 1}), ({"q1": "1/2"}, {"q1": 1})):
+        with pytest.raises(ValidationError, match="psi is not equivariant"):
+            OneMotive(x, yv, mult_space=space,
+                      psi=[[space.element(first)], [space.element(second)]])
 
 
 def test_empty_motive():

@@ -630,7 +630,8 @@ def conjugated_motive(m, u, w):
                                nrows=m.A.point_space_dim) * u
     vstar = RatMatrix.from_columns([list(c) for c in m.vstar.coords],
                                    nrows=m.Astar.point_space_dim) * w
-    comps = [(u.transpose() * m.psi_component(t) * w).row_list()
+    comps = [(u.transpose() * RatMatrix(
+        m.r, m.s, [[entry[t] for entry in row] for row in m.psi]) * w).row_list()
              for t in range(m.mult_space.dim)]
     psi = [[[c[i][j] for c in comps] for j in range(m.s)] for i in range(m.r)]
     return OneMotive(x, yv, A=m.A, Astar=m.Astar,
