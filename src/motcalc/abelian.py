@@ -483,6 +483,10 @@ def link_duals(a, b):
     Either model may already be linked to the other (relinking the same
     pair is a no-op); linking a model to two different duals is an error.
     A model may be self-dual: ``link_duals(a, a)`` is allowed.
+
+    Their endomorphism algebras must be equal: phi -> phi^v identifies
+    End(A) tensor Q with End(A*) tensor Q, and the radical pairs the
+    coordinates of A and A* in one basis of that algebra.
     """
     already_linked = a._dual is b and b._dual is a
     for m, other in ((a, b), (b, a)):
@@ -491,6 +495,8 @@ def link_duals(a, b):
                 "model %r is already linked to a different dual" % (m.name,))
         if m.g != other.g:
             raise ValidationError("dual abelian varieties must share g")
+    if a.end_algebra != b.end_algebra:
+        raise ValidationError("dual abelian varieties must share one algebra")
     a._dual = b
     b._dual = a
     if not already_linked:

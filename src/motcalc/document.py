@@ -32,10 +32,12 @@ Point relations reduce the declared point space: with points (P1, P2)
 and relation (-2, 1) (meaning -2 P1 + P2 = 0 up to torsion) the space
 has dimension one and the stored coordinates of P1, P2 are canonical
 images in the quotient.  Coordinate rows in "v"/"vstar" refer to this
-reduced space.  "end_action" matrices act on the reduced space; a
-"dual_transfer" entry gives, per endomorphism generator of this
-variety, the induced action on the point space of its declared dual,
-which must not declare an algebra of its own.
+reduced space.  "end_action" matrices act on the reduced space.  A dual
+pair of distinct varieties has one endomorphism algebra, declared on
+one side by "end_generators", "end_action" and a "dual_transfer" that
+gives, per generator, the action on the point space of the dual, which
+declares no algebra; with no algebra on either side both are Q.  A
+self-dual variety acts by its own "end_action" and takes no transfer.
 """
 
 import json
@@ -175,135 +177,138 @@ def _parse_group(entry):
     return _build(where, ActionGroup, count, relators)
 
 
-def _parse_varieties(entries):
-    models = {}
-    parsed = []
-    for where, entry in _items(entries, "varieties", "a list"):
+class _Variety:
+    """One "varieties" entry, read on its own.  ``declared`` says whether
+    it gives its own algebra; ``transfer`` holds the (path, matrix) items
+    of its "dual_transfer".  ``_parse_varieties`` sets ``dual``, and the
+    algebra and action of the dual of a declared algebra."""
+
+    def __init__(self, where, entry):
         _check_keys(entry, where,
                     {"name", "g", "points", "relations", "end_generators",
                      "end_action", "dual", "dual_transfer"},
                     ("name", "g"))
-        name = _expect(entry["name"], str, where + ".name", "a string")
-        if name in (p["name"] for p in parsed):
-            _fail(where + ".name", "duplicate variety name %r" % (name,))
-        g = _parse_int(entry["g"], where + ".g", minimum=1)
-        point_names = []
+        self.where, self.dual, self.transfer = where, None, None
+        self.name = _expect(entry["name"], str, where + ".name", "a string")
+        self.g = _parse_int(entry["g"], where + ".g", minimum=1)
+        self.point_names = []
         for path, pname in _items(entry.get("points", []), where + ".points",
                                   "a list of names"):
             _expect(pname, str, path, "a string")
-            if pname in point_names:
+            if pname in self.point_names:
                 _fail(path, "duplicate point name %r" % (pname,))
-            point_names.append(pname)
-        relations = [_parse_vector(rel, path, len(point_names))
-                     for path, rel in _items(entry.get("relations", []),
-                                             where + ".relations",
-                                             "a list of rows")]
-        if relations and not point_names:
+            self.point_names.append(pname)
+        self.relations = [_parse_vector(rel, path, len(self.point_names))
+                          for path, rel in _items(entry.get("relations", []),
+                                                  where + ".relations",
+                                                  "a list of rows")]
+        if self.relations and not self.point_names:
             _fail(where + ".relations", "relations need declared points")
-        quotient = _build(where + ".relations", QuotientSpace,
-                          len(point_names), relations)
-        parsed.append({
-            "name": name, "g": g, "where": where,
-            "point_names": point_names, "relations": relations,
-            "quotient": quotient, "entry": entry,
-        })
-
-    by_name = {p["name"]: p for p in parsed}
-    for p in parsed:
-        entry, where = p["entry"], p["where"]
-        dual_name = entry.get("dual")
-        if dual_name is not None:
-            _expect(dual_name, str, where + ".dual", "a string")
-            if dual_name not in by_name:
-                _fail(where + ".dual", "unknown variety %r" % (dual_name,))
-            partner = by_name[dual_name]
-            back = partner["entry"].get("dual")
-            if back is not None and back != p["name"]:
-                _fail(where + ".dual",
-                      "dual link of %r and %r is not symmetric"
-                      % (p["name"], dual_name))
-        elif "dual_transfer" in entry:
-            _fail(where + ".dual_transfer", "requires a dual link")
-
-    for p in parsed:
-        entry, where = p["entry"], p["where"]
-        dim = p["quotient"].dim
-        algebra = None
-        action = ()
-        if "end_generators" in entry:
-            gens = _items(entry["end_generators"], where + ".end_generators",
-                          "a list of matrices")
+        self.quotient = _build(where + ".relations", QuotientSpace,
+                               len(self.point_names), self.relations)
+        self.algebra, self.action = None, ()
+        self.declared = "end_generators" in entry
+        if self.declared:
+            path = where + ".end_generators"
+            gens = _items(entry["end_generators"], path, "a list of matrices")
             if not gens:
-                _fail(where + ".end_generators", "need at least one matrix")
-            first_path, first = gens[0]
-            degree = len(_items(first, first_path, "a matrix"))
-            mats = tuple(_parse_square_matrix(m, path, degree)
-                         for path, m in gens)
-            algebra = _build(where + ".end_generators", EndAlgebraRep,
-                             degree, mats)
-            action = _parse_matrix_list(
+                _fail(path, "need at least one matrix")
+            degree = len(_items(gens[0][1], gens[0][0], "a matrix"))
+            self.algebra = _build(path, EndAlgebraRep, degree, [
+                _parse_square_matrix(m, at, degree) for at, m in gens])
+            self.action = _parse_matrix_list(
                 entry.get("end_action", []), where + ".end_action",
-                len(mats), dim)
+                len(gens), self.quotient.dim)
         elif "end_action" in entry:
             _fail(where + ".end_action", "requires end_generators")
-        p["algebra"] = algebra
-        p["action"] = action
+        self.dual_name = entry.get("dual")
+        if self.dual_name is not None:
+            _expect(self.dual_name, str, where + ".dual", "a string")
+        if "dual_transfer" in entry:
+            path = where + ".dual_transfer"
+            if self.dual_name is None:
+                _fail(path, "requires a dual link")
+            if self.dual_name == self.name:
+                _fail(path, "a self-dual variety takes no dual_transfer")
+            if not self.declared:
+                _fail(path, "requires end_generators")
+            self.transfer = _items(entry["dual_transfer"], path,
+                                   "a list of matrices", len(gens),
+                                   "matrices")
 
-    for p in parsed:
-        entry, where = p["entry"], p["where"]
-        if "dual_transfer" not in entry:
+
+def _parse_varieties(entries):
+    """Models and normalized entries of the "varieties" list, in four
+    passes: read each entry on its own (``_Variety``); resolve the dual
+    links and give each pair its one algebra; build and link the models;
+    normalize from the records.
+    """
+    records = {}
+    for where, entry in _items(entries, "varieties", "a list"):
+        rec = _Variety(where, entry)
+        if rec.name in records:
+            _fail(where + ".name", "duplicate variety name %r" % (rec.name,))
+        records[rec.name] = rec
+
+    pairs = []  # each pair once, the first side to name it (the primal) first
+    for rec in records.values():
+        if rec.dual_name is None or rec.dual is not None:
             continue
-        if p["algebra"] is None:
-            _fail(where + ".dual_transfer", "requires end_generators")
-        partner = by_name[entry["dual"]]
-        if partner is not p and partner["algebra"] is not None:
-            _fail(where + ".dual_transfer",
+        partner = records.get(rec.dual_name)
+        if partner is None:
+            _fail(rec.where + ".dual", "unknown variety %r" % (rec.dual_name,))
+        if partner.dual_name not in (None, rec.name):
+            _fail(rec.where + ".dual", "dual link of %r and %r is not "
+                  "symmetric" % (rec.name, rec.dual_name))
+        if partner.dual is not None:
+            _fail(rec.where + ".dual", "model %r is already linked to a "
+                  "different dual" % (partner.name,))
+        rec.dual, partner.dual = partner, rec
+        pairs.append((rec, partner))
+        owners = [p for p in (rec, partner) if p.declared]
+        if partner is rec or not owners:
+            continue
+        source = next((p for p in owners if p.transfer), owners[0])
+        if len(owners) == 2:
+            _fail(source.where + (".dual_transfer" if source.transfer
+                                  else ".end_generators"),
                   "the dual variety already declares its own algebra")
-        transfer = _parse_matrix_list(
-            entry["dual_transfer"], where + ".dual_transfer",
-            len(p["algebra"].generators), partner["quotient"].dim)
-        partner["algebra"] = p["algebra"]
-        partner["action"] = transfer
+        target = source.dual
+        if source.transfer is None:
+            _fail(source.where + ".end_generators", "needs a dual_transfer: "
+                  "the dual variety %r shares this algebra" % (target.name,))
+        target.algebra = source.algebra
+        target.action = tuple(
+            _parse_square_matrix(m, path, target.quotient.dim)
+            for path, m in source.transfer)
 
-    for p in parsed:
-        tracked = {pname: p["quotient"].generator(j)
-                   for j, pname in enumerate(p["point_names"])}
-        models[p["name"]] = _build(
-            p["where"], AbelianVarietyModel, p["name"], p["g"],
-            end_algebra=p["algebra"],
-            point_space_dim=p["quotient"].dim,
-            end_action=p["action"],
-            tracked_points=tracked)
-
-    for p in parsed:
-        dual_name = p["entry"].get("dual")
-        if dual_name is not None:
-            _build(p["where"] + ".dual", link_duals,
-                   models[p["name"]], models[dual_name])
+    models = {
+        rec.name: _build(
+            rec.where, AbelianVarietyModel, rec.name, rec.g,
+            end_algebra=rec.algebra, point_space_dim=rec.quotient.dim,
+            end_action=rec.action,
+            tracked_points={pname: rec.quotient.generator(j)
+                            for j, pname in enumerate(rec.point_names)})
+        for rec in records.values()}
+    for a, b in pairs:
+        _build(a.where + ".dual", link_duals, models[a.name], models[b.name])
 
     normalized = []
-    for p in parsed:
-        out = {"name": p["name"], "g": p["g"]}
-        if p["point_names"]:
-            out["points"] = list(p["point_names"])
-        if p["relations"]:
-            out["relations"] = [_vec_json(rel) for rel in p["relations"]]
-        entry = p["entry"]
-        if "end_generators" in entry:
-            out["end_generators"] = [
-                _mat_json(m)
-                for m in models[p["name"]].end_algebra.generators]
-        if "end_action" in entry:
-            out["end_action"] = [_mat_json(m)
-                                 for m in models[p["name"]].end_action]
-        if "dual" in entry:
-            out["dual"] = entry["dual"]
-        if "dual_transfer" in entry:
-            out["dual_transfer"] = [
-                _mat_json(m)
-                for m in models[entry["dual"]].end_action]
+    for rec in sorted(records.values(), key=lambda rec: rec.name):
+        out = {"name": rec.name, "g": rec.g}
+        if rec.point_names:
+            out["points"] = list(rec.point_names)
+        if rec.relations:
+            out["relations"] = [_vec_json(rel) for rel in rec.relations]
+        if rec.declared:
+            out["end_generators"] = [_mat_json(m)
+                                     for m in rec.algebra.generators]
+            out["end_action"] = [_mat_json(m) for m in rec.action]
+        if rec.dual_name is not None:
+            out["dual"] = rec.dual_name
+        if rec.transfer is not None:
+            out["dual_transfer"] = [_mat_json(m) for m in rec.dual.action]
         normalized.append(out)
-    normalized.sort(key=lambda item: item["name"])
     return models, normalized
 
 
@@ -665,17 +670,8 @@ def build_report(doc, reductive_dim=None):
         effective = doc.options.get("reductive_dim")
     if effective is not None and effective < 0:
         _fail("reductive_dim", "must be >= 0")
-    reports = []
-    for _, motive in doc.motives:
-        payload, _ = analyze_motive(motive, reductive_dim=effective)
-        reports.append(payload)
-    return {"reports": reports}
-
-
-def _format_reductive(value):
-    if isinstance(value, int):
-        return str(value)
-    return value
+    return {"reports": [analyze_motive(motive, reductive_dim=effective)[0]
+                        for _, motive in doc.motives]}
 
 
 def report_text(report):
@@ -709,7 +705,7 @@ def report_text(report):
         lines.append(
             "  dim Lie = dim B (%d) + dim Z (%d) + reductive (%s)%s"
             % (dims["dim_B"], dims["dim_Z"],
-               _format_reductive(dims["reductive_dim"]),
+               dims["reductive_dim"],
                " = %d" % (total,) if total is not None else ""))
         lines.append("  dual radical: [Z^v rank %d -> B* dim %d]"
                      % (entry["dual_radical"]["Zv_rank"],
@@ -719,16 +715,13 @@ def report_text(report):
 
 def gr_summary(doc):
     """Graded-pieces summary for every motive of a document."""
-    out = []
-    for _, motive in doc.motives:
-        out.append({
-            "name": motive.name,
-            "X_rank": motive.r,
-            "A": motive.A.name if motive.A is not None else None,
-            "A_dim": motive.g,
-            "Y_rank": motive.s,
-        })
-    return {"gr": out}
+    return {"gr": [{
+        "name": motive.name,
+        "X_rank": motive.r,
+        "A": motive.A.name if motive.A is not None else None,
+        "A_dim": motive.g,
+        "Y_rank": motive.s,
+    } for _, motive in doc.motives]}
 
 
 def gr_text(summary):

@@ -10,7 +10,8 @@ both pieces exactly from the declared data:
   X^v tensor A + A* tensor Y (up to isogeny, over k) whose points contain
   b: per side, the annihilator of the relation module, computed by
   ``smallest_subvariety`` as the row space of the frame points under the
-  trace-dual basis of the endomorphism algebra;
+  trace-dual basis of the endomorphism algebra, of dimension d, that A
+  and A* share (``link_duals``);
 * Z1(1) is the smallest Galois-stable subtorus of (X^v tensor Y)(1)
   containing the image of the Lie bracket restricted to B: the span of
   the bracket rows R;
@@ -38,9 +39,10 @@ the dual of the identity is the identity, and ``radical_cartier_dual``
 gives Z^v the trivial action.
 
 The bracket image calculation treats the formal Weil values
-<B_t alpha, B_tau beta> of endomorphism translates as independent
-symbols.  For End = Q this is exact; for larger fields it can only
-overestimate Z1, never miss a required character.
+<B_t alpha, B_tau beta> of endomorphism translates, t and tau over the
+d basis elements of that one algebra, as independent symbols.  For
+End = Q this is exact; for larger fields it can only overestimate Z1,
+never miss a required character.
 
 Dimension bookkeeping: dim of the unipotent radical is dim B + dim Z,
 and the total dim of Lie G_mot(M) adds the reductive dimension of the
@@ -95,7 +97,8 @@ def derived_torus_Z1(m, b_data):
 
     R has one row (u_it w_jtau) at flat index i*s + j for every basis
     pair (u, w) of the two B modules and every pair (t, tau) of
-    endomorphism coordinates.  A character c (an r x s table) kills the
+    coordinates in the one algebra of dimension d that A and A* share
+    (``link_duals``).  A character c (an r x s table) kills the
     restricted bracket iff R c = 0, so the characters killing it are
     ker R, and the smallest subspace they all kill is
     ann(ker R) = rowspace(R).  It is Galois-stable as it stands: u and w
@@ -105,32 +108,27 @@ def derived_torus_Z1(m, b_data):
     ambient = r * s
     if m.A is None or ambient == 0 or b_data.dim == 0:
         return Subspace.zero(ambient)
-    d_a = m.A.end_algebra.dimension
-    d_astar = m.Astar.end_algebra.dimension
+    d = m.A.end_algebra.dimension
     rows = []
     for u in b_data.w_a.module.basis_columns():
         for w in b_data.w_astar.module.basis_columns():
-            for t in range(d_a):
-                for tau in range(d_astar):
+            for t in range(d):
+                for tau in range(d):
                     row = [Fraction(0)] * ambient
                     for i in range(r):
-                        ui = u[i * d_a + t]
+                        ui = u[i * d + t]
                         if not ui:
                             continue
                         for j in range(s):
-                            row[i * s + j] = ui * w[j * d_astar + tau]
+                            row[i * s + j] = ui * w[j * d + tau]
                     rows.append(row)
     return Subspace(ambient, rows)
 
 
 def psi_matrix(m):
     """The value-group pairing as a (mult dim) x (r*s) matrix."""
-    mu = m.mult_space.dim
-    cols = []
-    for i in range(m.r):
-        for j in range(m.s):
-            cols.append(list(m.psi[i][j]))
-    return RatMatrix.from_columns(cols, nrows=mu)
+    entries = [list(entry) for row in m.psi for entry in row]
+    return RatMatrix.from_columns(entries, nrows=m.mult_space.dim)
 
 
 def torus_Z(m, b_data, z1):
@@ -168,9 +166,8 @@ class ExtensionHom:
 
 def _extension_values(m, characters):
     if m.A is None:
-        return ExtensionHom(characters,
-                            tuple(None for _ in characters),
-                            tuple(None for _ in characters))
+        none = (None,) * len(characters)
+        return ExtensionHom(characters, none, none)
     r, s, k = m.r, m.s, len(characters)
     # Character z is the r x s table with entry (i, j) = z[i*s + j]; its A*
     # points are table · V* and its A points table^T · V.  The tables of
@@ -306,11 +303,14 @@ def radical_cartier_dual(report):
     restricted to Z and its dual are the identity.  V is re-evaluated on
     the integral character basis so that the emitted data is independent
     of the rational basis used internally.  When the two bases agree,
-    the report's own table is that evaluation.
+    the report's own table is that evaluation.  Z^v is built unchecked
+    (``GaloisLattice._of``): every check holds on identity matrices.
     """
     m = report.motive
     chars = _integral_basis(report.z)
-    lattice = GaloisLattice(len(chars), group=m.X.group)
+    group = m.X.group
+    lattice = GaloisLattice._of(len(chars), (
+        RatMatrix.identity(len(chars)),) * group.generator_count, group)
     if list(chars) == report.z.basis_columns():
         extension = report.extension
     else:

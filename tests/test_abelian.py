@@ -382,6 +382,20 @@ def test_link_duals_dimension_mismatch():
         link_duals(a, b)
 
 
+def test_link_duals_rejects_different_algebras():
+    with pytest.raises(ValidationError, match="share one algebra"):
+        link_duals(cm_model("E"), simple_model("Q"))
+    sqrt2 = AbelianVarietyModel(
+        "R", 1, end_algebra=EndAlgebraRep(2, [SQRT2]),
+        point_space_dim=2, end_action=[SQRT2])
+    with pytest.raises(ValidationError, match="share one algebra"):
+        link_duals(cm_model("E"), sqrt2)
+    # an equal algebra built twice is the same algebra
+    e, f = cm_model("E"), cm_model("F")
+    link_duals(e, f)
+    assert e.dual is f
+
+
 def test_dual_unset():
     with pytest.raises(ValidationError):
         simple_model().dual

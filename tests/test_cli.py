@@ -190,6 +190,37 @@ def test_non_list_points_exit_3(capsys, tmp_path):
     assert "varieties[0].points: expected a list" in err
 
 
+CM = [[0, -1], [1, 0]]
+
+
+def cm_side(name, dual, algebra=CM):
+    return {"name": name, "g": 1, "points": [name + "1", name + "2"],
+            "end_generators": [algebra], "end_action": [algebra],
+            "dual": dual}
+
+
+@pytest.mark.parametrize("varieties, message", [
+    ([cm_side("A", "B"), cm_side("B", "A", [[0, 2], [1, 0]])],
+     "varieties[0].end_generators: the dual variety already declares its "
+     "own algebra"),
+    ([cm_side("A", "B"), {"name": "B", "g": 1, "points": ["B1", "B2"],
+                          "dual": "A"}],
+     "varieties[0].end_generators: needs a dual_transfer"),
+    ([dict(cm_side("E", "E"), dual_transfer=[[[0, 1], [-1, 0]]])],
+     "varieties[0].dual_transfer: a self-dual variety takes no "
+     "dual_transfer"),
+], ids=["two_algebras", "one_sided_algebra", "self_dual_transfer"])
+def test_dual_pair_without_one_algebra_source_exits_3(capsys, tmp_path,
+                                                     varieties, message):
+    bad = tmp_path / "pair.json"
+    bad.write_text(json.dumps({"varieties": varieties, "motives": []}))
+    for command in ("analyze", "dual"):
+        code, out, err = run_main(capsys, command, str(bad))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "validation error: " + message in err
+
+
 def test_unsupported_model_exits_4(capsys, tmp_path):
     payload = {
         "varieties": [{

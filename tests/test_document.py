@@ -1,5 +1,6 @@
 """Tests for input-document parsing, serialization, and reports."""
 
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -436,6 +437,142 @@ def test_dual_transfer_conflict_rejected():
     fails_with(payload, "already declares")
 
 
+CM = [[0, -1], [1, 0]]
+IMAG = [["0", "-1"], ["1", "0"]]
+
+
+def test_self_dual_transfer_rejected():
+    # the transfer would silently replace the variety's own end_action
+    payload = {
+        "varieties": [{"name": "E", "g": 1, "points": ["P", "iP"],
+                       "end_generators": [CM], "end_action": [CM],
+                       "dual": "E", "dual_transfer": [[[0, 1], [-1, 0]]]}],
+        "motives": [],
+    }
+    fails_with(payload, "varieties[0].dual_transfer: a self-dual variety "
+                        "takes no dual_transfer")
+
+
+def test_one_sided_algebra_without_transfer_rejected():
+    cm = {"name": "A", "g": 1, "points": ["P", "R"],
+          "end_generators": [CM], "end_action": [CM], "dual": "B"}
+    plain = {"name": "B", "g": 1, "points": ["S", "T"], "dual": "A"}
+    fails_with({"varieties": [cm, plain], "motives": []},
+               "varieties[0].end_generators: needs a dual_transfer: the "
+               "dual variety 'B' shares this algebra")
+    fails_with({"varieties": [plain, cm], "motives": []},
+               "varieties[1].end_generators: needs a dual_transfer")
+
+
+@pytest.mark.parametrize("other", [CM, [[0, 2], [1, 0]]])
+def test_independent_algebras_on_a_pair_rejected(other):
+    payload = {
+        "varieties": [
+            {"name": "A", "g": 1, "points": ["P", "R"],
+             "end_generators": [CM], "end_action": [CM], "dual": "B"},
+            {"name": "B", "g": 1, "points": ["S", "T"],
+             "end_generators": [other], "end_action": [other], "dual": "A"},
+        ],
+        "motives": [],
+    }
+    fails_with(payload, "varieties[0].end_generators: the dual variety "
+                        "already declares its own algebra")
+
+
+def test_transfer_needs_one_matrix_per_generator():
+    payload = pair_document(False, (True, False), (True, False))
+    payload["varieties"][0]["dual_transfer"] *= 2
+    fails_with(payload, "varieties[0].dual_transfer: expected 1 matrices, "
+                        "got 2")
+
+
+def test_variety_named_as_dual_twice_rejected():
+    # B names no dual; A claims it first, so C's transfer must not reach B
+    cm = {"name": "C", "g": 1, "points": ["C1", "C2"], "dual": "B",
+          "end_generators": [IMAG], "end_action": [IMAG],
+          "dual_transfer": [IMAG]}
+    payload = {
+        "varieties": [{"name": "A", "g": 1, "dual": "B"},
+                      {"name": "B", "g": 1, "points": ["B1", "B2"]}, cm],
+        "motives": [],
+    }
+    fails_with(payload, "varieties[2].dual: model 'B' is already linked to "
+                        "a different dual")
+
+
+def test_first_variety_to_name_a_pair_is_primal():
+    first = {"name": "F", "g": 1}
+    second = {"name": "E", "g": 1, "dual": "F"}
+    doc = parse_input(doc_text({"varieties": [first, second], "motives": []}))
+    assert doc.varieties["E"].is_primal
+    assert not doc.varieties["F"].is_primal
+
+
+def pair_document(self_dual, gens, transfers):
+    """One self-dual variety E, or a pair E, F; side k declares Q(i) when
+    gens[k] and a dual_transfer when transfers[k].  One motive over E."""
+    names = ["E"] if self_dual else ["E", "F"]
+    sides = []
+    for k, name in enumerate(names):
+        side = {"name": name, "g": 1, "points": [name + "1", name + "2"],
+                "dual": names[-1 - k]}
+        if gens[k]:
+            side.update(end_generators=[IMAG], end_action=[IMAG])
+        if transfers[k]:
+            side["dual_transfer"] = [[["0", "1"], ["-1", "0"]]]
+        sides.append(side)
+    return {
+        "mult_basis": ["q"],
+        "varieties": sides,
+        "motives": [{"X_rank": 1, "Yv_rank": 1, "A": "E", "v": ["E1"],
+                     "vstar": [names[-1] + "2"], "psi": [[["1"]]]}],
+    }
+
+
+FLAGS = list(itertools.product((False, True), repeat=2))
+PAIR_CONFIGS = [(True, (g,), (t,)) for g, t in FLAGS] + [
+    (False, gens, transfers) for gens in FLAGS for transfers in FLAGS]
+
+
+def pair_config_id(config):
+    self_dual, gens, transfers = config
+
+    def sides(flags):
+        return "".join(n for n, f in zip("EF", flags) if f) or "none"
+
+    return "%s-gens_%s-transfer_%s" % ("self" if self_dual else "pair",
+                                       sides(gens), sides(transfers))
+
+
+@pytest.mark.parametrize("self_dual, gens, transfers", PAIR_CONFIGS,
+                         ids=map(pair_config_id, PAIR_CONFIGS))
+def test_dual_pair_has_one_algebra_source(self_dual, gens, transfers):
+    """A pair parses exactly when its algebra has one source: none at all
+    (both Q), or one side with end_generators and dual_transfer whose
+    dual declares neither.  A self-dual variety takes no transfer."""
+    payload = pair_document(self_dual, gens, transfers)
+    if self_dual:
+        one_source = not transfers[0]
+    else:
+        one_source = gens == transfers and sum(gens) <= 1
+    if not one_source:
+        with pytest.raises(ValidationError, match=r"^varieties\[[01]\]\."
+                           r"(end_generators|dual_transfer): "):
+            parse_input(doc_text(payload))
+        return
+    doc = parse_input(doc_text(payload))
+    assert doc.normalized["varieties"] == payload["varieties"]
+    e = doc.varieties["E"]
+    assert e.end_algebra is e.dual.end_algebra
+    assert e.end_algebra.dimension == (2 if any(gens) else 1)
+    if self_dual and gens[0]:
+        assert e.end_action[0].row_list() == CM
+    once = parse_input(serialize_document(dual_document(doc)))
+    assert once.motives[0][1].A.name == e.dual.name
+    twice = parse_input(serialize_document(dual_document(once)))
+    assert twice.normalized == doc.normalized
+
+
 def test_split_algebra_raises_unsupported():
     payload = {
         "varieties": [{
@@ -452,8 +589,6 @@ def test_malformed_json_raises_decode_error():
     with pytest.raises(json.JSONDecodeError):
         parse_input("{")
 
-
-IMAG = [["0", "-1"], ["1", "0"]]
 
 # Declares every optional list-valued field of the schema.
 ALL_LISTS_DOC = {

@@ -806,7 +806,8 @@ def parsed_cyclic_document(n=3, copies=1):
     }))
 
 
-def test_only_input_lattices_and_zv_are_checked(monkeypatch):
+def test_analyze_and_check_run_the_public_lattice_constructor_0_times(
+        monkeypatch):
     doc = parsed_cyclic_document()
     inits = []
     original = GaloisLattice.__init__
@@ -817,11 +818,16 @@ def test_only_input_lattices_and_zv_are_checked(monkeypatch):
 
     monkeypatch.setattr(GaloisLattice, "__init__", counting)
     _, motive = doc.motives[0]
-    analyze_motive(motive)
-    # Z^v; X^v, Y and X^v tensor Y are derived from checked X and Yv
-    assert len(inits) == 1
+    payload, _ = analyze_motive(motive)
+    # only the parsed X and Yv are checked: X^v, Y and X^v tensor Y derive
+    # from them, and Z^v carries identity matrices
+    assert len(inits) == 0
+    rank = payload["dual_radical"]["Zv_rank"]
+    identity = [[str(int(i == j)) for j in range(rank)] for i in range(rank)]
+    assert rank > 0
+    assert payload["dual_radical"]["Zv_action"] == [identity]
     assert check_invariants(doc) == []
-    assert len(inits) == 1
+    assert len(inits) == 0
 
 
 def test_analyze_and_check_form_no_kronecker_matrix(monkeypatch):
