@@ -385,6 +385,13 @@ class Subspace:
             self.rows = self.pivots = ()
 
     @classmethod
+    def _of(cls, ambient_dim: int, rows: tuple, pivots: tuple) -> "Subspace":
+        """Wrap RREF rows (``Fraction`` tuples) and their pivots as they are, unchecked."""
+        space = object.__new__(cls)
+        space.ambient_dim, space.rows, space.pivots = ambient_dim, rows, pivots
+        return space
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, [])
 

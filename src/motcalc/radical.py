@@ -3,59 +3,48 @@
 Given a 1-motive M with graded pieces (X, A, Y(1)) of ranks (r, g, s), the
 negative-weight part of Lie G_mot(M) is a semi-abelian variety: an
 extension of an abelian variety B by a torus Z(1).  This module computes
-both pieces exactly from the declared data:
+both pieces exactly from the declared data, each as a span:
 
 * b = (b1, b2) is the point of E_-1(k) determined by (v, v*);
 * B is the smallest Galois-stable abelian subvariety of
   X^v tensor A + A* tensor Y (up to isogeny, over k) whose points contain
-  b: per side, the annihilator of the relation module, computed by
-  ``smallest_subvariety`` as the row space of the frame points under the
-  trace-dual basis of the endomorphism algebra, of dimension d, that A
-  and A* share (``link_duals``);
+  b: per side, the row space of the frame points under the trace-dual
+  basis of the algebra of dimension d that A and A* share
+  (``smallest_subvariety``, ``link_duals``);
 * Z1(1) is the smallest Galois-stable subtorus of (X^v tensor Y)(1)
-  containing the image of the Lie bracket restricted to B: the span of
-  the bracket rows R;
+  containing the image of the Lie bracket restricted to B.  By
+  bilinearity its span is U tensor W, U in Q^r and W in Q^s spanned by
+  slices of the two B modules, and the Kronecker rows of their reduced
+  echelon bases are already that of Z1: nothing is eliminated in Q^(r*s);
 * Z(1) is the smallest one that also contains the projection pi(b~) of
-  the lifted point: Z1 plus the row space of the psi pairing.
+  the lifted point: Z1 plus the row space of the psi pairing, one
+  elimination, or none when Z1 is all of Q^(r*s).
 
-All three are spans.  For B that is because the trace form of the
-endomorphism algebra is nondegenerate (see ``smallest_subvariety``);
-for Z1 and Z, because the dot-product pairing on Q^(r*s) is
-nondegenerate.  A character kills the bracket image iff it lies in
-ker R, and ann(ker R) = rowspace(R); a character kills pi(b~) as well
-iff it lies in ann(Z1) intersect ker psi, and ann(A intersect B) =
-ann A + ann B turns that into Z1 + rowspace(psi).
+Spans suffice because the dot product on Q^(r*s) is nondegenerate (see
+``derived_torus_Z1`` and ``torus_Z``).
 
 No Galois closure is taken, because each span is fixed pointwise.  Write
 P and Q for the matrices of v and v*, gx and gy for a generator on X and
 Yv, and C for a psi component; the motive check enforces P gx = P,
 Q gy = Q and gx^T C gy = C.  So the rows of P*_u P that span the A-side
 module of B are fixed by the X^v action tensored with the identity of
-the endomorphism algebra (likewise on the Y side); the rows of R are
-products u_t tensor w_tau of slices of those two modules, so they are
-fixed by X^v tensor Y; and gx^-T C gy^-1 = C says each psi row is a
-fixed vector.  A generator therefore restricts to the identity on Z,
-the dual of the identity is the identity, and ``radical_cartier_dual``
+the algebra (likewise on the Y side); U and W are spanned by slices of
+those rows, so U tensor W is fixed by X^v tensor Y; and
+gx^-T C gy^-1 = C says each psi row is a fixed vector.  A generator
+therefore restricts to the identity on Z, and ``radical_cartier_dual``
 gives Z^v the trivial action.
 
-The bracket image calculation treats the formal Weil values
-<B_t alpha, B_tau beta> of endomorphism translates, t and tau over the
-d basis elements of that one algebra, as independent symbols.  For
-End = Q this is exact; for larger fields it can only overestimate Z1,
-never miss a required character.
+The bracket image treats the formal Weil values <B_t alpha, B_tau beta>
+of endomorphism translates, t and tau over the d basis elements, as
+independent symbols.  For End = Q this is exact; for larger fields it
+can only overestimate Z1, never miss a required character.
 
-Dimension bookkeeping: dim of the unipotent radical is dim B + dim Z,
-and the total dim of Lie G_mot(M) adds the reductive dimension of the
-graded part, which is 1 when A = 0 and Y is nonzero, 0 when A = Y = 0,
-and otherwise must be supplied by the caller (the abelian part's group
-is outside this calculus); when it is not supplied the report carries
-the symbolic value "dim Lie G_mot(A)".
-
-The torus Z(1) is reported through characters: all subspaces of
-X^v tensor Y are flattened with index (i, j) -> i*s + j.
+dim of the unipotent radical is dim B + dim Z; the total dim of
+Lie G_mot(M) adds the reductive dimension of the graded part: 1 when
+A = 0 and Y is nonzero, 0 when A = Y = 0, and otherwise supplied by the
+caller, or the symbolic value "dim Lie G_mot(A)" when it is not.
+Subspaces of X^v tensor Y are flattened with index (i, j) -> i*s + j.
 """
-
-from fractions import Fraction
 
 from .abelian import PointVector, smallest_subvariety
 from .exactlin import IntLattice, RatMatrix, Subspace, _integer_row, saturate
@@ -93,36 +82,41 @@ def smallest_B(m):
 
 
 def derived_torus_Z1(m, b_data):
-    """Z1 = rowspace R: the bracket image on B.
+    """Z1 = U tensor W: the span of the bracket image on B, in closed form.
 
-    R has one row (u_it w_jtau) at flat index i*s + j for every basis
-    pair (u, w) of the two B modules and every pair (t, tau) of
-    coordinates in the one algebra of dimension d that A and A* share
-    (``link_duals``).  A character c (an r x s table) kills the
-    restricted bracket iff R c = 0, so the characters killing it are
-    ker R, and the smallest subspace they all kill is
-    ann(ker R) = rowspace(R).  It is Galois-stable as it stands: u and w
-    range over stable modules, so the products u_t tensor w_tau do too.
+    The image is spanned by u_t tensor w_tau (flat index i*s + j) over the
+    basis pairs (u, w) of the two B modules and the algebra coordinates t
+    and tau, with u_t = (u_(i*d+t))_i a slice in Q^r.  The characters that
+    kill it are the orthogonal complement of that span, so Z1 is the span,
+    and by bilinearity it is U tensor W, U and W the spans of the slices
+    (the B modules when d = 1).  The Kronecker row of echelon rows a of U
+    and b of W, pivots p and q, is 1 at p*s + q and 0 before it, and every
+    other such row is 0 there; in the order (a, b) the pivots increase, so
+    the rows are Z1's reduced echelon basis with no elimination in Q^(r*s).
+
+    >>> from motcalc.abelian import AbelianVarietyModel, link_duals
+    >>> E = AbelianVarietyModel("E", 1, point_space_dim=2)
+    >>> Es = AbelianVarietyModel("E*", 1, point_space_dim=1)
+    >>> link_duals(E, Es)
+    >>> m = OneMotive(GaloisLattice(3), GaloisLattice(2), A=E, Astar=Es,
+    ...               v=PointVector(E, [[1, 0], [0, 1], [1, 1]]),
+    ...               vstar=PointVector(Es, [[1], [2]]))
+    >>> z1 = derived_torus_Z1(m, smallest_B(m))
+    >>> z1, z1.pivots
+    (Subspace(dim 2 of Q^6: (1, 2, 0, 0, 1, 2), (0, 0, 1, 2, 1, 2)), (0, 2))
     """
     r, s = m.r, m.s
-    ambient = r * s
-    if m.A is None or ambient == 0 or b_data.dim == 0:
-        return Subspace.zero(ambient)
+    if m.A is None:
+        return Subspace.zero(r * s)
     d = m.A.end_algebra.dimension
-    rows = []
-    for u in b_data.w_a.module.basis_columns():
-        for w in b_data.w_astar.module.basis_columns():
-            for t in range(d):
-                for tau in range(d):
-                    row = [Fraction(0)] * ambient
-                    for i in range(r):
-                        ui = u[i * d + t]
-                        if not ui:
-                            continue
-                        for j in range(s):
-                            row[i * s + j] = ui * w[j * d + tau]
-                    rows.append(row)
-    return Subspace(ambient, rows)
+    u, w = (side.module if d == 1 else Subspace(
+        n, [vec[t::d] for vec in side.module.rows for t in range(d)])
+        for n, side in ((r, b_data.w_a), (s, b_data.w_astar)))
+    # (x and y and x * y) is the product, with no Fraction product at a zero
+    return Subspace._of(r * s, tuple(
+        tuple(x and y and x * y for x in a for y in b)
+        for a in u.rows for b in w.rows),
+        tuple(p * s + q for p in u.pivots for q in w.pivots))
 
 
 def psi_matrix(m):
@@ -138,12 +132,12 @@ def torus_Z(m, b_data, z1):
     ann(Z1) intersect ker psi, and the smallest subspace they all kill is
     ann(ann(Z1) intersect ker psi) = Z1 + ann(ker psi) = Z1 + rowspace psi.
     Equivariance of psi (gx^T C gy = C) makes each psi row a fixed vector
-    of X^v tensor Y, so the sum is as stable as Z1.
+    of X^v tensor Y, so the sum is as stable as Z1.  When Z1 is already
+    all of Q^(r*s) it is Z, and nothing is eliminated.
     """
-    ambient = m.r * m.s
-    if ambient == 0:
-        return Subspace.zero(0)
-    return Subspace(ambient, z1.basis_columns() + psi_matrix(m).row_list())
+    if z1.dim == z1.ambient_dim:
+        return z1
+    return Subspace(z1.ambient_dim, z1.basis_columns() + psi_matrix(m).row_list())
 
 
 class ExtensionHom:
@@ -176,13 +170,12 @@ def _extension_values(m, characters):
                                   for z in characters for i in range(r)])
     transposed = RatMatrix(k * s, r, [z[j::s]
                                       for z in characters for j in range(s)])
-    astar = (tables * RatMatrix(s, m.Astar.point_space_dim,
-                                m.vstar.coords)).row_list()
-    a = (transposed * RatMatrix(r, m.A.point_space_dim, m.v.coords)).row_list()
-    astar_values = [PointVector(m.Astar, astar[t * r:(t + 1) * r])
-                    for t in range(k)]
-    a_values = [PointVector(m.A, a[t * s:(t + 1) * s]) for t in range(k)]
-    return ExtensionHom(characters, tuple(astar_values), tuple(a_values))
+    astar = (tables * RatMatrix._of(s, m.Astar.point_space_dim,
+                                    m.vstar.coords))._entries
+    a = (transposed * RatMatrix._of(r, m.A.point_space_dim, m.v.coords))._entries
+    return ExtensionHom(characters, tuple(
+        PointVector._of(m.Astar, astar[t * r:(t + 1) * r]) for t in range(k)),
+        tuple(PointVector._of(m.A, a[t * s:(t + 1) * s]) for t in range(k)))
 
 
 class RadicalReport:

@@ -190,6 +190,46 @@ def matrix_order(m):
     return order
 
 
+def relators_hold(word, generators, rank):
+    """Whether ``_validate_relators`` accepts the single relator ``word``."""
+    ints = [[[int(x) for x in row] for row in m.row_list()] for m in generators]
+    try:
+        lattices._validate_relators(ActionGroup(len(generators), [word]), rank, ints)
+    except ValueError:
+        return False
+    return True
+
+
+def test_a_run_of_one_letter_is_multiplied_by_squaring(monkeypatch):
+    n = 32
+    shift = RatMatrix.from_rows([[int(i == (j + 1) % n) for j in range(n)]
+                                 for i in range(n)])
+    original = lattices._int_matmul
+    calls = []
+    monkeypatch.setattr(lattices, "_int_matmul",
+                        lambda a, b: calls.append(1) or original(a, b))
+    assert relators_hold((1,) * n, [shift], n)
+    # g^32 is 5 squarings and one product, not 31 products
+    assert 0 < len(calls) <= 10
+    assert not relators_hold((1,) * (n - 1), [shift], n)
+    assert relators_hold((-1,) * n + (1, -1), [shift], n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_relator_runs_match_the_letter_by_letter_product(data):
+    n, mats = data.draw(finite_actions(2))
+    runs = data.draw(st.lists(st.tuples(st.sampled_from((1, -1, 2, -2)),
+                                        st.integers(1, 40)), max_size=5))
+    word = tuple(k for k, e in runs for _ in range(e))
+    product = RatMatrix.identity(n)
+    for k in word:
+        product = product * (mats[k - 1] if k > 0 else mats[-k - 1].inverse())
+    assert relators_hold(word, mats, n) == (product == RatMatrix.identity(n))
+    # the word repeated to the order of its product is a relator
+    assert relators_hold(word * matrix_order(product), mats, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_derived_lattices_pass_the_public_checks(data):

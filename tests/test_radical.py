@@ -1,5 +1,6 @@
 """Tests for the unipotent radical computation."""
 
+import doctest
 import glob
 import json
 import math
@@ -29,7 +30,7 @@ from motcalc.exactlin import (
     space_intersect,
     space_sum,
 )
-from motcalc import lattices, radical
+from motcalc import exactlin, lattices, radical
 from motcalc.document import (
     _scaled_motive,
     analyze_motive,
@@ -55,6 +56,11 @@ from motcalc.radical import (
     torus_Z,
     unipotent_radical,
 )
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(radical)
+    assert failed == 0
 
 
 def elliptic_pair(n_a=1, n_astar=1):
@@ -478,6 +484,114 @@ def test_span_route_matches_kernel_route():
                     seen.add((z1.dim > 0, z.dim > z1.dim))
     # the draws reach a nonzero Z1 and a Z strictly larger than Z1
     assert seen >= {(True, False), (False, True), (True, True)}
+
+
+def bracket_rows_Z1_and_Z(m, b_data):
+    """Z1 and Z by elimination in Q^(r*s): the reference for the closed form.
+
+    One row u_t tensor w_tau (flat index i*s + j) for every basis pair
+    (u, w) of the two B modules and every pair (t, tau) of algebra
+    coordinates; Z1 is their row space, and Z that of the rows and psi.
+    """
+    r, s = m.r, m.s
+    ambient = r * s
+    rows = []
+    if m.A is not None and ambient and b_data.dim:
+        d = m.A.end_algebra.dimension
+        for u in b_data.w_a.module.basis_columns():
+            for w in b_data.w_astar.module.basis_columns():
+                for t in range(d):
+                    for tau in range(d):
+                        row = [Fraction(0)] * ambient
+                        for i in range(r):
+                            ui = u[i * d + t]
+                            if not ui:
+                                continue
+                            for j in range(s):
+                                row[i * s + j] = ui * w[j * d + tau]
+                        rows.append(row)
+    psi_rows = psi_matrix(m).row_list() if ambient else []
+    return Subspace(ambient, rows), Subspace(ambient, rows + psi_rows)
+
+
+def closed_form_draw(seed):
+    """A random motive with r, s <= 4: End = Q or Q(i), any group, or
+    End = Q with C_n shifting X and Yv."""
+    rng = random.Random(seed)
+    if rng.randrange(2):
+        return random_equivariant_motive(rng)
+    return random_oracle_motive(rng, rng.randrange(1, 5), rng.randrange(2) == 1,
+                                abelian=True)
+
+
+def assert_closed_form_matches_bracket_rows(m):
+    """Returns (d, size of Z1): "zero", "proper" or "full"."""
+    b_data = smallest_B(m)
+    z1 = derived_torus_Z1(m, b_data)
+    z = torus_Z(m, b_data, z1)
+    z1_rows, z_rows = bracket_rows_Z1_and_Z(m, b_data)
+    assert (z1, z) == (z1_rows, z_rows)
+    assert (z1.pivots, z.pivots) == (z1_rows.pivots, z_rows.pivots)
+    size = ("zero" if z1.dim == 0 else
+            "full" if z1.dim == m.r * m.s else "proper")
+    return m.A.end_algebra.dimension, size
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_closed_form_Z1_and_Z_match_the_bracket_rows(seed):
+    assert_closed_form_matches_bracket_rows(closed_form_draw(seed))
+
+
+def test_closed_form_draws_reach_every_size_of_Z1():
+    seen = {assert_closed_form_matches_bracket_rows(closed_form_draw(seed))
+            for seed in range(60)}
+    assert seen >= {(1, "zero"), (1, "proper"), (1, "full"), (2, "proper")}
+
+
+def test_closed_form_Z1_eliminates_nothing_in_Q_rs(monkeypatch):
+    space = MultSpace(["q"])
+
+    def motive(v, vstar):
+        r, s = len(v), len(vstar)
+        e, estar = elliptic_pair(n_a=len(v[0]), n_astar=len(vstar[0]))
+        psi = [[space.element({"q": i + j}) for j in range(s)]
+               for i in range(r)]
+        return OneMotive(GaloisLattice(r), GaloisLattice(s), A=e, Astar=estar,
+                         v=PointVector(e, v), vstar=PointVector(estar, vstar),
+                         psi=psi, mult_space=space)
+
+    proper = motive([[1, 0], [0, 1], [1, 1]], [[1], [2]])
+    full = motive([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for m, dim in ((proper, 2), (full, 6)):
+        b_data = smallest_B(m)
+        calls = count_calls(monkeypatch, "_gauss_jordan", exactlin)
+        z1 = derived_torus_Z1(m, b_data)
+        # at d = 1, U and W are the B modules: nothing is eliminated
+        assert z1.dim == dim and m.r * m.s == 6 and calls == []
+        z = torus_Z(m, b_data, z1)
+        # one elimination of Z1 and psi, none when Z1 is all of Q^6
+        assert [ncols for _, ncols in calls] == ([6] if dim < 6 else [])
+        assert z == (z1 if dim == 6 else Subspace(6, z1.rows + (
+            (0, 1, 1, 2, 2, 3),)))
+        monkeypatch.undo()
+
+
+def test_closed_form_Z1_over_Q_i_eliminates_only_the_slices(monkeypatch):
+    seen = 0
+    for seed in range(60):
+        m = closed_form_draw(seed)
+        b_data = smallest_B(m)
+        if m.A.end_algebra.dimension == 1 or b_data.dim == 0:
+            continue
+        calls = count_calls(monkeypatch, "_gauss_jordan", exactlin)
+        derived_torus_Z1(m, b_data)
+        # at most one elimination each for U in Q^r and W in Q^s
+        assert len(calls) <= 2
+        assert all(ncols in (m.r, m.s) for _, ncols in calls)
+        seen += bool(calls) and m.r * m.s not in (m.r, m.s)
+        monkeypatch.undo()
+    assert seen
 
 
 IMAG = RatMatrix.from_rows([[0, -1], [1, 0]])
