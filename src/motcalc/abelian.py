@@ -524,14 +524,6 @@ class PointVector:
         self.coords = rows
 
     @classmethod
-    def _of(cls, variety, rows):
-        """Wrap a tuple of ``Fraction`` tuples of the right length as it is, unchecked."""
-        p = object.__new__(cls)
-        p.variety = variety
-        p.coords = rows
-        return p
-
-    @classmethod
     def zero(cls, variety, multiplicity):
         return cls(variety,
                    [[0] * variety.point_space_dim

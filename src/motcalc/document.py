@@ -743,8 +743,9 @@ def _scaled_motive(m, n):
     """
     v = vstar = None
     if m.A is not None:
-        v, vstar = (PointVector._of(p.variety, tuple(
-            tuple(n * c for c in row) for row in p.coords)) for p in (m.v, m.vstar))
+        v = PointVector(m.A, [[n * c for c in row] for row in m.v.coords])
+        vstar = PointVector(m.Astar, [[n * c for c in row]
+                                      for row in m.vstar.coords])
     n2 = n * n
     psi = tuple(tuple(tuple(n2 * c for c in entry) for entry in row)
                 for row in m.psi)

@@ -31,7 +31,6 @@ ValueError: action matrices must have finite order
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .abelian import _minimal_polynomial, _poly_divmod
@@ -197,28 +196,21 @@ def dual(a: GaloisLattice) -> GaloisLattice:
 
 
 def _validate_relators(group: ActionGroup, rank: int, action: list) -> None:
-    """Multiply out each relator on integer generator matrices, each run g^e of
-    one letter by repeated squaring; reject one that is not I."""
+    """Multiply out each relator on integer generator matrices; reject one that is not I."""
     if not group.relators:
         return
     identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    letters = {}  # letter -> its matrix; an inverse only for a negative letter
+    columns = {}  # letter -> columns of its matrix; an inverse only for a negative letter
     for word in group.relators:
         prod = identity
-        for k, run in groupby(word):
-            if k not in letters:
+        for k in word:
+            if k not in columns:
                 m = action[abs(k) - 1]
                 if k < 0:  # [m | I] reduces to last·[I | m⁻¹], and last is ±1
                     rows, _, last, _ = _gauss_jordan([a + b for a, b in zip(m, identity)], rank)
                     m = [[x // last for x in row[rank:]] for row in rows]
-                letters[k] = m
-            m, e = letters[k], len(list(run))
-            while e:  # prod·m^e, squaring m once per bit of e
-                if e & 1:
-                    prod = _int_matmul(prod, list(zip(*m)))
-                e >>= 1
-                if e:
-                    m = _int_matmul(m, list(zip(*m)))
+                columns[k] = list(zip(*m))
+            prod = _int_matmul(prod, columns[k])
         if prod != identity:
             raise ValueError(
                 f"relator {word} does not evaluate to the identity on rank-{rank} lattice"

@@ -170,12 +170,13 @@ def _extension_values(m, characters):
                                   for z in characters for i in range(r)])
     transposed = RatMatrix(k * s, r, [z[j::s]
                                       for z in characters for j in range(s)])
-    astar = (tables * RatMatrix._of(s, m.Astar.point_space_dim,
-                                    m.vstar.coords))._entries
-    a = (transposed * RatMatrix._of(r, m.A.point_space_dim, m.v.coords))._entries
-    return ExtensionHom(characters, tuple(
-        PointVector._of(m.Astar, astar[t * r:(t + 1) * r]) for t in range(k)),
-        tuple(PointVector._of(m.A, a[t * s:(t + 1) * s]) for t in range(k)))
+    astar = (tables * RatMatrix(s, m.Astar.point_space_dim,
+                                m.vstar.coords)).row_list()
+    a = (transposed * RatMatrix(r, m.A.point_space_dim, m.v.coords)).row_list()
+    astar_values = [PointVector(m.Astar, astar[t * r:(t + 1) * r])
+                    for t in range(k)]
+    a_values = [PointVector(m.A, a[t * s:(t + 1) * s]) for t in range(k)]
+    return ExtensionHom(characters, tuple(astar_values), tuple(a_values))
 
 
 class RadicalReport:
