@@ -421,10 +421,6 @@ class AbelianVarietyModel:
                         "algebra relations" % (self.name,)
                     )
 
-    def point_matrix(self, t):
-        """Point-space matrix of the t-th algebra basis element."""
-        return self._point_basis[t]
-
     def element_point_matrix(self, coords):
         """Point-space matrix of the algebra element with given coordinates."""
         m = None

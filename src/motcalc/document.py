@@ -590,6 +590,16 @@ def _bracket_json(data):
     return table
 
 
+def _gr_json(motive):
+    """The ranks and the abelian part of a motive's graded pieces."""
+    return {
+        "X_rank": motive.r,
+        "A": motive.A.name if motive.A is not None else None,
+        "A_dim": motive.g,
+        "Y_rank": motive.s,
+    }
+
+
 def analyze_motive(motive, reductive_dim=None):
     """All computed data for one motive, as a JSON-ready dict."""
     weights = weight_filtration(motive)
@@ -598,7 +608,6 @@ def analyze_motive(motive, reductive_dim=None):
     report = unipotent_radical(motive, reductive_dim=reductive_dim)
     dual_data = radical_cartier_dual(report)
 
-    g = motive.g
     payload = {
         "name": motive.name,
         "weights": {
@@ -606,14 +615,9 @@ def analyze_motive(motive, reductive_dim=None):
             "wm1_dim": weights.dim_wm1,
             "wm2_dim": weights.dim_wm2,
         },
-        "gr": {
-            "X_rank": motive.r,
-            "A": motive.A.name if motive.A is not None else None,
-            "A_dim": g,
-            "Y_rank": motive.s,
-        },
+        "gr": _gr_json(motive),
         "E": {
-            "em1_dim": (motive.r + motive.s) * g,
+            "em1_dim": (motive.r + motive.s) * motive.g,
             "em2_rank": end_data.em2.rank,
             "bracket": _bracket_json(end_data),
         },
@@ -715,13 +719,8 @@ def report_text(report):
 
 def gr_summary(doc):
     """Graded-pieces summary for every motive of a document."""
-    return {"gr": [{
-        "name": motive.name,
-        "X_rank": motive.r,
-        "A": motive.A.name if motive.A is not None else None,
-        "A_dim": motive.g,
-        "Y_rank": motive.s,
-    } for _, motive in doc.motives]}
+    return {"gr": [dict(name=motive.name, **_gr_json(motive))
+                   for _, motive in doc.motives]}
 
 
 def gr_text(summary):

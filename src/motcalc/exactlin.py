@@ -9,9 +9,9 @@ Everything downstream runs on the three types defined here:
   common denominator, take integer dot products, and divide once, so
   they return the same exact ``Fraction``s with far fewer rational
   operations.  Elimination (``rref``, ``det``, ``inverse``, and through
-  ``rref`` ``solve``, ``kernel`` and the ``Subspace`` constructor) runs
-  on integer rows too, in one fraction-free Gauss–Jordan kernel that
-  divides exactly by the previous pivot (E. H. Bareiss, "Sylvester's
+  ``rref`` ``kernel`` and the ``Subspace`` constructor) runs on integer
+  rows too, in one fraction-free Gauss–Jordan kernel that divides
+  exactly by the previous pivot (E. H. Bareiss, "Sylvester's
   identity and multistep integer-preserving Gaussian elimination",
   Math. Comp. 22 (1968)), and builds ``Fraction``s only for the result.
   The checks of integral actions (``lattices``, ``motive``) run on
@@ -305,9 +305,6 @@ class RatMatrix:
         reduced = tuple(tuple(Fraction(x, last) if x else _ZERO for x in row) for row in rows)
         return RatMatrix._of(self.rows, self.cols, reduced), pivots
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -327,20 +324,6 @@ class RatMatrix:
         return RatMatrix._of(
             n, n, tuple(tuple(Fraction(x, last) if x else _ZERO for x in row[n:]) for row in rows)
         )
-
-    def solve(self, rhs: Sequence) -> Optional[tuple]:
-        """One exact solution of self·x = rhs, or None if inconsistent."""
-        b = [rat(x) for x in rhs]
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length mismatch")
-        aug = self.hstack(RatMatrix.from_columns([b], nrows=self.rows))
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = red[r, self.cols]
-        return tuple(x)
 
 
 def _reduce(echelon: Iterable, vec: Sequence) -> list:
@@ -459,21 +442,9 @@ def kernel(m: RatMatrix) -> Subspace:
     return Subspace(m.cols, vectors)
 
 
-def annihilator(s: Subspace, pairing: Optional[RatMatrix] = None) -> Subspace:
-    """{w : <w, v> = 0 for all v in s} under an exact bilinear pairing.
-
-    The pairing defaults to the dot product and must be nondegenerate,
-    so dim(s) + dim(result) = ambient_dim.
-    """
-    n = s.ambient_dim
-    if pairing is None:
-        pairing = RatMatrix.identity(n)
-    if pairing.rows != n or pairing.cols != n:
-        raise ValueError("pairing shape does not match ambient dimension")
-    if n > 0 and pairing.det() == 0:
-        raise ValueError("degenerate pairing")
-    # <w, v> = w^T (pairing) v, so w runs over ker((pairing · basis)^T).
-    return kernel((pairing * s.basis).transpose())
+def annihilator(s: Subspace) -> Subspace:
+    """{w : w·v = 0 for all v in s}, so dim(s) + dim(result) = ambient_dim."""
+    return kernel(RatMatrix._of(s.dim, s.ambient_dim, s.rows))
 
 
 def space_sum(a: Subspace, b: Subspace) -> Subspace:

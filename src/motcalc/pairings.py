@@ -5,16 +5,15 @@ bilinear maps into the torus's cocharacter lattice, so this module works
 with classes only: a :class:`TorusPairingClass` is a block bilinear form
 with values in a lattice L, standing for a biextension by the torus L(1).
 
-A block space is a labeled direct sum of coordinate blocks.  An "abelian"
-block is Q^m tensor a variety model (m independent copies of the variety);
-a "torus" block is a plain Q^m.  Between an abelian block and a block of
-the dual variety the only available pairing is a rational multiple of the
-canonical Weil symbol, written <a, b> with the first argument on the
-primal variety of the registered dual pair.  The stored coefficient
-matrices are always expressed against that fixed orientation, whichever
-side of the form holds the primal variety.  Pairings between abelian
-blocks of non-dual varieties, or between an abelian and a torus block,
-vanish for weight reasons and are rejected.
+A block space is a direct sum of coordinate blocks, each Q^m tensor a
+variety model (m independent copies of the variety).  Between a block
+and a block of the dual variety the only available pairing is a rational
+multiple of the canonical Weil symbol, written <a, b> with the first
+argument on the primal variety of the registered dual pair.  The stored
+coefficient matrices are always expressed against that fixed
+orientation, whichever side of the form holds the primal variety.
+Pairings between blocks of non-dual varieties vanish for weight reasons
+and are rejected.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -33,59 +32,43 @@ from .lattices import GaloisLattice
 
 
 class CoordinateBlock:
-    """One summand of a block space: m copies of a variety, or Q^m."""
+    """One summand of a block space: m copies of a variety."""
 
-    __slots__ = ("kind", "variety", "dim", "label")
+    __slots__ = ("variety", "dim")
 
-    def __init__(self, kind, dim, variety=None, label=None):
-        if kind not in ("abelian", "torus"):
-            raise ValidationError("block kind must be 'abelian' or 'torus'")
+    # a form touching E_-2 lands in weight -3 or below and vanishes, so
+    # every block the calculus pairs is a block of copies of a variety
+    kind = "abelian"
+
+    def __init__(self, variety, dim):
         if dim < 0:
             raise ValidationError("block dimension must be >= 0")
-        if kind == "abelian":
-            if variety is None:
-                raise ValidationError("abelian block needs a variety model")
-        elif variety is not None:
-            raise ValidationError("torus block takes no variety")
-        self.kind = kind
+        if variety is None:
+            raise ValidationError("a block needs a variety model")
         self.variety = variety
         self.dim = dim
-        self.label = label
 
     def __eq__(self, other):
         if not isinstance(other, CoordinateBlock):
             return NotImplemented
-        return (self.kind == other.kind and self.variety is other.variety
-                and self.dim == other.dim)
+        return self.variety is other.variety and self.dim == other.dim
 
     def __repr__(self):
-        if self.kind == "abelian":
-            return "CoordinateBlock(%s^%d)" % (self.variety.name, self.dim)
-        return "CoordinateBlock(%s, dim=%d)" % (self.label or "torus", self.dim)
+        return "CoordinateBlock(%s^%d)" % (self.variety.name, self.dim)
 
 
-def abelian_block(variety, copies, label=None):
-    return CoordinateBlock("abelian", copies, variety=variety, label=label)
-
-
-def torus_block(dim, label=None):
-    return CoordinateBlock("torus", dim, label=label)
+def abelian_block(variety, copies):
+    return CoordinateBlock(variety, copies)
 
 
 class BlockSpace:
-    """A labeled direct sum of coordinate blocks."""
+    """A direct sum of coordinate blocks."""
 
-    __slots__ = ("blocks", "offsets", "total_dim")
+    __slots__ = ("blocks", "total_dim")
 
     def __init__(self, blocks=()):
         self.blocks = tuple(blocks)
-        offsets = []
-        total = 0
-        for b in self.blocks:
-            offsets.append(total)
-            total += b.dim
-        self.offsets = tuple(offsets)
-        self.total_dim = total
+        self.total_dim = sum(b.dim for b in self.blocks)
 
     def __eq__(self, other):
         if not isinstance(other, BlockSpace):
@@ -97,7 +80,7 @@ class BlockSpace:
 
 
 def _dual_pair_ok(a, b):
-    """Whether two abelian blocks may carry a Weil symbol entry."""
+    """Whether two blocks may carry a Weil symbol entry."""
     return a.variety.has_dual and a.variety.dual is b.variety
 
 
@@ -135,16 +118,10 @@ class TorusPairingClass:
                     % (l, p, q, mat.rows, mat.cols, left.dim, right.dim))
             if mat.is_zero():
                 continue
-            if left.kind == "abelian" and right.kind == "abelian":
-                if not _dual_pair_ok(left, right):
-                    raise ValidationError(
-                        "nonzero pairing between non-dual abelian blocks "
-                        "(%r, %r) vanishes for weight reasons"
-                        % (left, right))
-            elif left.kind != right.kind:
+            if not _dual_pair_ok(left, right):
                 raise ValidationError(
-                    "nonzero pairing between an abelian and a torus block "
-                    "vanishes for weight reasons")
+                    "nonzero pairing between non-dual blocks (%r, %r) "
+                    "vanishes for weight reasons" % (left, right))
             table[(l, p, q)] = mat
         self.coefficients = table
 
@@ -153,10 +130,9 @@ class TorusPairingClass:
         """Wrap a normalized coefficient table as it is, unchecked.
 
         Every key must be in range, every matrix nonzero and of its
-        block's shape, and every entry between a registered dual pair of
-        abelian blocks or between two torus blocks: what the public
-        constructor keeps.  ``liealg.build_E`` wraps ``_weil_table`` this
-        way (see there).
+        block's shape, and every entry between the blocks of a registered
+        dual pair: what the public constructor keeps.  ``liealg.build_E``
+        wraps ``_weil_table`` this way (see there).
         """
         c = object.__new__(cls)
         c.left_space = left_space
@@ -196,11 +172,6 @@ class TorusPairingClass:
                 table.pop(key, None)
             else:
                 table[key] = total
-        return TorusPairingClass(self.left_space, self.right_space,
-                                 self.target, table)
-
-    def scale(self, c):
-        table = {key: mat.scale(c) for key, mat in self.coefficients.items()}
         return TorusPairingClass(self.left_space, self.right_space,
                                  self.target, table)
 

@@ -3,6 +3,7 @@
 import doctest
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,31 @@ def test_split_algebra_rejected():
     swap = RatMatrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(UnsupportedModelError):
         EndAlgebraRep(2, [swap])
+
+
+class _TookTooLong(Exception):
+    pass
+
+
+@pytest.mark.xfail(strict=True, raises=_TookTooLong, reason=(
+    "_has_rational_root trial-divides the constant term up to its square "
+    "root, about 10^9 steps for x^2 + 10^18 + 3"))
+def test_large_constant_term_is_accepted_fast():
+    # x^2 + N has no rational root for N > 0, so Q(sqrt(-N)) is a field
+    n = 10 ** 18 + 3
+    generator = RatMatrix.from_rows([[0, -n], [1, 0]])
+
+    def expire(signum, frame):
+        raise _TookTooLong()
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        alg = EndAlgebraRep(2, [generator])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert alg.dimension == 2
 
 
 def test_hidden_nilpotent_rejected():
@@ -211,8 +237,8 @@ def reference_closure(degree, generators):
 
     The reference for ``EndAlgebraRep``: a candidate product is new when
     it lies outside a ``Subspace`` rebuilt from every flattened basis
-    element found so far; coordinates then come from ``RatMatrix.solve``
-    against the flattened basis.
+    element found so far; coordinates then come from sympy's solver
+    against the flattened basis, returned as a sympy matrix.
     """
     size = degree * degree
     basis = [RatMatrix.identity(degree)]
@@ -232,8 +258,9 @@ def reference_closure(degree, generators):
             basis.append(cand)
             words.append(words[idx] + (gi,))
             queue.append(len(basis) - 1)
-    return tuple(basis), tuple(words), RatMatrix.from_columns(
-        [list(f) for f in flats], nrows=size)
+    return tuple(basis), tuple(words), sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in f]
+         for f in flats]).T
 
 
 def companion(coeffs):
@@ -279,7 +306,13 @@ def test_algebra_closure_matches_subspace_and_solve_reference(field, data):
     assert alg.words == words
 
     def reference_coordinates(m):
-        return flat.solve(abelian._flatten(m))
+        rhs = sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
+                            for x in abelian._flatten(m)])
+        try:
+            solution, _ = flat.gauss_jordan_solve(rhs)
+        except ValueError:  # inconsistent
+            return None
+        return tuple(Fraction(int(x.p), int(x.q)) for x in solution)
 
     assert alg.structure_constants == tuple(
         tuple(reference_coordinates(bt * bu) for bu in basis)
@@ -347,7 +380,7 @@ def test_action_on_larger_point_space():
     model = AbelianVarietyModel(
         "E", 1, end_algebra=EndAlgebraRep(2, [IMAG]),
         point_space_dim=4, end_action=[big])
-    assert model.point_matrix(1) == big
+    assert model.element_point_matrix((0, 1)) == big
 
 
 def test_tracked_points():
@@ -420,7 +453,8 @@ def relation_module(p):
     variety = p.variety
     d = variety.end_algebra.dimension
     n = variety.point_space_dim
-    cols = [list(variety.point_matrix(t).apply(pj))
+    units = RatMatrix.identity(d).row_list()
+    cols = [list(variety.element_point_matrix(units[t]).apply(pj))
             for pj in p.coords for t in range(d)]
     return kernel(RatMatrix.from_columns(cols, nrows=n))
 

@@ -17,7 +17,6 @@ from motcalc.pairings import (
     antisymmetrize,
     assemble_example_biext,
     swap_pullback,
-    torus_block,
 )
 
 
@@ -41,6 +40,13 @@ def weil_class(a):
                              {(0, 0, 0): RatMatrix.identity(1)})
 
 
+def self_dual_space(dim):
+    """One block of dim copies of a self-dual variety, which pairs with itself."""
+    a = AbelianVarietyModel("S", 1, point_space_dim=2)
+    link_duals(a, a)
+    return BlockSpace([abelian_block(a, dim)])
+
+
 def unit_matrix(rows, cols, i, j, value=1):
     m = [[0] * cols for _ in range(rows)]
     m[i][j] = value
@@ -49,11 +55,11 @@ def unit_matrix(rows, cols, i, j, value=1):
 
 # ------------------------------------------------------------ construction
 
-def test_block_space_offsets():
+def test_block_space_total_dim():
     a, astar = dual_pair()
     space = BlockSpace([abelian_block(a, 2), abelian_block(astar, 3)])
     assert space.total_dim == 5
-    assert space.offsets == (0, 2)
+    assert all(block.kind == "abelian" for block in space.blocks)
 
 
 def test_non_dual_abelian_entry_rejected():
@@ -74,25 +80,15 @@ def test_same_variety_entry_rejected():
                           {(0, 0, 0): RatMatrix.identity(1)})
 
 
-def test_abelian_torus_entry_rejected():
-    a, astar = dual_pair()
-    left = BlockSpace([abelian_block(a, 1)])
-    right = BlockSpace([torus_block(1)])
-    with pytest.raises(ValidationError):
-        TorusPairingClass(left, right, GaloisLattice(1),
-                          {(0, 0, 0): RatMatrix.identity(1)})
-
-
-def test_torus_torus_entry_allowed():
-    left = BlockSpace([torus_block(2)])
-    right = BlockSpace([torus_block(2)])
+def test_self_dual_entry_allowed():
+    space = self_dual_space(2)
     form = RatMatrix.from_rows([[1, 2], [3, 4]])
-    c = TorusPairingClass(left, right, GaloisLattice(1), {(0, 0, 0): form})
+    c = TorusPairingClass(space, space, GaloisLattice(1), {(0, 0, 0): form})
     assert c.entry(0, 0, 0) == form
 
 
 def test_zero_entries_dropped():
-    left = BlockSpace([torus_block(1)])
+    left = self_dual_space(1)
     c = TorusPairingClass(left, left, GaloisLattice(1),
                           {(0, 0, 0): RatMatrix.zero(1, 1)})
     assert c.is_zero()
@@ -100,7 +96,7 @@ def test_zero_entries_dropped():
 
 
 def test_entry_shape_checked():
-    left = BlockSpace([torus_block(2)])
+    left = self_dual_space(2)
     with pytest.raises(ValidationError):
         TorusPairingClass(left, left, GaloisLattice(1),
                           {(0, 0, 0): RatMatrix.identity(3)})
@@ -158,14 +154,14 @@ def test_assemble_requires_positive_counts():
 # ----------------------------------------------------------- antisymmetrize
 
 def test_antisymmetrize_kills_symmetric_form():
-    left = BlockSpace([torus_block(2)])
+    left = self_dual_space(2)
     sym = RatMatrix.from_rows([[1, 5], [5, 2]])
     c = TorusPairingClass(left, left, GaloisLattice(1), {(0, 0, 0): sym})
     assert antisymmetrize(c).is_zero()
 
 
 def test_antisymmetrize_general_form():
-    left = BlockSpace([torus_block(2)])
+    left = self_dual_space(2)
     form = RatMatrix.from_rows([[0, 1], [0, 0]])
     c = TorusPairingClass(left, left, GaloisLattice(1), {(0, 0, 0): form})
     result = antisymmetrize(c)
@@ -182,7 +178,7 @@ def test_antisymmetrize_idempotent():
 
 
 def test_antisymmetrize_output_is_antisymmetric():
-    left = BlockSpace([torus_block(3)])
+    left = self_dual_space(3)
     form = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     c = TorusPairingClass(left, left, GaloisLattice(1), {(0, 0, 0): form})
     result = antisymmetrize(c)
@@ -229,15 +225,21 @@ def test_symmetrized_restriction_is_twice_the_class():
     a, _ = dual_pair()
     for x, y in ((1, 1), (2, 3)):
         c = assemble_example_biext(x, y, a)
-        assert c + swap_pullback(c) == c.scale(2)
+        doubled = {key: mat.scale(2) for key, mat in c.coefficients.items()}
+        assert c + swap_pullback(c) == TorusPairingClass(
+            c.left_space, c.right_space, c.target, doubled)
 
 
 def test_class_addition_and_scaling():
-    left = BlockSpace([torus_block(1)])
+    left = self_dual_space(1)
     one = RatMatrix.identity(1)
-    c = TorusPairingClass(left, left, GaloisLattice(1), {(0, 0, 0): one})
-    assert (c + c) == c.scale(2)
-    assert (c + c.scale(-1)).is_zero()
+
+    def times(k):
+        return TorusPairingClass(left, left, GaloisLattice(1),
+                                 {(0, 0, 0): one.scale(k)})
+
+    assert times(1) + times(1) == times(2)
+    assert (times(1) + times(-1)).is_zero()
 
 
 def test_class_addition_requires_same_spaces():

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -594,6 +595,38 @@ def test_closed_form_Z1_over_Q_i_eliminates_only_the_slices(monkeypatch):
     assert seen
 
 
+def parsed_gaussian_document():
+    """End(E) = Q(i): v = (P, iP) and v* = (Q, iQ), r = s = 2, no psi.
+
+    i acts by [[0, -1], [1, 0]] on (P, iP) and, through the dual
+    transfer, by [[0, 1], [-1, 0]] on (Q, iQ).
+    """
+    return parse_input(json.dumps({
+        "varieties": [
+            {"name": "E", "g": 1, "points": ["P", "iP"],
+             "end_generators": [[[0, -1], [1, 0]]],
+             "end_action": [[[0, -1], [1, 0]]],
+             "dual": "Estar", "dual_transfer": [[[0, 1], [-1, 0]]]},
+            {"name": "Estar", "g": 1, "points": ["Q", "iQ"], "dual": "E"},
+        ],
+        "motives": [{"X_rank": 2, "Yv_rank": 2, "A": "E",
+                     "v": ["P", "iP"], "vstar": ["Q", "iQ"]}],
+    }))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: derived_torus_Z1 treats the Weil values <B_t a, B_u b> "
+    "as independent symbols, d^2 equations per basis pair where "
+    "D-bilinearity gives d, so Z1 comes out as all of Q^4"))
+def test_Z1_over_Q_i_counts_one_equation_per_D_coordinate():
+    # v and v* each span one D-line, so dim B = 2; the bracket of the two
+    # lines is D-bilinear, d = 2 rows, and with psi = 0, Z = Z1
+    _, motive = parsed_gaussian_document().motives[0]
+    report = unipotent_radical(motive)
+    assert report.dim_B == 2
+    assert (report.z1.dim, report.dim_Z) == (2, 2)
+
+
 IMAG = RatMatrix.from_rows([[0, -1], [1, 0]])
 
 
@@ -754,13 +787,25 @@ def conjugated_motive(m, u, w):
                      psi=psi, mult_space=m.mult_space)
 
 
+def to_sympy_columns(vectors):
+    """The sympy matrix whose columns are the given rational vectors."""
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in v] for v in vectors]).T
+
+
 def kronecker_route_zv_action(m, chars):
-    """Z^v's action through the (rs) x (rs) matrices of X^v tensor Y."""
-    basis = RatMatrix.from_columns([list(c) for c in chars], nrows=m.r * m.s)
+    """Z^v's action through the (rs) x (rs) matrices of X^v tensor Y.
+
+    Each image g·c is written in the basis ``chars`` by sympy's solver.
+    """
+    basis = to_sympy_columns(chars)
     action = []
     for g in tensor(dual(m.X), dual(m.Yv)).action:
-        cols = [list(basis.solve(g.apply(c))) for c in chars]
-        restricted = RatMatrix.from_columns(cols, nrows=len(chars))
+        images, _ = basis.gauss_jordan_solve(
+            to_sympy_columns([g.apply(c) for c in chars]))
+        restricted = RatMatrix(len(chars), len(chars), [
+            [Fraction(int(x.p), int(x.q)) for x in images.row(i)]
+            for i in range(len(chars))])
         action.append(restricted.inverse().transpose())
     return tuple(action)
 
