@@ -520,6 +520,13 @@ class PointVector:
         self.coords = rows
 
     @classmethod
+    def _of(cls, variety, coords):
+        """Wrap a tuple of ``Fraction`` tuples of the right length, unchecked."""
+        p = object.__new__(cls)
+        p.variety, p.coords = variety, coords
+        return p
+
+    @classmethod
     def zero(cls, variety, multiplicity):
         return cls(variety,
                    [[0] * variety.point_space_dim
@@ -552,32 +559,6 @@ class SubvarietyData:
         self.multiplicity = multiplicity
         self.module = module
         self.dim = dim
-
-    def contains(self, p):
-        """Whether a point vector lies on the subvariety's point space.
-
-        Membership means p is in the image of the evaluation map sending
-        (w, x) with w in the module and x in the point space to
-        (w_1(x), ..., w_m(x)).
-        """
-        if p.variety is not self.variety or p.multiplicity != self.multiplicity:
-            raise ValidationError("point vector does not match the subvariety")
-        variety = self.variety
-        d = variety.end_algebra.dimension
-        n = variety.point_space_dim
-        m = self.multiplicity
-        cols = []
-        for w in self.module.basis_columns():
-            blocks = [
-                variety.element_point_matrix(w[j * d:(j + 1) * d])
-                for j in range(m)
-            ]
-            for k in range(n):
-                vec = []
-                for blk in blocks:
-                    vec.extend(blk.column(k))
-                cols.append(vec)
-        return Subspace(m * n, cols).contains(p.flat())
 
     def __repr__(self):
         return "SubvarietyData(%r, m=%d, dim=%d)" % (
@@ -636,7 +617,7 @@ def smallest_subvariety(p):
     phi^T (I_m tensor G) w, which is (I_m tensor G)^-1 rowspace(M): the
     row space of the n x (m*d) matrix whose column (j, u) is P*_u p_j,
     with P*_u = sum_t (G^-1)_tu P_t the trace-dual basis stored on the
-    model.  For D = Q, P*_0 = I and the rows are those of the points.
+    model.  For D = Q, P*_0 = I: W is the points' own row space, no product.
 
     >>> A = AbelianVarietyModel("A", 1, point_space_dim=2)
     >>> smallest_subvariety(PointVector(A, [[1, 0], [2, 0]])).dim
@@ -650,11 +631,14 @@ def smallest_subvariety(p):
     d = variety.end_algebra.dimension
     m = p.multiplicity
     n = variety.point_space_dim
-    points = RatMatrix._of(m, n, p.coords).transpose()
-    images = [(pu * points).row_list() for pu in variety._trace_dual_basis]
-    module = Subspace(m * d, [
-        [image[i][j] for j in range(m) for image in images]
-        for i in range(n)])
+    if d == 1:
+        module = Subspace(m, zip(*p.coords))
+    else:
+        points = RatMatrix._of(m, n, p.coords).transpose()
+        images = [(pu * points).row_list() for pu in variety._trace_dual_basis]
+        module = Subspace(m * d, [
+            [image[i][j] for j in range(m) for image in images]
+            for i in range(n)])
     if module.dim % d != 0:
         raise ValidationError(
             "annihilator is not a module over the endomorphism algebra")

@@ -607,6 +607,17 @@ def analyze_motive(motive, reductive_dim=None):
     end_data = build_E(pieces)
     report = unipotent_radical(motive, reductive_dim=reductive_dim)
     dual_data = radical_cartier_dual(report)
+    # Each shared object is formatted once: the extension characters are
+    # Z's rows, Z1 may be Z, and the dual may reuse the extension.
+    ext = report.extension
+    z_basis = _basis_json(report.z)
+    astar = [_points_json(p) for p in ext.astar_values]
+    a = [_points_json(p) for p in ext.a_values]
+    dual_chars, dual_astar, dual_a = z_basis, astar, a
+    if dual_data.extension is not ext:
+        dual_chars = [_vec_json(c) for c in dual_data.characters]
+        dual_astar = [_points_json(p) for p in dual_data.astar_values]
+        dual_a = [_points_json(p) for p in dual_data.a_values]
 
     payload = {
         "name": motive.name,
@@ -633,20 +644,17 @@ def analyze_motive(motive, reductive_dim=None):
             "dim_B": report.dim_B,
         },
         "Z": {
-            "z1_basis": _basis_json(report.z1),
+            "z1_basis": z_basis if report.z1 is report.z
+            else _basis_json(report.z1),
             "z1_dim": report.z1.dim,
-            "z_basis": _basis_json(report.z),
+            "z_basis": z_basis,
             "dim_Z": report.dim_Z,
             "quasi_deficient": report.quasi_deficient,
             "derived_dim": report.derived_dim,
         },
         "extension": [
-            {
-                "character": _vec_json(char),
-                "astar_points": _points_json(report.extension.astar_values[i]),
-                "a_points": _points_json(report.extension.a_values[i]),
-            }
-            for i, char in enumerate(report.extension.characters)
+            {"character": char, "astar_points": p, "a_points": q}
+            for char, p, q in zip(z_basis, astar, a)
         ],
         "dims": {
             "dim_B": report.dim_B,
@@ -658,9 +666,9 @@ def analyze_motive(motive, reductive_dim=None):
         "dual_radical": {
             "Zv_rank": dual_data.lattice.rank,
             "Zv_action": [_mat_json(m) for m in dual_data.lattice.action],
-            "characters": [_vec_json(c) for c in dual_data.characters],
-            "V_astar": [_points_json(p) for p in dual_data.astar_values],
-            "V_a": [_points_json(p) for p in dual_data.a_values],
+            "characters": dual_chars,
+            "V_astar": dual_astar,
+            "V_a": dual_a,
             "expressible": report.dim_B == 0,
         },
     }
@@ -736,18 +744,18 @@ def gr_text(summary):
 def _scaled_motive(m, n):
     """The isogenous copy with v, v* scaled by n and psi by n^2.
 
-    Built unchecked (``OneMotive._of``): every check on a motive is
-    linear in (v, v*, psi) or about shapes, so the copy passes them
-    because m did.
+    Numerators are scaled in integers, Fraction(n * p, q).  Built unchecked
+    (``OneMotive._of``, ``PointVector._of``): every check on a motive is
+    linear in (v, v*, psi) or about shapes, m's own, so the copy passes.
     """
+    def scaled(values, k):
+        return tuple(Fraction(k * c.numerator, c.denominator) for c in values)
+
     v = vstar = None
     if m.A is not None:
-        v = PointVector(m.A, [[n * c for c in row] for row in m.v.coords])
-        vstar = PointVector(m.Astar, [[n * c for c in row]
-                                      for row in m.vstar.coords])
-    n2 = n * n
-    psi = tuple(tuple(tuple(n2 * c for c in entry) for entry in row)
-                for row in m.psi)
+        v, vstar = (PointVector._of(p.variety, tuple(
+            scaled(row, n) for row in p.coords)) for p in (m.v, m.vstar))
+    psi = tuple(tuple(scaled(entry, n * n) for entry in row) for row in m.psi)
     return OneMotive._of(m.X, m.Yv, m.A, m.Astar, v, vstar, psi,
                          m.mult_space)
 

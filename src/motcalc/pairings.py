@@ -64,11 +64,10 @@ def abelian_block(variety, copies):
 class BlockSpace:
     """A direct sum of coordinate blocks."""
 
-    __slots__ = ("blocks", "total_dim")
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks=()):
         self.blocks = tuple(blocks)
-        self.total_dim = sum(b.dim for b in self.blocks)
 
     def __eq__(self, other):
         if not isinstance(other, BlockSpace):

@@ -46,8 +46,11 @@ caller, or the symbolic value "dim Lie G_mot(A)" when it is not.
 Subspaces of X^v tensor Y are flattened with index (i, j) -> i*s + j.
 """
 
+from fractions import Fraction
+
 from .abelian import PointVector, smallest_subvariety
-from .exactlin import IntLattice, RatMatrix, Subspace, _integer_row, saturate
+from .exactlin import _ZERO, IntLattice, RatMatrix, Subspace, \
+    _int_matmul, _integer_row, _integer_rows, saturate
 from .lattices import GaloisLattice
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -162,21 +165,26 @@ def _extension_values(m, characters):
     if m.A is None:
         none = (None,) * len(characters)
         return ExtensionHom(characters, none, none)
-    r, s, k = m.r, m.s, len(characters)
+    r, s = m.r, m.s
     # Character z is the r x s table with entry (i, j) = z[i*s + j]; its A*
-    # points are table · V* and its A points table^T · V.  The tables of
-    # all characters are stacked, so each side is one product.
-    tables = RatMatrix(k * r, s, [z[i * s:(i + 1) * s]
-                                  for z in characters for i in range(r)])
-    transposed = RatMatrix(k * s, r, [z[j::s]
-                                      for z in characters for j in range(s)])
-    astar = (tables * RatMatrix(s, m.Astar.point_space_dim,
-                                m.vstar.coords)).row_list()
-    a = (transposed * RatMatrix(r, m.A.point_space_dim, m.v.coords)).row_list()
-    astar_values = [PointVector(m.Astar, astar[t * r:(t + 1) * r])
-                    for t in range(k)]
-    a_values = [PointVector(m.A, a[t * s:(t + 1) * s]) for t in range(k)]
-    return ExtensionHom(characters, tuple(astar_values), tuple(a_values))
+    # points are table · V* and its A points table^T · V.  z, v and v* are
+    # each taken once as integers over an lcm denominator, so an entry is
+    # an integer dot product and one Fraction, and zero rows share a tuple.
+    chars = [_integer_row(z) for z in characters]
+    values = []
+    for variety, points, table in (
+            (m.Astar, m.vstar, lambda z: [z[i * s:(i + 1) * s] for i in range(r)]),
+            (m.A, m.v, lambda z: [z[j::s] for j in range(s)])):
+        ints, d = _integer_rows(points.coords)
+        cols, zero = list(zip(*ints)), (_ZERO,) * variety.point_space_dim
+        side = []
+        for z, dz in chars:
+            rows = _int_matmul(table(z), cols)
+            side.append(PointVector._of(variety, tuple(
+                tuple(Fraction(x, dz * d) if x else _ZERO for x in row)
+                if any(row) else zero for row in rows)))
+        values.append(tuple(side))
+    return ExtensionHom(characters, *values)
 
 
 class RadicalReport:
@@ -255,7 +263,7 @@ class DualRadicalData:
 
     ``lattice`` is Z^v with the trivial action: X^v tensor Y fixes Z
     pointwise, so the dual of its restriction to Z is the identity.
-    ``characters`` is the matching integral basis of Z.
+    ``characters`` is the matching integral basis of Z, ``extension`` V on it.
     ``astar_values``/``a_values`` give V on each basis character as
     points on the two sides of B* ((A*)^r restricted by the W_A module,
     A^s restricted by the W_A* module; the module data itself sits in
@@ -266,6 +274,7 @@ class DualRadicalData:
         self.report = report
         self.lattice = lattice
         self.characters = characters
+        self.extension = extension
         self.astar_values = extension.astar_values
         self.a_values = extension.a_values
 

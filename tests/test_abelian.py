@@ -512,6 +512,22 @@ def test_relation_module_is_d_submodule():
 
 # ------------------------------------------------------ smallest subvariety
 
+def on_subvariety(data, p):
+    """Whether p lies on the point space of the subvariety ``data``.
+
+    That space is the image of (w, x) -> (w_1(x), ..., w_m(x)) over w in
+    the module and x in the point space: spanned, for each basis vector w,
+    by the columns of the stacked point-space matrices of w_1, ..., w_m.
+    """
+    variety, m = data.variety, data.multiplicity
+    assert p.variety is variety and p.multiplicity == m
+    d, n = variety.end_algebra.dimension, variety.point_space_dim
+    cols = [[x for j in range(m) for x in variety.element_point_matrix(
+                w[j * d:(j + 1) * d]).column(k)]
+            for w in data.module.basis_columns() for k in range(n)]
+    return Subspace(m * n, cols).contains(p.flat())
+
+
 def test_smallest_subvariety_zero_point():
     model = simple_model()
     data = smallest_subvariety(PointVector.zero(model, 2))
@@ -533,7 +549,7 @@ def test_smallest_subvariety_dependent_pair():
     assert data.dim == 1
     assert data.module.dim == 1
     assert data.module.contains((1, 2))
-    assert data.contains(p)
+    assert on_subvariety(data, p)
 
 
 def test_smallest_subvariety_cm():
@@ -543,15 +559,7 @@ def test_smallest_subvariety_cm():
     data = smallest_subvariety(p)
     # the graph of multiplication by i is an elliptic curve in E^2
     assert data.dim == 1
-    assert data.contains(p)
-
-
-def test_contains_rejects_mismatched_vector():
-    model = simple_model()
-    data = smallest_subvariety(PointVector.zero(model, 2))
-    other = PointVector.zero(simple_model("B"), 2)
-    with pytest.raises(ValidationError):
-        data.contains(other)
+    assert on_subvariety(data, p)
 
 
 def test_annihilator_module_full_relations():
@@ -577,7 +585,7 @@ def brute_force_minimum(model, p, span_range=2):
     for module in candidates:
         data = SubvarietyData(model, 2, module,
                               module.dim * model.g)
-        if data.contains(p):
+        if on_subvariety(data, p):
             if best is None or data.dim < best:
                 best = data.dim
     return best
@@ -597,7 +605,7 @@ def test_smallest_subvariety_matches_brute_force():
                       for _ in range(2)]
         p = PointVector(model, coords)
         data = smallest_subvariety(p)
-        assert data.contains(p)
+        assert on_subvariety(data, p)
         assert data.dim == brute_force_minimum(model, p)
 
 
@@ -646,12 +654,39 @@ def test_smallest_subvariety_matches_kernel_route(p):
     reference = annihilator_module(p.variety, p.multiplicity,
                                    relation_module(p))
     assert data.module == reference
-    assert data.contains(p)
+    assert on_subvariety(data, p)
 
 
 def test_trace_dual_basis_of_rational_field_is_identity():
     model = simple_model(n=3)
     assert model._trace_dual_basis == (RatMatrix.identity(3),)
+
+
+def trace_dual_product_module(p):
+    """The module as the row space of P*_u p_j over the trace-dual basis."""
+    variety, m = p.variety, p.multiplicity
+    n, d = variety.point_space_dim, variety.end_algebra.dimension
+    points = RatMatrix(m, n, p.coords).transpose()
+    images = [(pu * points).row_list() for pu in variety._trace_dual_basis]
+    return Subspace(m * d, [[image[i][j] for j in range(m) for image in images]
+                            for i in range(n)])
+
+
+@pytest.mark.parametrize("n, coords", [
+    (2, []),                                   # m = 0
+    (0, [[], [], []]),                         # point_space_dim = 0
+    (3, [[0, 0, 0], [0, 0, 0]]),               # all-zero points
+    (3, [[1, 2, 0], [2, 4, 0], [0, 0, Fraction(1, 2)], [1, 2, 3]]),
+])
+def test_smallest_subvariety_over_Q_is_the_trace_dual_product(n, coords):
+    """At End = Q the points' own row space is the trace-dual product route."""
+    p = PointVector(simple_model(n=n), coords)
+    data = smallest_subvariety(p)
+    reference = trace_dual_product_module(p)
+    assert data.module == reference
+    assert data.module.ambient_dim == len(coords)
+    assert data.dim == reference.dim
+    assert on_subvariety(data, p)
 
 
 def test_smallest_subvariety_minimality_cm():
@@ -663,7 +698,7 @@ def test_smallest_subvariety_minimality_cm():
         coords = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         p = PointVector(model, coords)
         data = smallest_subvariety(p)
-        assert data.contains(p)
+        assert on_subvariety(data, p)
         # candidate D-lines in D^2 with small Gaussian-integer directions
         for parts in itertools.product(range(-1, 2), repeat=4):
             if not any(parts):
@@ -675,5 +710,5 @@ def test_smallest_subvariety_minimality_cm():
                     tuple(lmul.apply(w1)) + tuple(lmul.apply(w2))]
             module = Subspace(4, vecs)
             line = SubvarietyData(model, 2, module, (module.dim // d) * model.g)
-            if line.contains(p):
+            if on_subvariety(line, p):
                 assert data.dim <= line.dim

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motcalc import document
-from motcalc.abelian import SubvarietyData
+from motcalc.abelian import PointVector, SubvarietyData
 from motcalc.document import (
     analyze_motive,
     build_report,
@@ -24,7 +24,9 @@ from motcalc.document import (
 )
 from motcalc.errors import UnsupportedModelError, ValidationError
 from motcalc.exactlin import Subspace
-from motcalc.radical import BData, RadicalReport, unipotent_radical
+from motcalc.motive import OneMotive
+from motcalc.radical import BData, RadicalReport, radical_cartier_dual, \
+    unipotent_radical
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "motives")
 
@@ -302,6 +304,120 @@ def test_check_invariants_names_the_subspace_scaling_moved(
         assert clause.endswith(" lies in %s and not in the scaled %s"
                                % (name, name))
         assert before.contains(vec) and any(vec)
+
+
+def halves_document():
+    """v, v* and psi with even denominators: 1/2 * 2 must read "1"."""
+    return parse_input(json.dumps({
+        "mult_basis": ["q", "t"],
+        "varieties": [
+            {"name": "E", "g": 1, "points": ["P", "R"], "dual": "Es"},
+            {"name": "Es", "g": 1, "points": ["Q"], "dual": "E"}],
+        "motives": [{
+            "X_rank": 2, "Yv_rank": 3, "A": "E",
+            "v": [["1/2", "-3/4"], [0, "5/6"]],
+            "vstar": [["1/2"], ["-1/4"], [3]],
+            "psi": [[["1/2", 0], ["1/4", "-1/3"], [0, 0]],
+                    [[1, "7/8"], ["-1/2", "1/6"], ["2/3", 5]]]}],
+    }))
+
+
+def entrywise_scaled(m, n):
+    """The copy built the plain way: n * c per entry, through the checks."""
+    def times(k, rows):
+        return [[k * c for c in row] for row in rows]
+
+    return OneMotive(m.X, m.Yv, A=m.A, Astar=m.Astar,
+                     v=PointVector(m.A, times(n, m.v.coords)),
+                     vstar=PointVector(m.Astar, times(n, m.vstar.coords)),
+                     psi=[times(n * n, row) for row in m.psi],
+                     mult_space=m.mult_space)
+
+
+@pytest.mark.parametrize("n", [2, 3, -1, 4])
+def test_scaled_motive_equals_the_entrywise_product(n):
+    _, m = halves_document().motives[0]
+    scaled = document._scaled_motive(m, n)
+    reference = entrywise_scaled(m, n)
+    assert scaled.structurally_equal(reference)
+    assert reference.structurally_equal(scaled)
+    pairs = [(scaled.v.coords, reference.v.coords),
+             (scaled.vstar.coords, reference.vstar.coords)]
+    pairs += list(zip(scaled.psi, reference.psi))
+    for got, want in pairs:
+        assert got == want
+        assert [[str(x) for x in row] for row in got] == \
+            [[str(x) for x in row] for row in want]
+        assert all(type(x) is Fraction for row in got for x in row)
+    assert scaled.v.variety is m.A and scaled.vstar.variety is m.Astar
+    if n == 2:
+        # 1/2 * 2 and 1/4 * 4 are the integer 1, not 2/2 or 4/4
+        assert str(scaled.v.coords[0][0]) == str(scaled.psi[0][1][0]) == "1"
+        assert scaled.v.coords[0][0].denominator == 1
+
+
+def test_scaled_motive_without_abelian_part():
+    _, m = load_input(corpus_path("sec39_gm3.json")).motives[0]
+    scaled = document._scaled_motive(m, 2)
+    assert scaled.v is None and scaled.vstar is None
+    assert scaled.psi == tuple(tuple(tuple(4 * c for c in entry)
+                                     for entry in row) for row in m.psi)
+
+
+def formatted_radical_fields(motive):
+    """The Z, extension and dual radical fields, each formatted on its own."""
+    def vec(v):
+        return [str(x) for x in v]
+
+    def points(p):
+        return None if p is None else [vec(row) for row in p.coords]
+
+    report = unipotent_radical(motive)
+    ext, dual = report.extension, radical_cartier_dual(report)
+    return {
+        "z1_basis": [vec(v) for v in report.z1.basis_columns()],
+        "z_basis": [vec(v) for v in report.z.basis_columns()],
+        "extension": [
+            {"character": vec(c), "astar_points": points(p), "a_points": points(q)}
+            for c, p, q in zip(ext.characters, ext.astar_values, ext.a_values)],
+        "characters": [vec(c) for c in dual.characters],
+        "V_astar": [points(p) for p in dual.astar_values],
+        "V_a": [points(p) for p in dual.a_values],
+    }
+
+
+def torus_with_rational_z_document():
+    """[Z -> Gm^2] with u(1) = (q^2, q): Z is spanned by (1, 1/2)."""
+    return parse_input(json.dumps({
+        "mult_basis": ["q"],
+        "motives": [{"X_rank": 1, "Yv_rank": 2, "psi": [[[2], [1]]]}],
+    }))
+
+
+def test_report_shares_lists_that_format_the_same_objects():
+    docs = [load_input(corpus_path(name)) for name in CORPUS_FILES]
+    docs += [torus_with_rational_z_document(), halves_document()]
+    shared_z1 = shared_dual = unshared_dual = 0
+    for doc in docs:
+        for _, motive in doc.motives:
+            payload, report = analyze_motive(motive)
+            z, dual = payload["Z"], payload["dual_radical"]
+            assert formatted_radical_fields(motive) == dict(
+                z1_basis=z["z1_basis"], z_basis=z["z_basis"],
+                extension=payload["extension"], characters=dual["characters"],
+                V_astar=dual["V_astar"], V_a=dual["V_a"])
+            # the text of a shared list is that of its unshared copy
+            unshared = json.loads(json.dumps(payload))
+            assert serialize_document(payload) == serialize_document(unshared)
+            if report.z1 is report.z:
+                assert z["z1_basis"] is z["z_basis"]
+                shared_z1 += 1
+            if radical_cartier_dual(report).extension is report.extension:
+                assert dual["characters"] is z["z_basis"]
+                shared_dual += 1
+            else:
+                unshared_dual += 1
+    assert shared_z1 and shared_dual and unshared_dual
 
 
 def test_analyze_motive_matches_unipotent_radical():

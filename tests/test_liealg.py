@@ -42,7 +42,7 @@ def pieces(r, a, s):
 
 def test_build_E_no_abelian_part():
     data = build_E(pieces(1, None, 3))
-    assert data.em1_space.total_dim == 0
+    assert sum(b.dim for b in data.em1_space.blocks) == 0
     assert data.em1_dims == (0, 0)
     assert data.em2.rank == 3
     assert data.bracket.is_zero()
@@ -51,7 +51,7 @@ def test_build_E_no_abelian_part():
 def test_build_E_no_torus_part():
     a, _ = dual_pair()
     data = build_E(pieces(1, a, 0))
-    assert data.em1_space.total_dim == 1
+    assert sum(b.dim for b in data.em1_space.blocks) == 1
     assert data.em2.rank == 0
     assert data.bracket.is_zero()
 
@@ -167,7 +167,8 @@ def test_verify_lie_module_via_motive_duality():
                   mult_space=space, psi=[[space.element({"q": 1})]])
     direct = build_E(gr(m))
     dualized = build_E(gr(cartier_dual(m)))
-    assert direct.em1_space.total_dim == dualized.em1_space.total_dim
+    assert sum(b.dim for b in direct.em1_space.blocks) == \
+        sum(b.dim for b in dualized.em1_space.blocks)
     assert direct.em2.rank == dualized.em2.rank
     assert verify_lie_module(direct, gr(m))
     assert verify_lie_module(dualized, gr(cartier_dual(m)))

@@ -55,13 +55,6 @@ def unit_matrix(rows, cols, i, j, value=1):
 
 # ------------------------------------------------------------ construction
 
-def test_block_space_total_dim():
-    a, astar = dual_pair()
-    space = BlockSpace([abelian_block(a, 2), abelian_block(astar, 3)])
-    assert space.total_dim == 5
-    assert all(block.kind == "abelian" for block in space.blocks)
-
-
 def test_non_dual_abelian_entry_rejected():
     a, _ = dual_pair("A")
     b, _ = dual_pair("B")

@@ -123,6 +123,22 @@ def ext_weil_motive(psi_exponent=1, mult_names=("q",)):
                      psi=psi, mult_space=space)
 
 
+def on_subvariety(data, p):
+    """Whether p lies on the point space of the subvariety ``data``.
+
+    That space is the image of (w, x) -> (w_1(x), ..., w_m(x)) over w in
+    the module and x in the point space: spanned, for each basis vector w,
+    by the columns of the stacked point-space matrices of w_1, ..., w_m.
+    """
+    variety, m = data.variety, data.multiplicity
+    assert p.variety is variety and p.multiplicity == m
+    d, n = variety.end_algebra.dimension, variety.point_space_dim
+    cols = [[x for j in range(m) for x in variety.element_point_matrix(
+                w[j * d:(j + 1) * d]).column(k)]
+            for w in data.module.basis_columns() for k in range(n)]
+    return Subspace(m * n, cols).contains(p.flat())
+
+
 def basis(space):
     return [tuple(v) for v in space.basis_columns()]
 
@@ -191,7 +207,7 @@ def test_dependent_elliptic_points():
     assert basis(rep.b.w_a.module) == [(1, 2)]
     assert rep.dim_B == 1
     assert rep.dim_Z == 0
-    assert rep.b.w_a.contains(rep.b1)
+    assert on_subvariety(rep.b.w_a, rep.b1)
 
 
 def test_independent_elliptic_points():
@@ -221,7 +237,7 @@ def brute_force_minimal_module(points, bound=3):
         module = Subspace(m, gen)
         data = SubvarietyData(points.variety, m, module,
                               module.dim * points.variety.g)
-        if data.contains(points) and (best is None or data.dim < best.dim):
+        if on_subvariety(data, points) and (best is None or data.dim < best.dim):
             best = data
     return best
 
@@ -262,8 +278,8 @@ def test_ext_weil_brute_force_oracle():
     for points in (rep.b1, rep.b2):
         zero = SubvarietyData(points.variety, 1, Subspace.zero(1), 0)
         full = SubvarietyData(points.variety, 1, Subspace.full(1), 1)
-        assert not zero.contains(points)
-        assert full.contains(points)
+        assert not on_subvariety(zero, points)
+        assert on_subvariety(full, points)
     assert rep.dim_B == 2
     killers = [c for c in range(-3, 4) if c * 1 * 1 == 0]
     assert killers == [0]
@@ -1042,6 +1058,75 @@ def test_extension_values_are_built_when_read(monkeypatch):
         same = [e["character"] for e in payload["extension"]] == \
             payload["dual_radical"]["characters"]
         assert same == integral
+
+
+def stacked_product_extension(m, characters):
+    """V by the RatMatrix route: all tables stacked, one product per side.
+
+    Returns the A* and A coordinates of every character, as tuples of
+    ``Fraction`` tuples.
+    """
+    r, s, k = m.r, m.s, len(characters)
+    tables = RatMatrix(k * r, s, [z[i * s:(i + 1) * s]
+                                  for z in characters for i in range(r)])
+    transposed = RatMatrix(k * s, r, [z[j::s]
+                                      for z in characters for j in range(s)])
+    astar = (tables * RatMatrix(s, m.Astar.point_space_dim,
+                                m.vstar.coords)).row_list()
+    a = (transposed * RatMatrix(r, m.A.point_space_dim, m.v.coords)).row_list()
+    return ([tuple(map(tuple, astar[t * r:(t + 1) * r])) for t in range(k)],
+            [tuple(map(tuple, a[t * s:(t + 1) * s])) for t in range(k)])
+
+
+@st.composite
+def extension_cases(draw):
+    """A motive with r, s <= 4 and characters of Q^(r*s) to evaluate V on.
+
+    Points and characters have denominators; a character is zero, or has
+    some of its r table rows zeroed, and it is given either as Fractions
+    or, like the saturated basis, as integers.
+    """
+    r, s = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    na, ns = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    e, estar = elliptic_pair(na, ns)
+    m = OneMotive(GaloisLattice(r), GaloisLattice(s), A=e, Astar=estar,
+                  v=PointVector(e, [[draw(rational) for _ in range(na)]
+                                    for _ in range(r)]),
+                  vstar=PointVector(estar, [[draw(rational) for _ in range(ns)]
+                                            for _ in range(s)]))
+    characters = []
+    for _ in range(draw(st.integers(0, 4))):
+        z = [draw(rational) for _ in range(r * s)]
+        for i in draw(st.sets(st.integers(0, r - 1)) if r else st.just(())):
+            z[i * s:(i + 1) * s] = [Fraction(0)] * s
+        if draw(st.booleans()):
+            z = [Fraction(0)] * (r * s)
+        if draw(st.booleans()):
+            z = [x.numerator * math.lcm(*(y.denominator for y in z))
+                 // x.denominator for x in z]
+        characters.append(tuple(z))
+    return m, tuple(characters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(extension_cases())
+def test_extension_values_match_the_stacked_product(case):
+    m, characters = case
+    ext = radical._extension_values(m, characters)
+    astar, a = stacked_product_extension(m, characters)
+    assert ext.characters is characters
+    assert [p.coords for p in ext.astar_values] == astar
+    assert [p.coords for p in ext.a_values] == a
+    for points, variety, count, width in [
+            (ext.astar_values, m.Astar, m.r, m.Astar.point_space_dim),
+            (ext.a_values, m.A, m.s, m.A.point_space_dim)]:
+        assert len(points) == len(characters)
+        for p in points:
+            assert p.variety is variety and len(p.coords) == count
+            assert all(type(row) is tuple and len(row) == width
+                       for row in p.coords)
+            assert all(type(x) is Fraction for row in p.coords for x in row)
 
 
 def test_dual_motive_gets_its_own_em2():
