@@ -481,48 +481,58 @@ def serialize_document(payload):
     plus a newline, written here because with ``indent`` set ``json``
     runs its pure-Python encoder.  Payloads hold dicts with str keys,
     lists, str, int, bool and None; any other value raises TypeError.
+    A list met again at the same indent reuses the chunks of its first text.
     """
     chunks = []
-    _write_json(payload, "\n", chunks.append)
+    _write_json(payload, "\n", chunks, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write_json(value, newline, emit):
-    """Emit ``value`` as indented JSON; ``newline`` ends its line and indents."""
-    if isinstance(value, str):
-        emit(_json_str(value))
+def _write_json(value, newline, chunks, spans):
+    """Append ``value`` as indented JSON to ``chunks``; ``newline`` ends its
+    line and indents.  ``spans`` maps id(list) to (newline, start, end), its
+    slice of ``chunks``; the payload keeps each list alive, so ids are safe."""
+    kind = type(value)
+    if kind is str:
+        chunks.append(_json_str(value))
     elif value is None:
-        emit("null")
-    elif value is True:
-        emit("true")
-    elif value is False:
-        emit("false")
-    elif isinstance(value, int):
-        emit(int.__repr__(value))
-    elif isinstance(value, list):
+        chunks.append("null")
+    elif kind is bool:
+        chunks.append("true" if value else "false")
+    elif kind is int:
+        chunks.append(int.__repr__(value))
+    elif kind is list or kind is not dict and isinstance(value, list):
         if not value:
-            emit("[]")
+            chunks.append("[]")
             return
-        inner = newline + "  "
+        span = spans.get(id(value))
+        if span is not None and span[0] == newline:
+            chunks.extend(chunks[span[1]:span[2]])
+            return
+        start, inner = len(chunks), newline + "  "
         separator = "," + inner
-        if isinstance(value[0], str):
-            # Report rows are lists of strings: join them in one step.
-            try:
-                emit("[" + inner + separator.join(map(_json_str, value))
-                     + newline + "]")
-                return
-            except TypeError:  # a mixed list: write it item by item
-                pass
-        lead = "[" + inner
-        for item in value:
-            emit(lead)
-            _write_json(item, inner, emit)
-            lead = separator
-        emit(newline + "]")
-    elif isinstance(value, dict):
+        try:
+            joined = "".join(value) if type(value[0]) is str else None
+        except TypeError:  # a mixed list: write it item by item
+            joined = None
+        if joined is None:
+            lead = "[" + inner
+            for item in value:
+                chunks.append(lead)
+                _write_json(item, inner, chunks, spans)
+                lead = separator
+            chunks.append(newline + "]")
+        elif len(_json_str(joined)) == len(joined) + 2:  # nothing to escape
+            chunks.append('[%s"%s"%s]' % (
+                inner, ('"' + separator + '"').join(value), newline))
+        else:
+            chunks.append("[%s%s%s]" % (
+                inner, separator.join(map(_json_str, value)), newline))
+        spans[id(value)] = (newline, start, len(chunks))
+    elif kind is dict or isinstance(value, dict):
         if not value:
-            emit("{}")
+            chunks.append("{}")
             return
         inner = newline + "  "
         lead = "{" + inner
@@ -530,10 +540,14 @@ def _write_json(value, newline, emit):
             if not isinstance(key, str):
                 raise TypeError("keys must be str, not %s"
                                 % (type(key).__name__,))
-            emit(lead + _json_str(key) + ": ")
-            _write_json(value[key], inner, emit)
+            chunks.append(lead + _json_str(key) + ": ")
+            _write_json(value[key], inner, chunks, spans)
             lead = "," + inner
-        emit(newline + "}")
+        chunks.append(newline + "}")
+    elif isinstance(value, str):
+        chunks.append(_json_str(value))
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % (type(value).__name__,))
@@ -572,20 +586,31 @@ def _basis_json(space):
     return [_vec_json(col) for col in space.basis_columns()]
 
 
-def _points_json(points):
+def _rows_json(rows, texts):
+    """Each row as a list of strings, one list per row object (by id)."""
+    out = []
+    for row in rows:
+        text = texts.get(id(row))
+        if text is None:
+            text = texts[id(row)] = list(map(str, row))
+        out.append(text)
+    return out
+
+
+def _points_json(points, texts):
     if points is None:
         return None
-    return [_vec_json(row) for row in points.coords]
+    return _rows_json(points.coords, texts)
 
 
-def _bracket_json(data):
+def _bracket_json(data, texts):
     table = []
     for (l, p, q), mat in sorted(data.bracket.coefficients.items()):
         table.append({
             "component": l,
             "left_block": p,
             "right_block": q,
-            "matrix": _mat_json(mat),
+            "matrix": _rows_json(map(mat.row, range(mat.rows)), texts),
         })
     return table
 
@@ -608,16 +633,18 @@ def analyze_motive(motive, reductive_dim=None):
     report = unipotent_radical(motive, reductive_dim=reductive_dim)
     dual_data = radical_cartier_dual(report)
     # Each shared object is formatted once: the extension characters are
-    # Z's rows, Z1 may be Z, and the dual may reuse the extension.
+    # Z's rows, Z1 may be Z, and the dual may reuse the extension.  So is
+    # each point or matrix row, by id: end_data, report and dual_data hold it.
+    texts = {}
     ext = report.extension
     z_basis = _basis_json(report.z)
-    astar = [_points_json(p) for p in ext.astar_values]
-    a = [_points_json(p) for p in ext.a_values]
+    astar = [_points_json(p, texts) for p in ext.astar_values]
+    a = [_points_json(p, texts) for p in ext.a_values]
     dual_chars, dual_astar, dual_a = z_basis, astar, a
     if dual_data.extension is not ext:
         dual_chars = [_vec_json(c) for c in dual_data.characters]
-        dual_astar = [_points_json(p) for p in dual_data.astar_values]
-        dual_a = [_points_json(p) for p in dual_data.a_values]
+        dual_astar = [_points_json(p, texts) for p in dual_data.astar_values]
+        dual_a = [_points_json(p, texts) for p in dual_data.a_values]
 
     payload = {
         "name": motive.name,
@@ -630,11 +657,11 @@ def analyze_motive(motive, reductive_dim=None):
         "E": {
             "em1_dim": (motive.r + motive.s) * motive.g,
             "em2_rank": end_data.em2.rank,
-            "bracket": _bracket_json(end_data),
+            "bracket": _bracket_json(end_data, texts),
         },
         "b": {
-            "b1": _points_json(report.b1),
-            "b2": _points_json(report.b2),
+            "b1": _points_json(report.b1, texts),
+            "b2": _points_json(report.b2, texts),
         },
         "B": {
             "w_a_basis": _basis_json(report.b.w_a.module)
@@ -665,7 +692,8 @@ def analyze_motive(motive, reductive_dim=None):
         },
         "dual_radical": {
             "Zv_rank": dual_data.lattice.rank,
-            "Zv_action": [_mat_json(m) for m in dual_data.lattice.action],
+            "Zv_action": [_rows_json(map(m.row, range(m.rows)), texts)
+                          for m in dual_data.lattice.action],
             "characters": dual_chars,
             "V_astar": dual_astar,
             "V_a": dual_a,

@@ -206,14 +206,6 @@ _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 
-def _unit(rows, cols, i, j, value):
-    """The rows x cols matrix with ``value`` at (i, j) and 0 elsewhere."""
-    zero_row = (_ZERO,) * cols
-    data = [zero_row] * rows
-    data[i] = zero_row[:j] + (value,) + zero_row[j + 1:]
-    return RatMatrix._of(rows, cols, tuple(data))
-
-
 def _weil_table(x, y):
     """The coefficient table of the Weil biextension class on (A^x + (A*)^y)^2.
 
@@ -222,14 +214,23 @@ def _weil_table(x, y):
     copy of A* (coefficient +1 at (l, 0, 1)) and its swapped role between
     the j-th copy of A* and the i-th copy of A (coefficient -1 at
     (l, 1, 0), the swap sign rule), so the class is fixed by the swap
-    pullback.  The table is empty when x or y is 0.
+    pullback.  The table is empty when x or y is 0.  Its 2xy matrices share
+    one tuple per distinct row, at most x + y + 2: the zero row of each
+    width and the +1 (-1) unit row at each column j (i).
     """
+    zeros = {n: (_ZERO,) * n for n in (x, y)}
+    zero_x, zero_y = zeros[x], zeros[y]
+    plus = [zero_y[:j] + (_ONE,) + zero_y[j + 1:] for j in range(y)]
+    minus = [zero_x[:i] + (_MINUS_ONE,) + zero_x[i + 1:] for i in range(x)]
+    top, bottom = (zero_y,) * x, (zero_x,) * y
     table = {}
     for i in range(x):
         for j in range(y):
             l = i * y + j
-            table[(l, 0, 1)] = _unit(x, y, i, j, _ONE)
-            table[(l, 1, 0)] = _unit(y, x, j, i, _MINUS_ONE)
+            table[(l, 0, 1)] = RatMatrix._of(
+                x, y, top[:i] + (plus[j],) + top[i + 1:])
+            table[(l, 1, 0)] = RatMatrix._of(
+                y, x, bottom[:j] + (minus[i],) + bottom[j + 1:])
     return table
 
 

@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .abelian import PointVector, smallest_subvariety
 from .exactlin import _ZERO, IntLattice, RatMatrix, Subspace, \
-    _int_matmul, _integer_row, _integer_rows, saturate
+    _integer_row, _integer_rows, saturate
 from .lattices import GaloisLattice
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -162,29 +162,40 @@ class ExtensionHom:
 
 
 def _extension_values(m, characters):
+    """V on each character, built from the character's nonzero entries.
+
+    Entry k = i*s + j of z adds z_k v*_j to row i of the A* side and z_k v_i
+    to row j of the A side.  A row with one term of coefficient 1 is the
+    input point's own tuple and a row with none the shared zero tuple; any
+    other is an integer sum over the lcm denominator of z and the points,
+    one Fraction per nonzero coordinate.
+    """
     if m.A is None:
         none = (None,) * len(characters)
         return ExtensionHom(characters, none, none)
     r, s = m.r, m.s
-    # Character z is the r x s table with entry (i, j) = z[i*s + j]; its A*
-    # points are table · V* and its A points table^T · V.  z, v and v* are
-    # each taken once as integers over an lcm denominator, so an entry is
-    # an integer dot product and one Fraction, and zero rows share a tuple.
     chars = [_integer_row(z) for z in characters]
     values = []
     for variety, points, table in (
             (m.Astar, m.vstar, lambda z: [z[i * s:(i + 1) * s] for i in range(r)]),
             (m.A, m.v, lambda z: [z[j::s] for j in range(s)])):
         ints, d = _integer_rows(points.coords)
-        cols, zero = list(zip(*ints)), (_ZERO,) * variety.point_space_dim
-        side = []
-        for z, dz in chars:
-            rows = _int_matmul(table(z), cols)
-            side.append(PointVector._of(variety, tuple(
-                tuple(Fraction(x, dz * d) if x else _ZERO for x in row)
-                if any(row) else zero for row in rows)))
-        values.append(tuple(side))
+        zero = (_ZERO,) * variety.point_space_dim
+        values.append(tuple(PointVector._of(variety, tuple(
+            _point_row(row, dz, points.coords, ints, d, zero)
+            for row in table(z))) for z, dz in chars))
     return ExtensionHom(characters, *values)
+
+
+def _point_row(row, dz, coords, ints, d, zero):
+    """The point sum_c row[c]/dz coords[c], with coords[c] = ints[c]/d."""
+    terms = [(x, c) for c, x in enumerate(row) if x]
+    if not terms:
+        return zero
+    if len(terms) == 1 and terms[0][0] == dz:
+        return coords[terms[0][1]]
+    return tuple(Fraction(y, dz * d) if y else _ZERO for y in (
+        sum(x * ints[c][e] for x, c in terms) for e in range(len(zero))))
 
 
 class RadicalReport:

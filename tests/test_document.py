@@ -397,7 +397,7 @@ def torus_with_rational_z_document():
 def test_report_shares_lists_that_format_the_same_objects():
     docs = [load_input(corpus_path(name)) for name in CORPUS_FILES]
     docs += [torus_with_rational_z_document(), halves_document()]
-    shared_z1 = shared_dual = unshared_dual = 0
+    shared_z1 = shared_dual = unshared_dual = shared_rows = 0
     for doc in docs:
         for _, motive in doc.motives:
             payload, report = analyze_motive(motive)
@@ -409,6 +409,13 @@ def test_report_shares_lists_that_format_the_same_objects():
             # the text of a shared list is that of its unshared copy
             unshared = json.loads(json.dumps(payload))
             assert serialize_document(payload) == serialize_document(unshared)
+            assert serialize_document(payload) == dumps_text(payload)
+            # equal Weil rows are one tuple, formatted into one list
+            rows = [row for entry in payload["E"]["bracket"]
+                    for row in entry["matrix"]]
+            assert len({id(row) for row in rows}) == \
+                len({tuple(row) for row in rows})
+            shared_rows += len(rows) - len({id(row) for row in rows})
             if report.z1 is report.z:
                 assert z["z1_basis"] is z["z_basis"]
                 shared_z1 += 1
@@ -417,7 +424,7 @@ def test_report_shares_lists_that_format_the_same_objects():
                 shared_dual += 1
             else:
                 unshared_dual += 1
-    assert shared_z1 and shared_dual and unshared_dual
+    assert shared_z1 and shared_dual and unshared_dual and shared_rows
 
 
 def test_analyze_motive_matches_unipotent_radical():
@@ -823,6 +830,46 @@ def test_serialize_document_matches_json_dumps(payload):
     {"b": [], "a": {}, "": ["\"\\", "\u00e9\x01"]},
 ])
 def test_serialize_document_examples(payload):
+    assert serialize_document(payload) == dumps_text(payload)
+
+
+shareable_lists = st.one_of(
+    st.lists(st.sampled_from(["0", "12", "-3", "2/5", "\u00e9", '"', "\n"]),
+             min_size=1, max_size=5),
+    st.lists(json_payloads, min_size=1, max_size=3))
+
+
+@st.composite
+def payloads_sharing_a_list(draw):
+    """A payload holding one list object more than once: at one depth, at
+    two depths, or inside both dicts and lists."""
+    shared, other = draw(shareable_lists), draw(json_payloads)
+    return draw(st.sampled_from([
+        [shared, other, shared],
+        {"a": shared, "b": other, "c": shared},
+        {"a": shared, "b": [other, [shared]]},
+        [{"x": shared}, [shared, {"y": [shared]}], other],
+    ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads_sharing_a_list())
+def test_serialize_document_writes_a_shared_list_as_json_dumps(payload):
+    assert serialize_document(payload) == dumps_text(payload)
+
+
+class RowSubclass(list):
+    pass
+
+
+class TableSubclass(dict):
+    pass
+
+
+def test_serialize_document_writes_list_and_dict_subclasses():
+    row = RowSubclass(["1", "\u00e9", "2/3"])
+    payload = TableSubclass(b=[row, RowSubclass([row, 1])],
+                            a=TableSubclass(c=row, d=RowSubclass()))
     assert serialize_document(payload) == dumps_text(payload)
 
 

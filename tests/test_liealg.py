@@ -105,6 +105,28 @@ def test_build_E_wraps_the_weil_table_unchecked(monkeypatch, r, s):
     assert data.product == TorusPairingClass(space, space, g.em2, half)
 
 
+@pytest.mark.parametrize("x, y", [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3),
+                                  (3, 3), (4, 2)])
+def test_weil_table_entrywise_with_shared_rows(x, y):
+    table = _weil_table(x, y)
+    assert len(table) == 2 * x * y
+    rows = {}
+    for i, j in itertools.product(range(x), range(y)):
+        forward, backward = table[(i * y + j, 0, 1)], table[(i * y + j, 1, 0)]
+        assert (forward.rows, forward.cols) == (x, y)
+        assert (backward.rows, backward.cols) == (y, x)
+        for p, q in itertools.product(range(x), range(y)):
+            assert forward[p, q] == (1 if (p, q) == (i, j) else 0)
+            assert backward[q, p] == (-1 if (p, q) == (i, j) else 0)
+        for mat in (forward, backward):
+            for k in range(mat.rows):
+                row = mat.row(k)
+                assert type(row) is tuple
+                assert all(type(c) is Fraction for c in row)
+                rows[id(row)] = row
+    assert len(rows) <= x + y + 2
+
+
 # ------------------------------------------------------------- action maps
 
 def test_alpha1_evaluation():

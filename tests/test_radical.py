@@ -1083,8 +1083,9 @@ def extension_cases(draw):
     """A motive with r, s <= 4 and characters of Q^(r*s) to evaluate V on.
 
     Points and characters have denominators; a character is zero, or has
-    some of its r table rows zeroed, and it is given either as Fractions
-    or, like the saturated basis, as integers.
+    some of its r table rows zeroed, or is a row of the identity (a unit
+    character), or has one nonzero entry, and it is given either as
+    Fractions or, like the saturated basis, as integers.
     """
     r, s = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     na, ns = draw(st.integers(0, 3)), draw(st.integers(0, 3))
@@ -1102,6 +1103,10 @@ def extension_cases(draw):
             z[i * s:(i + 1) * s] = [Fraction(0)] * s
         if draw(st.booleans()):
             z = [Fraction(0)] * (r * s)
+        if r * s and draw(st.booleans()):
+            k = draw(st.integers(0, r * s - 1))
+            z = [Fraction(0)] * (r * s)
+            z[k] = draw(st.just(Fraction(1)) | rational)
         if draw(st.booleans()):
             z = [x.numerator * math.lcm(*(y.denominator for y in z))
                  // x.denominator for x in z]
@@ -1127,6 +1132,20 @@ def test_extension_values_match_the_stacked_product(case):
             assert all(type(row) is tuple and len(row) == width
                        for row in p.coords)
             assert all(type(x) is Fraction for row in p.coords for x in row)
+    # a row no entry of z reaches is one zero tuple per side, and a unit
+    # character's nonzero rows are the input points themselves
+    r, s = m.r, m.s
+    empty_astar, empty_a = set(), set()
+    for z, on_astar, on_a in zip(characters, ext.astar_values, ext.a_values):
+        empty_astar |= {id(on_astar.coords[i]) for i in range(r)
+                        if not any(z[i * s:(i + 1) * s])}
+        empty_a |= {id(on_a.coords[j]) for j in range(s) if not any(z[j::s])}
+        nonzero = [k for k, x in enumerate(z) if x]
+        if len(nonzero) == 1 and z[nonzero[0]] == 1:
+            i, j = divmod(nonzero[0], s)
+            assert on_astar.coords[i] is m.vstar.coords[j]
+            assert on_a.coords[j] is m.v.coords[i]
+    assert len(empty_astar) <= 1 and len(empty_a) <= 1
 
 
 def test_dual_motive_gets_its_own_em2():
