@@ -23,16 +23,16 @@ matrices is this matrix?": it reduces a flattened matrix, tagged with a
 unit vector, against an echelon of tagged earlier ones.  The closure of
 the generators and the coordinates of an algebra element read their
 answer from it.  ``_minimal_polynomial`` eliminates the flattened powers
-of the scaled integer matrix with ``exactlin._gauss_jordan``; the field
-checks read it, and so does the finite-order check of ``lattices``, on
-integer matrices, where it and ``_poly_divmod`` stay in ints.
+of an integer matrix with ``exactlin._gauss_jordan``, in ints; the field
+checks read it on each generator scaled to integer entries, and so does
+the finite-order check of ``lattices``, where ``_poly_divmod`` stays in ints.
 """
 
 from fractions import Fraction
 
 from .errors import UnsupportedModelError, ValidationError
 from .exactlin import (RatMatrix, Subspace, _gauss_jordan, _int_matmul,
-                       _integer_row, _integer_rows, _reduce, kernel, rat)
+                       _integer_rows, _reduce, kernel, rat)
 
 
 def _flatten(m):
@@ -69,17 +69,15 @@ def _reduce_tagged(echelon, m, index, width):
     return pivot, vec
 
 
-def _minimal_polynomial(rows):
-    """Monic minimal polynomial of a square matrix, constant coefficient first.
+def _minimal_polynomial(ints):
+    """Monic minimal polynomial of a square integer matrix, constant coefficient first.
 
-    The matrix, given as rows, is M/d with M integral.  ``_gauss_jordan``
-    eliminates the flattened powers M^0, ..., M^n (n the size) as columns.
-    Once M^k depends on the powers before it so do all later ones, so
-    the degree k is the number of pivots, and column k gives
-    M^k = sum_i c_i M^i.  The c_i are integers (Gauss's lemma), so an
-    integer matrix gets a tuple of ints; otherwise c_i is divided by d^(k-i).
+    ``_gauss_jordan`` eliminates the flattened powers M^0, ..., M^n (n the
+    size, M given as integer rows) as columns.  Once M^k depends on the
+    powers before it so do all later ones, so the degree k is the number of
+    pivots, and column k gives M^k = sum_i c_i M^i.  The c_i are integers
+    (Gauss's lemma), so the result is a tuple of ints.
     """
-    ints, d = _integer_rows(rows)
     n = len(ints)
     cols = list(zip(*ints))
     power = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -90,10 +88,7 @@ def _minimal_polynomial(rows):
     columns = [list(c) for c in zip(*flats)]
     reduced, pivots, last, _ = _gauss_jordan(columns, n + 1)
     k = len(pivots)
-    poly = tuple(-reduced[i][k] // last for i in range(k)) + (1,)
-    if d == 1:
-        return poly
-    return tuple(Fraction(c, d ** (k - i)) for i, c in enumerate(poly))
+    return tuple(-reduced[i][k] // last for i in range(k)) + (1,)
 
 
 def _poly_trim(p):
@@ -142,17 +137,16 @@ def _divisors(n):
 
 
 def _has_rational_root(p):
-    ints = _integer_row(p)[0]
-    if ints[0] == 0:
+    """Whether a monic integer p, constant first, has a root: an integer dividing p[0]."""
+    if p[0] == 0:
         return True
-    for den in _divisors(ints[-1]):
-        for num in _divisors(ints[0]):
-            for x in (Fraction(num, den), Fraction(-num, den)):
-                value = Fraction(0)
-                for c in reversed(p):
-                    value = value * x + c
-                if value == 0:
-                    return True
+    for d in _divisors(p[0]):
+        for x in (d, -d):
+            value = 0
+            for c in reversed(p):
+                value = value * x + c
+            if value == 0:
+                return True
     return False
 
 
@@ -161,15 +155,17 @@ class EndAlgebraRep:
 
     ``degree`` is the size of the matrices.  ``generators`` is any finite
     set of degree x degree rational matrices; the represented algebra is the
-    unital Q-algebra they generate.  Construction computes a Q-basis of that
-    algebra (always containing the identity), verifies commutativity, and
-    checks that the algebra is a field: every basis element must be
-    invertible, and every generator's minimal polynomial must be squarefree
-    with no rational root in degree two or more.  The squarefree condition
-    makes nilpotent detection complete (commuting matrices with squarefree
-    minimal polynomials generate a reduced algebra); a product of two
-    fields neither of which is Q can still evade the root test, and in
-    that case the module computations remain exact over the product.
+    unital Q-algebra they generate.  Construction verifies commutativity,
+    checks that the algebra is a field, and then computes a Q-basis of it
+    (always containing the identity).  The field check: every generator,
+    scaled to integer entries, must have a squarefree minimal polynomial
+    with no rational root in degree two or more (scaling keeps both).  The
+    squarefree condition makes nilpotent detection complete (commuting
+    matrices with squarefree minimal polynomials generate a reduced
+    algebra).  A singular basis element is a nonzero product with a
+    singular nonscalar generator, whose root 0 the two tests reject.  A
+    product of two fields neither of which is Q can still evade the root
+    test, and then the module computations remain exact over the product.
 
     >>> E = EndAlgebraRep(1)
     >>> E.dimension
@@ -200,15 +196,8 @@ class EndAlgebraRep:
                     )
         self.degree = degree
         self.generators = gens
-        self._basis, self._words, self._echelon = self._close()
-        for b in self._basis:
-            if b.det() == 0:
-                raise UnsupportedModelError(
-                    "endomorphism algebra contains a noninvertible nonzero "
-                    "element, so it is not a field"
-                )
         for g in gens:
-            poly = _minimal_polynomial(g.row_list())
+            poly = _minimal_polynomial(_integer_rows(g.row_list())[0])
             if not _is_squarefree(poly):
                 raise UnsupportedModelError(
                     "an algebra generator has a repeated factor in its "
@@ -221,6 +210,7 @@ class EndAlgebraRep:
                     "rational root, so the algebra splits as a product "
                     "and is not a field"
                 )
+        self._basis, self._words, self._echelon = self._close()
         self._structure = self._structure_constants()
         self._trace_form_inverse = self._trace_form().inverse()
 

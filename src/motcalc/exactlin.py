@@ -15,8 +15,8 @@ Everything downstream runs on the three types defined here:
   identity and multistep integer-preserving Gaussian elimination",
   Math. Comp. 22 (1968)), and builds ``Fraction``s only for the result.
   The checks of integral actions (``lattices``, ``motive``) run on
-  plain ints: ``_integer_rows`` scales a matrix by one denominator,
-  ``_int_matmul`` multiplies and ``_int_det`` takes determinants.
+  plain ints: ``_integer_rows`` scales a matrix by one denominator and
+  ``_int_matmul`` multiplies.
 * ``Subspace``: a subspace of Q^n, held as its reduced row echelon rows
   and their pivots, so that equality is structural.  Membership,
   containment and ``QuotientSpace`` coordinates reduce a vector against
@@ -79,12 +79,6 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple:
 def _int_matmul(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list:
     """The integer product A·B, from the rows of A and the columns of B, as row lists."""
     return [[sum(map(mul, a, b)) for b in cols] for a in rows]
-
-
-def _int_det(rows: list) -> int:
-    """Determinant of a square integer matrix given as a row list, which is reordered."""
-    _, pivots, last, sign = _gauss_jordan(rows, len(rows))
-    return sign * last if len(pivots) == len(rows) else 0
 
 
 def _gauss_jordan(rows: list, ncols: int) -> tuple:
@@ -309,7 +303,8 @@ class RatMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         ints, d = _integer_rows(self._entries)
-        return Fraction(_int_det(ints), d ** self.rows)
+        _, pivots, last, sign = _gauss_jordan(ints, self.rows)
+        return Fraction(sign * last, d ** self.rows) if len(pivots) == self.rows else _ZERO
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
@@ -543,12 +538,9 @@ def _hermite_rows(rows: list) -> list:
             pivot_col += 1
             continue
         # Euclid on the pivot column.
-        while len(nonzero) > 1 or nonzero[0][pivot_col] < 0:
+        while len(nonzero) > 1:
             nonzero.sort(key=lambda r: abs(r[pivot_col]))
             base = nonzero[0]
-            if len(nonzero) == 1:
-                nonzero[0] = [-x for x in base] if base[pivot_col] < 0 else base
-                break
             reduced = []
             for r in nonzero[1:]:
                 q = r[pivot_col] // base[pivot_col]

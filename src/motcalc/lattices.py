@@ -2,7 +2,7 @@
 
 A Galois action on a character or cocharacter lattice always factors
 through a finite quotient, so it is entered here as a tuple of integer
-generator matrices with determinant +-1, each of finite order.  The
+generator matrices, each of finite order (so of determinant +-1).  The
 operations are the ones the motive calculus needs: tensor products
 (Kronecker, row-major basis order, formed only when read) and duals
 (inverse transpose).
@@ -12,9 +12,9 @@ compare those spans against.
 
 An action is checked once, where it enters: the public ``GaloisLattice``
 constructor tests integrality, then, on the numerators as plain ints,
-det +-1 (``_gauss_jordan``), finite order of each generator (its
-integer minimal polynomial divided by cyclotomic polynomials) and every
-relator (integer products).  ``dual`` and ``tensor`` build their result
+finite order of each generator (its integer minimal polynomial divided
+by cyclotomic polynomials, which forces det +-1) and every relator
+(integer products).  ``dual`` and ``tensor`` build their result
 from lattices that passed that test, through the unchecked
 ``GaloisLattice._of``: the dual and the tensor product of
 representations of a group are representations of it, with integral
@@ -34,8 +34,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .abelian import _minimal_polynomial, _poly_divmod
-from .exactlin import (RatMatrix, Subspace, _gauss_jordan, _int_det,
-                       _int_matmul, _integer_rows, space_sum)
+from .exactlin import (RatMatrix, Subspace, _gauss_jordan, _int_matmul,
+                       _integer_rows, space_sum)
 
 
 class ActionGroup:
@@ -112,8 +112,6 @@ class GaloisLattice:
             ints, d = _integer_rows(m.row_list())
             if d != 1:
                 raise ValueError("action matrices must be integral")
-            if rank > 0 and abs(_int_det(list(ints))) != 1:
-                raise ValueError("action matrices must have determinant +-1")
             if rank > 0 and not _has_finite_order(ints):
                 raise ValueError("action matrices must have finite order")
             integral.append(ints)
@@ -206,7 +204,7 @@ def _validate_relators(group: ActionGroup, rank: int, action: list) -> None:
         for k in word:
             if k not in columns:
                 m = action[abs(k) - 1]
-                if k < 0:  # [m | I] reduces to last·[I | m⁻¹], and last is ±1
+                if k < 0:  # [m | I] reduces to last·[I | m⁻¹], and finite order makes last ±1
                     rows, _, last, _ = _gauss_jordan([a + b for a, b in zip(m, identity)], rank)
                     m = [[x // last for x in row[rank:]] for row in rows]
                 columns[k] = list(zip(*m))

@@ -23,7 +23,7 @@ from motcalc.abelian import (
     smallest_subvariety,
 )
 from motcalc.errors import UnsupportedModelError, ValidationError
-from motcalc.exactlin import RatMatrix, Subspace, kernel
+from motcalc.exactlin import RatMatrix, Subspace, _integer_rows, kernel
 
 
 def test_doctests():
@@ -79,10 +79,60 @@ def test_noncommutative_rejected():
 
 
 def test_nonfield_rejected():
-    # the algebra generated by a projector contains a noninvertible element
-    proj = RatMatrix.from_rows([[1, 0], [0, 0]])
-    with pytest.raises(UnsupportedModelError):
-        EndAlgebraRep(2, [proj])
+    # a singular nonscalar generator has the root 0 in its minimal polynomial
+    for rows, message in (
+        ([[1, 0], [0, 0]], "rational root"),  # a projector: x^2 - x
+        ([[0, 0], [0, 2]], "rational root"),  # x^2 - 2x
+        ([[0, 0], [1, 0]], "repeated factor"),  # nilpotent: x^2
+    ):
+        with pytest.raises(UnsupportedModelError, match=message):
+            EndAlgebraRep(2, [RatMatrix.from_rows(rows)])
+
+
+def algebra_outcome(generator):
+    try:
+        EndAlgebraRep(generator.rows, [generator])
+    except UnsupportedModelError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-3, 3, max_denominator=2), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_field_checks_ignore_scaling(rows):
+    """The checks read the generator scaled to integer entries, so a scalar
+    multiple of a generator gets the same answer."""
+    g = RatMatrix.from_rows(rows)
+    outcome = algebra_outcome(g)
+    assert algebra_outcome(g.scale(3)) == outcome
+    assert algebra_outcome(g.scale(Fraction(1, 5))) == outcome
+
+
+@st.composite
+def monic_integer_polynomials(draw):
+    """Monic of degree 2-5, constant coefficient first: random, with p[0] = 0,
+    or a product (x - a)·q with q monic."""
+    degree = draw(st.integers(2, 5))
+    coefficients = st.integers(-12, 12)
+    kind = draw(st.sampled_from(("random", "zero constant", "linear factor")))
+    if kind == "linear factor":
+        a = draw(coefficients)
+        q = draw(st.lists(coefficients, min_size=degree - 1, max_size=degree - 1)) + [1]
+        return [-a * q[0]] + [q[i - 1] - a * q[i] for i in range(1, degree)] + [1]
+    p = draw(st.lists(coefficients, min_size=degree, max_size=degree)) + [1]
+    if kind == "zero constant":
+        p[0] = 0
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_integer_polynomials())
+def test_has_rational_root_against_sympy(p):
+    x = sympy.Symbol("x")
+    roots = sympy.Poly(list(reversed(p)), x).ground_roots()
+    assert abelian._has_rational_root(p) == bool(roots)
 
 
 def test_split_algebra_rejected():
@@ -133,17 +183,21 @@ def test_coordinates_outside_algebra():
 
 
 def assert_minimal_polynomial(m):
-    """p(M) = 0 for the monic p, and I, M, ..., M^(deg-1) are independent."""
-    poly = abelian._minimal_polynomial(m.row_list())
+    """p(M) = 0 for the monic integer p, and I, M, ..., M^(deg-1) are independent.
+
+    M is m scaled to integer entries, the matrix ``_minimal_polynomial`` takes.
+    """
+    ints = _integer_rows(m.row_list())[0]
+    poly = abelian._minimal_polynomial(ints)
     deg = len(poly) - 1
     assert poly[-1] == 1
-    sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
-                                       for row in m.row_list() for x in row])
+    assert all(type(c) is int for c in poly)
+    sm = sympy.Matrix(m.rows, m.cols, [x for row in ints for x in row])
     value = sympy.zeros(m.rows, m.rows)
     power = sympy.eye(m.rows)
     flat = []
     for c in poly:
-        value += sympy.Rational(c.numerator, c.denominator) * power
+        value += c * power
         flat.append(list(power))
         power = power * sm
     assert value == sympy.zeros(m.rows, m.rows)

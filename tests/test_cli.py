@@ -19,7 +19,7 @@ from motcalc.cli import (
     EXIT_VALIDATION,
     main,
 )
-from motcalc.document import parse_input
+from motcalc.document import parse_input, serialize_document
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "motives")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -112,6 +112,36 @@ def test_dual_twice_restores_the_document(capsys, tmp_path):
         assert parse_input(twice).normalized == original.normalized
 
 
+def test_dual_swaps_group_actions(capsys, tmp_path):
+    payload = {
+        "group": {"generators": 1, "relators": [[1, 1]]},
+        "motives": [{"name": "m", "X_rank": 2, "Yv_rank": 1,
+                     "X_action": [[[0, 1], [1, 0]]], "Yv_action": [[[-1]]]}],
+    }
+    source = tmp_path / "actions.json"
+    source.write_text(json.dumps(payload))
+    code, once, _ = run_main(capsys, "dual", str(source))
+    assert code == 0
+    entry = json.loads(once)["motives"][0]
+    assert (entry["X_rank"], entry["Yv_rank"]) == (1, 2)
+    assert entry["X_action"] == [[["-1"]]]
+    assert entry["Yv_action"] == [[["0", "1"], ["1", "0"]]]
+    dual_file = tmp_path / "dual.json"
+    dual_file.write_text(once)
+    _, twice, _ = run_main(capsys, "dual", str(dual_file))
+    assert twice == serialize_document(parse_input(json.dumps(payload)).normalized)
+
+
+def test_check_invariants_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("motcalc.cli.check_invariants",
+                        lambda doc: ["Z moved: witness (1, 0)"])
+    code, out, err = run_main(capsys, "analyze", corpus_path("sec39_gm3.json"),
+                              "--check-invariants")
+    assert code == EXIT_CHECK_FAILED
+    assert err.splitlines() == ["invariant violated: Z moved: witness (1, 0)"]
+    assert "motive sec39_gm3" in out
+
+
 def test_gr_text(capsys):
     code, out, _ = run_main(capsys, "gr", corpus_path("ext_weil.json"))
     assert code == 0
@@ -165,17 +195,18 @@ def test_relator_mismatch_exits_3(capsys, tmp_path):
 
 
 def test_infinite_order_action_exits_3(capsys, tmp_path):
-    payload = {
-        "group": {"generators": 1},
-        "motives": [{"X_rank": 2, "Yv_rank": 0,
-                     "X_action": [[[1, 1], [0, 1]]]}],
-    }
-    bad = tmp_path / "shear.json"
-    bad.write_text(json.dumps(payload))
-    code, _, err = run_main(capsys, "analyze", "--check-invariants", str(bad))
-    assert code == EXIT_VALIDATION
-    assert "motives[0].X_action" in err
-    assert "finite order" in err
+    # the shear, and a det-2 matrix, which the finite-order check rejects
+    for action in ([[1, 1], [0, 1]], [[2, 0], [0, 1]]):
+        payload = {
+            "group": {"generators": 1},
+            "motives": [{"X_rank": 2, "Yv_rank": 0, "X_action": [action]}],
+        }
+        bad = tmp_path / "infinite_order.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run_main(capsys, "analyze", "--check-invariants", str(bad))
+        assert code == EXIT_VALIDATION
+        assert "motives[0].X_action" in err
+        assert "finite order" in err
 
 
 def test_non_list_points_exit_3(capsys, tmp_path):
@@ -222,19 +253,21 @@ def test_dual_pair_without_one_algebra_source_exits_3(capsys, tmp_path,
 
 
 def test_unsupported_model_exits_4(capsys, tmp_path):
-    payload = {
-        "varieties": [{
-            "name": "A", "g": 1, "points": ["P", "R"],
-            "end_generators": [[["0", "1"], ["1", "0"]]],
-            "end_action": [[["0", "1"], ["1", "0"]]],
-        }],
-        "motives": [],
-    }
-    bad = tmp_path / "unsupported.json"
-    bad.write_text(json.dumps(payload))
-    code, _, err = run_main(capsys, "analyze", str(bad))
-    assert code == EXIT_UNSUPPORTED
-    assert "not a field" in err
+    # a split algebra, and one generated by a projector
+    for generator in ([["0", "1"], ["1", "0"]], [[1, 0], [0, 0]]):
+        payload = {
+            "varieties": [{
+                "name": "A", "g": 1, "points": ["P", "R"],
+                "end_generators": [generator],
+                "end_action": [generator],
+            }],
+            "motives": [],
+        }
+        bad = tmp_path / "unsupported.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run_main(capsys, "analyze", str(bad))
+        assert code == EXIT_UNSUPPORTED
+        assert "not a field" in err
 
 
 def run_module(*argv):

@@ -866,10 +866,19 @@ class TableSubclass(dict):
     pass
 
 
+class CountSubclass(int):
+    pass
+
+
+class TextSubclass(str):
+    pass
+
+
 def test_serialize_document_writes_list_and_dict_subclasses():
     row = RowSubclass(["1", "\u00e9", "2/3"])
     payload = TableSubclass(b=[row, RowSubclass([row, 1])],
-                            a=TableSubclass(c=row, d=RowSubclass()))
+                            a=TableSubclass(c=row, d=RowSubclass()),
+                            e=CountSubclass(-7), f=TextSubclass('say "\u00e9"\n'))
     assert serialize_document(payload) == dumps_text(payload)
 
 

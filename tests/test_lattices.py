@@ -5,7 +5,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motcalc import lattices
@@ -36,10 +37,29 @@ def trivial_lattice(rank):
 
 
 def test_action_matrices_must_be_unimodular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite order"):
         GaloisLattice(2, [RatMatrix.from_rows([[2, 0], [0, 1]])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="integral"):
         GaloisLattice(2, [RatMatrix.from_rows([["1/2", 0], [0, 2]])])
+
+
+@st.composite
+def non_unimodular_matrices(draw):
+    """An integer matrix of size 1-4, entries in [-3, 3], with |det| != 1 by sympy."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(abs(sympy.Matrix(rows).det()) != 1)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_unimodular_matrices())
+def test_finite_order_rejects_every_non_unimodular_matrix(rows):
+    """A matrix of finite order has an integer root of unity as its
+    determinant, so the finite-order check alone rejects det 0 and |det| >= 2."""
+    with pytest.raises(ValueError, match="finite order"):
+        GaloisLattice(len(rows), [RatMatrix.from_rows(rows)])
 
 
 def test_action_matrices_must_have_finite_order():
