@@ -28,38 +28,36 @@ checks read it on each generator scaled to integer entries, and so does
 the finite-order check of ``lattices``, where ``_poly_divmod`` stays in ints.
 """
 
+import weakref
 from fractions import Fraction
 
 from .errors import UnsupportedModelError, ValidationError
 from .exactlin import (RatMatrix, Subspace, _gauss_jordan, _int_matmul,
-                       _integer_rows, _reduce, kernel, rat)
-
-
-def _flatten(m):
-    """Row-major flattening of a matrix into a single coordinate tuple."""
-    out = []
-    for i in range(m.rows):
-        out.extend(m.row(i))
-    return tuple(out)
+                       _integer_rows, kernel, rat)
 
 
 def _reduce_tagged(echelon, m, index, width):
-    """Reduce flatten(m), tagged with the unit vector e_index, against echelon.
+    """Reduce flatten(m) (row-major), tagged with the unit vector e_index,
+    against echelon.
 
     Each row of ``echelon`` is a (pivot, row) pair: a flattened matrix
     followed by a tag in Q^width, together the combination
     sum_i c_i (flatten(M_i), e_i) of tagged inputs M_i, scaled to 1 at its
-    pivot (the first nonzero of the matrix part).  ``_reduce`` keeps that
-    form.  Returns (None, tag) when the matrix part reduces to zero: then
-    sum_i tag_i M_i = 0, with tag_index = 1 (an ``index`` of None tags m
-    with zero, so m = -sum_i tag_i M_i).  Otherwise returns the
-    (pivot, row) pair that extends the echelon by m.
+    pivot (the first nonzero of the matrix part); clearing each pivot in
+    turn keeps that form.  Returns (None, tag) when the matrix part
+    reduces to zero: then sum_i tag_i M_i = 0, with tag_index = 1 (an
+    ``index`` of None tags m with zero, so m = -sum_i tag_i M_i).
+    Otherwise returns the (pivot, row) pair that extends the echelon by m.
     """
     size = m.rows * m.cols
     tag = [Fraction(0)] * width
     if index is not None:
         tag[index] = Fraction(1)
-    vec = _reduce(echelon, _flatten(m) + tuple(tag))
+    vec = [x for i in range(m.rows) for x in m.row(i)] + tag
+    for p, row in echelon:
+        f = vec[p]
+        if f:
+            vec = [a - f * b if b else a for a, b in zip(vec, row)]
     pivot = next((k for k in range(size) if vec[k]), None)
     if pivot is None:
         return None, vec[size:]
@@ -425,18 +423,24 @@ class AbelianVarietyModel:
             return RatMatrix.zero(self.point_space_dim, self.point_space_dim)
         return m
 
+    def _partner(self):
+        """The linked dual or None (a weak reference but on a primal model)."""
+        d = self._dual
+        return d() if isinstance(d, weakref.ref) else d
+
     @property
     def dual(self):
-        if self._dual is None:
+        d = self._partner()
+        if d is None:
             raise ValidationError(
                 "model %r has no dual registered; call link_duals first"
                 % (self.name,)
             )
-        return self._dual
+        return d
 
     @property
     def has_dual(self):
-        return self._dual is not None
+        return self._partner() is not None
 
     @property
     def is_primal(self):
@@ -468,26 +472,30 @@ def link_duals(a, b):
 
     Either model may already be linked to the other (relinking the same
     pair is a no-op); linking a model to two different duals is an error.
-    A model may be self-dual: ``link_duals(a, a)`` is allowed.
+    A model may be self-dual: ``link_duals(a, a)`` is allowed.  ``a`` holds
+    ``b``, and ``b`` refers back weakly, so the pair is no reference cycle
+    and ``b.dual`` needs ``a`` alive (a motive or a document holds both).
 
     Their endomorphism algebras must be equal: phi -> phi^v identifies
     End(A) tensor Q with End(A*) tensor Q, and the radical pairs the
     coordinates of A and A* in one basis of that algebra.
     """
-    already_linked = a._dual is b and b._dual is a
+    already_linked = a._partner() is b and b._partner() is a
     for m, other in ((a, b), (b, a)):
-        if m._dual is not None and m._dual is not other:
+        partner = m._partner()
+        if partner is not None and partner is not other:
             raise ValidationError(
                 "model %r is already linked to a different dual" % (m.name,))
         if m.g != other.g:
             raise ValidationError("dual abelian varieties must share g")
     if a.end_algebra != b.end_algebra:
         raise ValidationError("dual abelian varieties must share one algebra")
-    a._dual = b
-    b._dual = a
     if not already_linked:
         # the first member named is the primal one; relinking keeps the
         # original orientation
+        b._dual = weakref.ref(a)
+        if b is not a:
+            a._dual = b
         a._primal = True
         b._primal = b is a
 
@@ -525,6 +533,10 @@ class PointVector:
     @property
     def multiplicity(self):
         return len(self.coords)
+
+    def integer_coords(self):
+        """(ints, d) with coords[j][k] == ints[j][k] / d, d one lcm."""
+        return _integer_rows(self.coords)
 
     def flat(self):
         out = []
@@ -569,19 +581,10 @@ def annihilator_module(variety, multiplicity, relations):
     d = variety.end_algebra.dimension
     lam = variety.end_algebra.structure_constants
     m = multiplicity
-    rows = []
-    for phi in relations.basis_columns():
-        for v in range(d):
-            row = [Fraction(0)] * (m * d)
-            for j in range(m):
-                for u in range(d):
-                    acc = Fraction(0)
-                    for t in range(d):
-                        c = phi[j * d + t]
-                        if c:
-                            acc += c * lam[t][u][v]
-                    row[j * d + u] = acc
-            rows.append(row)
+    # entry (j, u) of row (phi, v): coordinate v of sum_t phi_jt e_t e_u
+    rows = [[sum(phi[j * d + t] * lam[t][u][v] for t in range(d))
+             for j in range(m) for u in range(d)]
+            for phi in relations.basis_columns() for v in range(d)]
     if not rows:
         return Subspace.full(m * d)
     return kernel(RatMatrix.from_rows(rows))
@@ -607,7 +610,8 @@ def smallest_subvariety(p):
     phi^T (I_m tensor G) w, which is (I_m tensor G)^-1 rowspace(M): the
     row space of the n x (m*d) matrix whose column (j, u) is P*_u p_j,
     with P*_u = sum_t (G^-1)_tu P_t the trace-dual basis stored on the
-    model.  For D = Q, P*_0 = I: W is the points' own row space, no product.
+    model.  For D = Q, P*_0 = I: W is the row space of the points' integer
+    columns, no product.
 
     >>> A = AbelianVarietyModel("A", 1, point_space_dim=2)
     >>> smallest_subvariety(PointVector(A, [[1, 0], [2, 0]])).dim
@@ -622,7 +626,7 @@ def smallest_subvariety(p):
     m = p.multiplicity
     n = variety.point_space_dim
     if d == 1:
-        module = Subspace(m, zip(*p.coords))
+        module = Subspace._span(m, list(zip(*p.integer_coords()[0])))
     else:
         points = RatMatrix._of(m, n, p.coords).transpose()
         images = [(pu * points).row_list() for pu in variety._trace_dual_basis]

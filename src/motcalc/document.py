@@ -180,7 +180,7 @@ def _parse_group(entry):
 class _Variety:
     """One "varieties" entry, read on its own.  ``declared`` says whether
     it gives its own algebra; ``transfer`` holds the (path, matrix) items
-    of its "dual_transfer".  ``_parse_varieties`` sets ``dual``, and the
+    of its "dual_transfer".  ``_parse_varieties`` sets ``linked``, and the
     algebra and action of the dual of a declared algebra."""
 
     def __init__(self, where, entry):
@@ -188,7 +188,7 @@ class _Variety:
                     {"name", "g", "points", "relations", "end_generators",
                      "end_action", "dual", "dual_transfer"},
                     ("name", "g"))
-        self.where, self.dual, self.transfer = where, None, None
+        self.where, self.linked, self.transfer = where, False, None
         self.name = _expect(entry["name"], str, where + ".name", "a string")
         self.g = _parse_int(entry["g"], where + ".g", minimum=1)
         self.point_names = []
@@ -252,7 +252,7 @@ def _parse_varieties(entries):
 
     pairs = []  # each pair once, the first side to name it (the primal) first
     for rec in records.values():
-        if rec.dual_name is None or rec.dual is not None:
+        if rec.dual_name is None or rec.linked:
             continue
         partner = records.get(rec.dual_name)
         if partner is None:
@@ -260,10 +260,10 @@ def _parse_varieties(entries):
         if partner.dual_name not in (None, rec.name):
             _fail(rec.where + ".dual", "dual link of %r and %r is not "
                   "symmetric" % (rec.name, rec.dual_name))
-        if partner.dual is not None:
+        if partner.linked:
             _fail(rec.where + ".dual", "model %r is already linked to a "
                   "different dual" % (partner.name,))
-        rec.dual, partner.dual = partner, rec
+        rec.linked = partner.linked = True
         pairs.append((rec, partner))
         owners = [p for p in (rec, partner) if p.declared]
         if partner is rec or not owners:
@@ -273,7 +273,7 @@ def _parse_varieties(entries):
             _fail(source.where + (".dual_transfer" if source.transfer
                                   else ".end_generators"),
                   "the dual variety already declares its own algebra")
-        target = source.dual
+        target = partner if source is rec else rec
         if source.transfer is None:
             _fail(source.where + ".end_generators", "needs a dual_transfer: "
                   "the dual variety %r shares this algebra" % (target.name,))
@@ -307,7 +307,8 @@ def _parse_varieties(entries):
         if rec.dual_name is not None:
             out["dual"] = rec.dual_name
         if rec.transfer is not None:
-            out["dual_transfer"] = [_mat_json(m) for m in rec.dual.action]
+            out["dual_transfer"] = [_mat_json(m)
+                                    for m in records[rec.dual_name].action]
         normalized.append(out)
     return models, normalized
 
@@ -492,16 +493,14 @@ def serialize_document(payload):
 def _write_json(value, newline, chunks, spans):
     """Append ``value`` as indented JSON to ``chunks``; ``newline`` ends its
     line and indents.  ``spans`` maps id(list) to (newline, start, end), its
-    slice of ``chunks``; the payload keeps each list alive, so ids are safe."""
+    slice of ``chunks``; the payload keeps each list alive, so ids are safe.
+    The loop over a dict or a mixed list writes each str, int or None item,
+    and each list already written at its indent, with no call of its own."""
     kind = type(value)
-    if kind is str:
-        chunks.append(_json_str(value))
-    elif value is None:
+    if value is None:
         chunks.append("null")
     elif kind is bool:
         chunks.append("true" if value else "false")
-    elif kind is int:
-        chunks.append(int.__repr__(value))
     elif kind is list or kind is not dict and isinstance(value, list):
         if not value:
             chunks.append("[]")
@@ -520,8 +519,19 @@ def _write_json(value, newline, chunks, spans):
             lead = "[" + inner
             for item in value:
                 chunks.append(lead)
-                _write_json(item, inner, chunks, spans)
                 lead = separator
+                kind = type(item)
+                if kind is str:
+                    chunks.append(_json_str(item))
+                elif kind is int:
+                    chunks.append(int.__repr__(item))
+                elif item is None:
+                    chunks.append("null")
+                elif kind is list and (span := spans.get(id(item))) \
+                        and span[0] == inner:
+                    chunks.extend(chunks[span[1]:span[2]])
+                else:
+                    _write_json(item, inner, chunks, spans)
             chunks.append(newline + "]")
         elif len(_json_str(joined)) == len(joined) + 2:  # nothing to escape
             chunks.append('[%s"%s"%s]' % (
@@ -541,8 +551,20 @@ def _write_json(value, newline, chunks, spans):
                 raise TypeError("keys must be str, not %s"
                                 % (type(key).__name__,))
             chunks.append(lead + _json_str(key) + ": ")
-            _write_json(value[key], inner, chunks, spans)
             lead = "," + inner
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                chunks.append(_json_str(item))
+            elif kind is int:
+                chunks.append(int.__repr__(item))
+            elif item is None:
+                chunks.append("null")
+            elif kind is list and (span := spans.get(id(item))) \
+                    and span[0] == inner:
+                chunks.extend(chunks[span[1]:span[2]])
+            else:
+                _write_json(item, inner, chunks, spans)
         chunks.append(newline + "}")
     elif isinstance(value, str):
         chunks.append(_json_str(value))

@@ -8,19 +8,18 @@ Everything downstream runs on the three types defined here:
   operand and each column of the right one as integers over their
   common denominator, take integer dot products, and divide once, so
   they return the same exact ``Fraction``s with far fewer rational
-  operations.  Elimination (``rref``, ``det``, ``inverse``, and through
-  ``rref`` ``kernel`` and the ``Subspace`` constructor) runs on integer
-  rows too, in one fraction-free Gauss–Jordan kernel that divides
-  exactly by the previous pivot (E. H. Bareiss, "Sylvester's
-  identity and multistep integer-preserving Gaussian elimination",
-  Math. Comp. 22 (1968)), and builds ``Fraction``s only for the result.
-  The checks of integral actions (``lattices``, ``motive``) run on
-  plain ints: ``_integer_rows`` scales a matrix by one denominator and
-  ``_int_matmul`` multiplies.
-* ``Subspace``: a subspace of Q^n, held as its reduced row echelon rows
-  and their pivots, so that equality is structural.  Membership,
-  containment and ``QuotientSpace`` coordinates reduce a vector against
-  those rows in one pass (``_reduce``), with no further elimination.
+  operations.  Elimination (``rref``, ``det``, ``inverse``, ``kernel``
+  and every ``Subspace``) runs on integer rows too, in one fraction-free
+  Gauss–Jordan kernel that divides exactly by the previous pivot
+  (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+  Gaussian elimination", Math. Comp. 22 (1968)).  The checks of integral
+  actions (``lattices``, ``motive``) run on plain ints: ``_integer_rows``
+  scales a matrix by one denominator and ``_int_matmul`` multiplies.
+* ``Subspace``: a subspace of Q^n, held as the integer rows of its
+  reduced row echelon basis over one least denominator, and their
+  pivots: a canonical form, so that equality is structural.  Spans,
+  membership, containment and ``QuotientSpace`` coordinates never leave
+  the integers; ``Fraction`` rows are built only when read.
 * ``IntLattice``: a finitely generated subgroup of Z^n with a Hermite
   style echelon generator matrix (canonical only when every pivot is 1);
   ``saturate`` intersects its Q-span with the ambient Z^n (the "up to
@@ -40,9 +39,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 _ZERO = Fraction(0)
@@ -53,16 +52,19 @@ def rat(x) -> Fraction:
     """Coerce an int, string, or Fraction to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _integer_row(vec: Sequence[Fraction]) -> tuple:
-    """(ints, d) with vec[k] == ints[k] / d and d the lcm of the denominators."""
-    dens = [x.denominator for x in vec]
+def _integer_row(vec: Sequence) -> tuple:
+    """(ints, d) with vec[k] == ints[k] / d, d the lcm of the denominators of
+    the entries (ints, Fractions, or anything ``rat`` reads)."""
+    try:
+        dens = [x.denominator for x in vec]
+    except AttributeError:
+        vec = [rat(x) for x in vec]
+        dens = [x.denominator for x in vec]
     d = math.lcm(*dens)
     if d == 1:
         return [x.numerator for x in vec], 1
@@ -139,34 +141,20 @@ class RatMatrix:
         data = tuple(tuple(rat(x) for x in row) for row in entries)
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self._entries = data
+        self.rows, self.cols, self._entries = rows, cols, data
 
     @classmethod
     def _of(cls, rows: int, cols: int, data: tuple) -> "RatMatrix":
         """Wrap a rows x cols tuple of ``Fraction`` tuples as it is, unchecked."""
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._entries = data
+        m.rows, m.cols, m._entries = rows, cols, data
         return m
 
     # ----- constructors -------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        return cls(nrows, ncols, rows)
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "RatMatrix":
-        if nrows is None:
-            if not cols:
-                raise ValueError("need nrows for an empty column list")
-            nrows = len(cols[0])
-        return cls(nrows, len(cols), [[col[i] for col in cols] for i in range(nrows)])
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -180,8 +168,7 @@ class RatMatrix:
     # ----- access -------------------------------------------------------
 
     def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self._entries[i][j]
+        return self._entries[ij[0]][ij[1]]
 
     def row(self, i: int) -> tuple:
         return self._entries[i]
@@ -198,12 +185,8 @@ class RatMatrix:
     # ----- structural ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
+        return isinstance(other, RatMatrix) and (self.rows, self.cols, self._entries) == (
+            other.rows, other.cols, other._entries)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self._entries))
@@ -254,7 +237,7 @@ class RatMatrix:
 
     def apply(self, vec: Sequence) -> tuple:
         """Multiply by a column vector, returning a tuple of Fractions."""
-        v, dv = _integer_row([rat(x) for x in vec])
+        v, dv = _integer_row(tuple(vec))
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(
@@ -274,15 +257,6 @@ class RatMatrix:
             for other_row in other._entries
         )
         return RatMatrix._of(self.rows * other.rows, self.cols * other.cols, out)
-
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return RatMatrix._of(
-            self.rows,
-            self.cols + other.cols,
-            tuple(a + b for a, b in zip(self._entries, other._entries)),
-        )
 
     # ----- elimination --------------------------------------------------
 
@@ -321,57 +295,69 @@ class RatMatrix:
         )
 
 
-def _reduce(echelon: Iterable, vec: Sequence) -> list:
-    """vec minus the multiples of echelon rows that clear their pivots.
-
-    ``echelon`` yields (pivot, row) pairs in order, each row 1 at its pivot
-    and 0 at the pivots of the rows before it.  One pass subtracts, for
-    each pair, the multiple of the row that clears the pivot entry; the
-    result is 0 at every pivot, and it is the zero vector iff vec lies in
-    the span of the rows.
-    """
-    v = list(vec)
+def _reduce(den: int, echelon: Iterable, vec: Sequence[int]) -> list:
+    """den·vec minus vec[p]·row for each (pivot p, row) of ``echelon``, the
+    integer rows of a reduced echelon basis over ``den`` (den at its own pivot,
+    0 at the others): den times vec reduced against the basis, zero iff vec
+    lies in the span."""
+    out = [den * a for a in vec] if den != 1 else list(vec)
     for p, row in echelon:
-        f = v[p]
+        f = vec[p]
         if f:
-            v = [a - f * b if b else a for a, b in zip(v, row)]
-    return v
+            out = [a - f * b for a, b in zip(out, row)]
+    return out
+
+
+def _echelon(rows: list, ncols: int) -> tuple:
+    """(den, ints, pivots), the canonical form of the span of integer rows:
+    ``_gauss_jordan`` leaves each pivot row last·(its RREF row), and dividing
+    by gcd(last, every entry), signed as last, leaves the least den > 0."""
+    rows, pivots, last, _ = _gauss_jordan(rows, ncols)
+    top = rows[: len(pivots)]
+    g = math.gcd(last, *chain.from_iterable(top))
+    if last < 0:
+        g = -g
+    if g == 1:
+        return last, tuple(map(tuple, top)), tuple(pivots)
+    return last // g, tuple(tuple(x // g for x in row) for row in top), tuple(pivots)
 
 
 class Subspace:
-    """A subspace of Q^n held as its reduced row echelon basis.
+    """A subspace of Q^n held as its reduced row echelon basis, in integers.
 
-    ``rows`` are the nonzero rows of the RREF of any spanning set and
-    ``pivots`` their pivot columns, in order.  The RREF of a space is
-    unique, so equality is structural.  Membership and containment reduce
-    vectors against ``rows`` (``_reduce``) with no further elimination.
+    ``ints`` are the nonzero RREF rows of any spanning set times ``den``,
+    the least positive integer that makes them integral (so gcd(den, every
+    entry) = 1), and ``pivots`` their pivot columns.  The RREF is unique, so
+    equality and hashing are structural on (ambient_dim, den, ints).
+    Membership and containment reduce against ``ints`` (``_reduce``);
+    ``rows`` is the RREF as ``Fraction`` tuples, built on first read.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "den", "ints", "pivots", "_rows")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]) -> None:
-        self.ambient_dim = ambient_dim
-        rows = tuple(tuple(rat(x) for x in v) for v in vectors)
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        if rows:
-            red, pivots = RatMatrix._of(len(rows), ambient_dim, rows).rref()
-            self.rows = red._entries[: len(pivots)]
-            self.pivots = tuple(pivots)
-        else:
-            self.rows = self.pivots = ()
+        rows = [_integer_row(tuple(v))[0] for v in vectors]
+        if any(len(v) != ambient_dim for v in rows):
+            raise ValueError("vector length does not match ambient dimension")
+        self.ambient_dim, self._rows = ambient_dim, None
+        self.den, self.ints, self.pivots = _echelon(rows, ambient_dim)
 
     @classmethod
-    def _of(cls, ambient_dim: int, rows: tuple, pivots: tuple) -> "Subspace":
-        """Wrap RREF rows (``Fraction`` tuples) and their pivots as they are, unchecked."""
+    def _of(cls, ambient_dim: int, den: int, ints: tuple, pivots: tuple) -> "Subspace":
+        """Wrap a canonical integer echelon form (see the class) as it is, unchecked."""
         space = object.__new__(cls)
-        space.ambient_dim, space.rows, space.pivots = ambient_dim, rows, pivots
+        space.ambient_dim, space.den, space.ints, space.pivots = ambient_dim, den, ints, pivots
+        space._rows = None
         return space
 
     @classmethod
+    def _span(cls, ambient_dim: int, rows: list) -> "Subspace":
+        """The span of integer rows of length ambient_dim, unchecked."""
+        return cls._of(ambient_dim, *_echelon(rows, ambient_dim))
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [])
+        return cls._of(ambient_dim, 1, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -379,47 +365,45 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
-    def basis(self) -> RatMatrix:
-        """The echelon rows as the columns of an ambient_dim x dim matrix."""
-        return RatMatrix._of(self.dim, self.ambient_dim, self.rows).transpose()
+    def rows(self) -> tuple:
+        """The reduced echelon rows as ``Fraction`` tuples, built on first read."""
+        if self._rows is None:
+            self._rows = tuple(tuple(Fraction(x, self.den) if x else _ZERO for x in row)
+                               for row in self.ints)
+        return self._rows
 
     def basis_columns(self) -> list:
         return list(self.rows)
 
-    def _remainder(self, vec: Sequence) -> list:
-        """vec reduced against the echelon rows: zero iff vec lies in self."""
-        v = [rat(x) for x in vec]
+    def _remainder(self, vec: Sequence) -> tuple:
+        """(w, scale): vec reduced against the echelon rows is w / scale."""
+        v, d = _integer_row(tuple(vec))
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return _reduce(zip(self.pivots, self.rows), v)
+        return _reduce(self.den, zip(self.pivots, self.ints), v), self.den * d
 
     def contains(self, vec: Sequence) -> bool:
-        return not any(self._remainder(vec))
+        return not any(self._remainder(vec)[0])
 
     def contains_space(self, other: "Subspace") -> bool:
         """other ⊆ self: every echelon row of other reduces to zero."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        echelon = tuple(zip(self.pivots, self.rows))
-        return all(not any(_reduce(echelon, row)) for row in other.rows)
+        echelon = tuple(zip(self.pivots, self.ints))
+        return all(not any(_reduce(self.den, echelon, row)) for row in other.ints)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
-        )
+        return isinstance(other, Subspace) and (self.ambient_dim, self.den, self.ints) == (
+            other.ambient_dim, other.den, other.ints)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.rows))
+        return hash((self.ambient_dim, self.den, self.ints))
 
     def __repr__(self) -> str:
-        cols = ", ".join(
-            "(" + ", ".join(str(x) for x in col) + ")" for col in self.rows
-        )
+        cols = ", ".join("(" + ", ".join(map(str, row)) + ")" for row in self.rows)
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {cols})"
 
 
@@ -446,21 +430,18 @@ def space_sum(a: Subspace, b: Subspace) -> Subspace:
     """Exact subspace sum a + b."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace(a.ambient_dim, [list(c) for c in a.basis_columns() + b.basis_columns()])
+    return Subspace._span(a.ambient_dim, [*a.ints, *b.ints])
 
 
 def space_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact subspace intersection a ∩ b."""
+    """Exact subspace intersection a ∩ b, by Zassenhaus's sum: the rows (u, u)
+    for u in a and (w, 0) for w in b span {(u + w, u)}, and its echelon rows
+    with a pivot past n are the (0, u) with u = -w in a ∩ b."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    stacked = a.basis.hstack(b.basis.scale(-1))
-    vectors = []
-    for col in kernel(stacked).basis_columns():
-        x = col[: a.dim]
-        vectors.append(a.basis.apply(x))
-    return Subspace(a.ambient_dim, vectors)
+    n = a.ambient_dim
+    _, ints, pivots = _echelon([u + u for u in a.ints] + [w + (0,) * n for w in b.ints], 2 * n)
+    return Subspace._span(n, [row[n:] for row, p in zip(ints, pivots) if p >= n])
 
 
 class QuotientSpace:
@@ -498,14 +479,12 @@ class QuotientSpace:
 
     def project(self, vec) -> tuple:
         """Quotient coordinates of an ambient vector."""
-        v = self.relations._remainder(vec)
-        return tuple(v[j] for j in self.free)
+        v, scale = self.relations._remainder(vec)
+        return tuple(Fraction(v[j], scale) if v[j] else _ZERO for j in self.free)
 
     def generator(self, i: int) -> tuple:
         """Image of the i-th ambient unit vector."""
-        vec = [Fraction(0)] * self.ambient_dim
-        vec[i] = Fraction(1)
-        return self.project(vec)
+        return self.project([int(j == i) for j in range(self.ambient_dim)])
 
 
 # ----- integer lattices --------------------------------------------------
@@ -578,26 +557,18 @@ class IntLattice:
 
     def __init__(self, ambient_rank: int, generators: Iterable[Sequence[int]]) -> None:
         self.ambient_rank = ambient_rank
-        rows = []
-        for g in generators:
-            g = [int(x) for x in g]
-            if len(g) != ambient_rank:
-                raise ValueError("generator length does not match ambient rank")
-            if any(x != 0 for x in g):
-                rows.append(g)
-        hnf = _hermite_rows(rows)
-        self.generators = tuple(tuple(r) for r in hnf)
+        rows = [[int(x) for x in g] for g in generators]
+        if any(len(g) != ambient_rank for g in rows):
+            raise ValueError("generator length does not match ambient rank")
+        self.generators = tuple(map(tuple, _hermite_rows([g for g in rows if any(g)])))
 
     @property
     def rank(self) -> int:
         return len(self.generators)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntLattice)
-            and self.ambient_rank == other.ambient_rank
-            and self.generators == other.generators
-        )
+        return isinstance(other, IntLattice) and (self.ambient_rank, self.generators) == (
+            other.ambient_rank, other.generators)
 
     def __hash__(self) -> int:
         return hash((self.ambient_rank, self.generators))

@@ -14,10 +14,10 @@ both pieces exactly from the declared data, each as a span:
 * Z1(1) is the smallest Galois-stable subtorus of (X^v tensor Y)(1)
   containing the image of the Lie bracket restricted to B.  By
   bilinearity its span is U tensor W, U in Q^r and W in Q^s spanned by
-  slices of the two B modules, and the Kronecker rows of their reduced
+  slices of the two B modules, and the integer Kronecker rows of their
   echelon bases are already that of Z1: nothing is eliminated in Q^(r*s);
 * Z(1) is the smallest one that also contains the projection pi(b~) of
-  the lifted point: Z1 plus the row space of the psi pairing, one
+  the lifted point: Z1 plus the row space of the psi pairing, one integer
   elimination, or none when Z1 is all of Q^(r*s).
 
 Spans suffice because the dot product on Q^(r*s) is nondegenerate (see
@@ -46,11 +46,11 @@ caller, or the symbolic value "dim Lie G_mot(A)" when it is not.
 Subspaces of X^v tensor Y are flattened with index (i, j) -> i*s + j.
 """
 
+import math
 from fractions import Fraction
 
 from .abelian import PointVector, smallest_subvariety
-from .exactlin import _ZERO, IntLattice, RatMatrix, Subspace, \
-    _integer_row, _integer_rows, saturate
+from .exactlin import _ZERO, IntLattice, RatMatrix, Subspace, saturate
 from .lattices import GaloisLattice
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -96,6 +96,8 @@ def derived_torus_Z1(m, b_data):
     and b of W, pivots p and q, is 1 at p*s + q and 0 before it, and every
     other such row is 0 there; in the order (a, b) the pivots increase, so
     the rows are Z1's reduced echelon basis with no elimination in Q^(r*s).
+    In integers they are the products of the two integer bases over
+    den_U * den_W, already canonical: each factor's rows have content 1.
 
     >>> from motcalc.abelian import AbelianVarietyModel, link_duals
     >>> E = AbelianVarietyModel("E", 1, point_space_dim=2)
@@ -112,20 +114,14 @@ def derived_torus_Z1(m, b_data):
     if m.A is None:
         return Subspace.zero(r * s)
     d = m.A.end_algebra.dimension
-    u, w = (side.module if d == 1 else Subspace(
-        n, [vec[t::d] for vec in side.module.rows for t in range(d)])
+    u, w = (side.module if d == 1 else Subspace._span(
+        n, [vec[t::d] for vec in side.module.ints for t in range(d)])
         for n, side in ((r, b_data.w_a), (s, b_data.w_astar)))
-    # (x and y and x * y) is the product, with no Fraction product at a zero
-    return Subspace._of(r * s, tuple(
-        tuple(x and y and x * y for x in a for y in b)
-        for a in u.rows for b in w.rows),
+    if not (u.dim and w.dim):
+        return Subspace.zero(r * s)
+    return Subspace._of(r * s, u.den * w.den, tuple(
+        tuple(x * y for x in a for y in b) for a in u.ints for b in w.ints),
         tuple(p * s + q for p in u.pivots for q in w.pivots))
-
-
-def psi_matrix(m):
-    """The value-group pairing as a (mult dim) x (r*s) matrix."""
-    entries = [list(entry) for row in m.psi for entry in row]
-    return RatMatrix.from_columns(entries, nrows=m.mult_space.dim)
 
 
 def torus_Z(m, b_data, z1):
@@ -136,11 +132,14 @@ def torus_Z(m, b_data, z1):
     ann(ann(Z1) intersect ker psi) = Z1 + ann(ker psi) = Z1 + rowspace psi.
     Equivariance of psi (gx^T C gy = C) makes each psi row a fixed vector
     of X^v tensor Y, so the sum is as stable as Z1.  When Z1 is already
-    all of Q^(r*s) it is Z, and nothing is eliminated.
+    all of Q^(r*s) it is Z, and nothing is eliminated; otherwise Z1's
+    integer rows and the psi rows, one per value-group coordinate, are.
     """
     if z1.dim == z1.ambient_dim:
         return z1
-    return Subspace(z1.ambient_dim, z1.basis_columns() + psi_matrix(m).row_list())
+    psi = [entry for row in m.psi for entry in row]
+    return Subspace(z1.ambient_dim, [*z1.ints, *(
+        [entry[k] for entry in psi] for k in range(m.mult_space.dim))])
 
 
 class ExtensionHom:
@@ -161,29 +160,29 @@ class ExtensionHom:
         return "ExtensionHom(%d characters)" % (len(self.characters),)
 
 
-def _extension_values(m, characters):
+def _extension_values(m, characters, ints, den):
     """V on each character, built from the character's nonzero entries.
 
+    ``characters[k]`` is ``ints[k]`` over the one denominator ``den``.
     Entry k = i*s + j of z adds z_k v*_j to row i of the A* side and z_k v_i
     to row j of the A side.  A row with one term of coefficient 1 is the
     input point's own tuple and a row with none the shared zero tuple; any
-    other is an integer sum over the lcm denominator of z and the points,
+    other is an integer sum over den times the points' lcm denominator,
     one Fraction per nonzero coordinate.
     """
     if m.A is None:
         none = (None,) * len(characters)
         return ExtensionHom(characters, none, none)
     r, s = m.r, m.s
-    chars = [_integer_row(z) for z in characters]
     values = []
     for variety, points, table in (
             (m.Astar, m.vstar, lambda z: [z[i * s:(i + 1) * s] for i in range(r)]),
             (m.A, m.v, lambda z: [z[j::s] for j in range(s)])):
-        ints, d = _integer_rows(points.coords)
+        coords, d = points.integer_coords()
         zero = (_ZERO,) * variety.point_space_dim
         values.append(tuple(PointVector._of(variety, tuple(
-            _point_row(row, dz, points.coords, ints, d, zero)
-            for row in table(z))) for z, dz in chars))
+            _point_row(row, den, points.coords, coords, d, zero)
+            for row in table(z))) for z in ints))
     return ExtensionHom(characters, *values)
 
 
@@ -224,8 +223,9 @@ class RadicalReport:
     def extension(self):
         """V: Z^v -> B* on the basis of Z, built on first read and kept."""
         if self._extension is None:
-            self._extension = _extension_values(
-                self.motive, tuple(self.z.basis_columns()))
+            z = self.z
+            self._extension = _extension_values(self.motive, z.rows, z.ints,
+                                                z.den)
         return self._extension
 
     def __repr__(self):
@@ -254,19 +254,21 @@ def unipotent_radical(m, reductive_dim=None):
 def _integral_basis(space):
     """Integer basis of (space intersect Z^n): the HNF rows of its saturation.
 
-    When every echelon row of ``space`` is integral those rows are that
-    HNF already: an integral vector of the span has integer coordinates
-    at the unit pivots, so the rows span the saturation, and unit pivots
-    with zeros above and below them leave nothing to reduce.  Other
-    bases go through ``saturate``, whose HNF depends on the generators
-    it is given (see ``_hermite_rows``); the scaled echelon rows fix
-    them, so the result is a function of the space.
+    When the echelon basis of ``space`` is integral (den 1) its rows are
+    that HNF already: an integral vector of the span has integer
+    coordinates at the unit pivots, so the rows span the saturation, and
+    unit pivots with zeros above and below them leave nothing to reduce.
+    Other bases go through ``saturate``, whose HNF depends on the
+    generators it is given (see ``_hermite_rows``); the primitive multiples
+    of the echelon rows fix them, so the result is a function of the space.
     """
-    rows = space.basis_columns()
-    if all(x.denominator == 1 for vec in rows for x in vec):
-        return tuple(tuple(x.numerator for x in vec) for vec in rows)
-    cols = [_integer_row(vec)[0] for vec in rows]
-    return saturate(IntLattice(space.ambient_dim, cols)).generators
+    if space.den == 1:
+        return space.ints
+    primitive = []
+    for row in space.ints:
+        g = math.gcd(space.den, *row)
+        primitive.append([x // g for x in row])
+    return saturate(IntLattice(space.ambient_dim, primitive)).generators
 
 
 class DualRadicalData:
@@ -316,8 +318,9 @@ def radical_cartier_dual(report):
     vector of X^v tensor Y (see the module docstring), so the action
     restricted to Z and its dual are the identity.  V is re-evaluated on
     the integral character basis so that the emitted data is independent
-    of the rational basis used internally.  When the two bases agree,
-    the report's own table is that evaluation.  Z^v is built unchecked
+    of the rational basis used internally.  When the two bases agree (Z's
+    echelon basis is integral, den 1), the report's own table is that
+    evaluation.  Z^v is built unchecked
     (``GaloisLattice._of``): every check holds on identity matrices.
     """
     m = report.motive
@@ -325,8 +328,8 @@ def radical_cartier_dual(report):
     group = m.X.group
     lattice = GaloisLattice._of(len(chars), (
         RatMatrix.identity(len(chars)),) * group.generator_count, group)
-    if list(chars) == report.z.basis_columns():
+    if report.z.den == 1:
         extension = report.extension
     else:
-        extension = _extension_values(m, chars)
+        extension = _extension_values(m, chars, chars, 1)
     return DualRadicalData(report, lattice, chars, extension)

@@ -286,6 +286,11 @@ def test_minimal_polynomial_examples(rows):
     assert_minimal_polynomial(RatMatrix.from_rows(rows))
 
 
+def flatten(m):
+    """Row-major flattening of a matrix into one coordinate tuple."""
+    return tuple(x for row in m.row_list() for x in row)
+
+
 def reference_closure(degree, generators):
     """Basis, words and flattened-basis matrix of the generated algebra.
 
@@ -297,14 +302,14 @@ def reference_closure(degree, generators):
     size = degree * degree
     basis = [RatMatrix.identity(degree)]
     words = [()]
-    flats = [abelian._flatten(basis[0])]
+    flats = [flatten(basis[0])]
     span = Subspace(size, flats)
     queue = [0]
     while queue:
         idx = queue.pop(0)
         for gi, g in enumerate(generators):
             cand = basis[idx] * g
-            vec = abelian._flatten(cand)
+            vec = flatten(cand)
             if span.contains(vec):
                 continue
             flats.append(vec)
@@ -361,7 +366,7 @@ def test_algebra_closure_matches_subspace_and_solve_reference(field, data):
 
     def reference_coordinates(m):
         rhs = sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
-                            for x in abelian._flatten(m)])
+                            for x in flatten(m)])
         try:
             solution, _ = flat.gauss_jordan_solve(rhs)
         except ValueError:  # inconsistent
@@ -510,7 +515,7 @@ def relation_module(p):
     units = RatMatrix.identity(d).row_list()
     cols = [list(variety.element_point_matrix(units[t]).apply(pj))
             for pj in p.coords for t in range(d)]
-    return kernel(RatMatrix.from_columns(cols, nrows=n))
+    return kernel(RatMatrix(n, len(cols), [[c[i] for c in cols] for i in range(n)]))
 
 
 def test_relation_module_multiple():
@@ -545,7 +550,8 @@ def test_relation_module_cm():
 def left_multiplication_matrix(alg, gi):
     """Matrix of left multiplication by generator gi on the closure basis."""
     cols = [list(alg.coordinates(alg.generators[gi] * b)) for b in alg.basis]
-    return RatMatrix.from_columns(cols, nrows=alg.dimension)
+    return RatMatrix(alg.dimension, len(cols), [[c[i] for c in cols]
+                                                for i in range(alg.dimension)])
 
 
 def test_relation_module_is_d_submodule():

@@ -1,5 +1,6 @@
 """Tests for input-document parsing, serialization, and reports."""
 
+import gc
 import itertools
 import json
 import os
@@ -694,6 +695,29 @@ def test_dual_pair_has_one_algebra_source(self_dual, gens, transfers):
     assert once.motives[0][1].A.name == e.dual.name
     twice = parse_input(serialize_document(dual_document(once)))
     assert twice.normalized == doc.normalized
+
+
+def test_a_dropped_document_leaves_no_reference_cycle():
+    """With the collector off, parse, analyze and check documents with an
+    abelian part (the corpus, a self-dual Q(i) variety and a Q(i) pair
+    through a transfer), drop them, and nothing is left for it to find."""
+    texts = []
+    for name in CORPUS_FILES:
+        with open(corpus_path(name), encoding="utf-8") as handle:
+            texts.append(handle.read())
+    texts += [doc_text(pair_document(True, (True,), (False,))),
+              doc_text(pair_document(False, (True, False), (True, False)))]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            doc = parse_input(text)
+            serialize_document(build_report(doc))
+            assert check_invariants(doc) == []
+            del doc
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_split_algebra_raises_unsupported():

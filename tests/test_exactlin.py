@@ -2,6 +2,7 @@
 
 import doctest
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -153,7 +154,7 @@ def test_subspace_canonical_equality():
     a = Subspace(3, [[1, 1, 0], [0, 0, 1]])
     b = Subspace(3, [[2, 2, 2], [1, 1, -5]])
     assert a == b
-    assert a.basis == b.basis
+    assert a.rows == b.rows and (a.den, a.ints) == (b.den, b.ints)
 
 
 def test_zero_dimensional_ambient_is_legal():
@@ -536,6 +537,91 @@ def test_unchecked_matrices_equal_constructed_ones(m):
     assert wrapped == m and hash(wrapped) == hash(m)
     q = Fraction(-3, 2)
     for out in (m.transpose(), m * m.transpose(), m.rref()[0], m.kron(m),
-                m.hstack(m), m.scale(q), m + m, Subspace(m.cols, m.row_list()).basis):
+                m.scale(q), m + m):
         checked = RatMatrix(out.rows, out.cols, out.row_list())
         assert out == checked and hash(out) == hash(checked)
+
+
+# ----- the integer echelon form of Subspace --------------------------------
+
+def assert_canonical_form(s):
+    """den > 0, gcd(den, every entry) = 1, and each row den at its own pivot
+    and 0 at the others: the RREF times the least den that makes it integral."""
+    assert s.den > 0 and math.gcd(s.den, *(x for row in s.ints for x in row)) == 1
+    assert len(s.ints) == len(s.pivots) == s.dim
+    assert list(s.pivots) == sorted(set(s.pivots))
+    for row, p in zip(s.ints, s.pivots):
+        assert all(type(x) is int for x in row) and not any(row[:p])
+        assert [row[q] for q in s.pivots] == [s.den * (q == p) for q in s.pivots]
+
+
+@st.composite
+def regenerated_spans(draw):
+    """(n, generators, other generators of the same span): the second list
+    permutes the first, scales each by a nonzero rational, repeats some and
+    adds rational combinations of them."""
+    n, gens, _ = draw(spans_with_vectors())
+    scales = st.builds(Fraction, st.integers(1, 30) | st.integers(-30, -1),
+                       st.integers(1, 12))
+    other = [[c * x for x in g] for c, g in zip(
+        draw(st.lists(scales, min_size=len(gens), max_size=len(gens))), gens)]
+    other += [list(g) for g in draw(st.lists(st.sampled_from(gens), max_size=3))] if gens else []
+    for _ in range(draw(st.integers(0, 2)) if gens else 0):
+        coeffs = draw(st.lists(small_rationals, min_size=len(gens), max_size=len(gens)))
+        other.append([sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0))
+                      for j in range(n)])
+    return n, gens, draw(st.permutations(other))
+
+
+@settings(max_examples=200, deadline=None)
+@given(regenerated_spans())
+def test_integer_form_depends_only_on_the_span(case):
+    n, gens, other = case
+    a, b = Subspace(n, gens), Subspace(n, other)
+    assert_canonical_form(a)
+    assert (a.den, a.ints, a.pivots) == (b.den, b.ints, b.pivots)
+    assert a == b and hash(a) == hash(b)
+    ints = Subspace(n, [exactlin._integer_row(g)[0] for g in gens])
+    assert (ints.den, ints.ints) == (a.den, a.ints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_with_vectors())
+def test_basis_columns_are_sympy_rref(case):
+    n, gens, _ = case
+    s = Subspace(n, gens)
+    if gens:
+        reduced, pivots = sympy.Matrix(
+            len(gens), n, [sympy.Rational(x) for g in gens for x in g]).rref()
+        want = [tuple(reduced.row(i)) for i in range(len(pivots))]
+    else:
+        want, pivots = [], ()
+    assert [tuple(map(sympy.Rational, row)) for row in s.basis_columns()] == want
+    assert s.pivots == tuple(pivots)
+    assert all(type(x) is Fraction for row in s.rows for x in row)
+    assert s.rows == tuple(tuple(Fraction(x, s.den) for x in row) for row in s.ints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_pairs())
+def test_contains_space_and_intersection_agree_with_sympy_rank(spaces):
+    a, b = spaces
+    n = a.ambient_dim
+    together = sympy_rank(n, a.basis_columns() + b.basis_columns())
+    assert a.contains_space(b) == (together == a.dim)
+    assert b.contains_space(a) == (together == b.dim)
+    meet = space_intersect(a, b)
+    assert_canonical_form(meet)
+    assert meet.dim == a.dim + b.dim - together
+    assert a.contains_space(meet) and b.contains_space(meet)
+    assert space_sum(a, b).dim == together
+
+
+def test_integer_constructors_give_the_checked_form():
+    s = Subspace(3, [(Fraction(1, 2), 1, 0), (0, Fraction(2, 3), 1)])
+    assert (s.den, s.ints, s.pivots) == (2, ((2, 0, -6), (0, 2, 3)), (0, 1))
+    assert s.rows == ((1, 0, -3), (0, 1, Fraction(3, 2)))
+    assert Subspace._span(3, [[1, 2, 0], [0, -4, -6]]) == s
+    assert Subspace._of(3, 2, ((2, 0, -6), (0, 2, 3)), (0, 1)) == s
+    assert Subspace(2, [(-3, -6)]).ints == ((1, 2),)
+    assert Subspace.zero(2) == Subspace(2, [(0, 0)]) and Subspace.zero(2).den == 1

@@ -51,7 +51,6 @@ from motcalc.multgroup import MultSpace
 from motcalc.radical import (
     REDUCTIVE_SYMBOL,
     derived_torus_Z1,
-    psi_matrix,
     radical_cartier_dual,
     smallest_B,
     torus_Z,
@@ -62,6 +61,14 @@ from motcalc.radical import (
 def test_doctests():
     failed, _ = doctest.testmod(radical)
     assert failed == 0
+
+
+def psi_matrix(m):
+    """The value-group pairing as a (mult dim) x (r*s) matrix: the oracle
+    form of the psi rows that ``torus_Z`` eliminates with Z1."""
+    entries = [entry for row in m.psi for entry in row]
+    mu = m.mult_space.dim
+    return RatMatrix(mu, len(entries), [[e[k] for e in entries] for k in range(mu)])
 
 
 def elliptic_pair(n_a=1, n_astar=1):
@@ -789,10 +796,9 @@ def conjugated_motive(m, u, w):
                       group=m.X.group)
     yv = GaloisLattice(m.s, [w.inverse() * g * w for g in m.Yv.action],
                        group=m.Yv.group)
-    v = RatMatrix.from_columns([list(c) for c in m.v.coords],
-                               nrows=m.A.point_space_dim) * u
-    vstar = RatMatrix.from_columns([list(c) for c in m.vstar.coords],
-                                   nrows=m.Astar.point_space_dim) * w
+    v = RatMatrix(m.r, m.A.point_space_dim, m.v.coords).transpose() * u
+    vstar = RatMatrix(m.s, m.Astar.point_space_dim,
+                      m.vstar.coords).transpose() * w
     comps = [(u.transpose() * RatMatrix(
         m.r, m.s, [[entry[t] for entry in row] for row in m.psi]) * w).row_list()
              for t in range(m.mult_space.dim)]
@@ -1118,7 +1124,8 @@ def extension_cases(draw):
 @given(extension_cases())
 def test_extension_values_match_the_stacked_product(case):
     m, characters = case
-    ext = radical._extension_values(m, characters)
+    ext = radical._extension_values(m, characters,
+                                    *exactlin._integer_rows(characters))
     astar, a = stacked_product_extension(m, characters)
     assert ext.characters is characters
     assert [p.coords for p in ext.astar_values] == astar
@@ -1232,13 +1239,20 @@ def test_only_parsed_motives_are_checked(monkeypatch):
     assert calls == []
 
 
-def smith_route_basis(space):
-    """The saturation of the scaled echelon rows, through ``saturate``."""
+def fraction_route_generators(space):
+    """What the ``Fraction`` route gave ``saturate``: each echelon row as
+    ``Fraction``s, scaled by the lcm of its denominators."""
     cols = []
     for vec in space.basis_columns():
         denom = math.lcm(*(x.denominator for x in vec))
         cols.append([int(x * denom) for x in vec])
-    return saturate(IntLattice(space.ambient_dim, cols)).generators
+    return cols
+
+
+def smith_route_basis(space):
+    """The saturation of the scaled echelon rows, through ``saturate``."""
+    return saturate(IntLattice(space.ambient_dim,
+                               fraction_route_generators(space))).generators
 
 
 @st.composite
@@ -1285,3 +1299,110 @@ def test_integral_basis_examples(space):
     got = radical._integral_basis(space)
     assert got == smith_route_basis(space)
     assert all(type(x) is int for row in got for x in row)
+
+
+def record_lattices(mp):
+    """Patch ``radical.IntLattice`` to record each generator list it gets."""
+    seen = []
+
+    def recording(n, generators):
+        seen.append([list(g) for g in generators])
+        return IntLattice(n, generators)
+
+    mp.setattr(radical, "IntLattice", recording)
+    return seen
+
+
+def saturation_index(n, generators):
+    """[saturation : lattice], the product of the Smith invariants."""
+    if not generators:
+        return 1
+    d, _, _ = exactlin._smith([[g[i] for g in generators] for i in range(n)])
+    return math.prod(d[t][t] for t in range(len(generators)))
+
+
+def assert_saturate_gets_fraction_route_generators(space, call):
+    with pytest.MonkeyPatch.context() as mp:
+        seen = record_lattices(mp)
+        got = call()
+    want = fraction_route_generators(space)
+    assert seen == ([] if space.den == 1 else [want])
+    assert got == smith_route_basis(space)
+    return space.den > 1, saturation_index(space.ambient_dim, want) > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspaces())
+def test_integral_basis_gives_saturate_the_fraction_route_generators(space):
+    assert_saturate_gets_fraction_route_generators(
+        space, lambda: radical._integral_basis(space))
+
+
+@st.composite
+def rational_torus_motives(draw):
+    """[Z^r -> Gm^mu tensor Y] with rational psi: Z is the psi row space,
+    with denominators and saturation index > 1 as often as not."""
+    r, s, mu = (draw(st.integers(1, 3)) for _ in range(3))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    psi = [[[draw(entry) for _ in range(mu)] for _ in range(s)]
+           for _ in range(r)]
+    return OneMotive(GaloisLattice(r), GaloisLattice(s), psi=psi,
+                     mult_space=MultSpace(["g%d" % t for t in range(mu)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_torus_motives())
+def test_cartier_dual_gives_saturate_the_fraction_route_generators(m):
+    report = unipotent_radical(m)
+    assert_saturate_gets_fraction_route_generators(
+        report.z, lambda: radical_cartier_dual(report).characters)
+
+
+@pytest.mark.parametrize("space, index", [
+    (Subspace(3, [[2, 0, 1], [0, 2, 1]]), 2),        # (1, 0, 1/2), (0, 1, 1/2)
+    (Subspace(4, [[3, 0, 1, 2], [0, 3, 2, 1]]), 3),  # (1, 0, 1/3, 2/3), ...
+    (Subspace(3, [[2, 1, 0], [0, 0, 3]]), 1),        # (1, 1/2, 0), (0, 0, 1)
+])
+def test_integral_basis_generators_with_denominators(space, index):
+    assert assert_saturate_gets_fraction_route_generators(
+        space, lambda: radical._integral_basis(space)) == (True, index > 1)
+    assert saturation_index(
+        space.ambient_dim, fraction_route_generators(space)) == index
+
+
+def assert_integer_Z1_is_the_span_of_the_products(m):
+    """Returns d and whether Z1's denominator exceeds 1."""
+    b_data = smallest_B(m)
+    z1 = derived_torus_Z1(m, b_data)
+    explicit = bracket_rows_Z1_and_Z(m, b_data)[0]
+    assert (z1.den, z1.ints, z1.pivots) == \
+        (explicit.den, explicit.ints, explicit.pivots)
+    assert z1 == explicit and hash(z1) == hash(explicit)
+    assert z1.den > 0 and math.gcd(z1.den, *(x for row in z1.ints
+                                             for x in row)) == 1
+    return m.A.end_algebra.dimension, z1.den > 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_integer_kronecker_Z1_is_the_span_of_the_products(seed):
+    assert_integer_Z1_is_the_span_of_the_products(closed_form_draw(seed))
+
+
+def test_integer_kronecker_Z1_draws_reach_both_degrees_and_denominators():
+    seen = {assert_integer_Z1_is_the_span_of_the_products(closed_form_draw(seed))
+            for seed in range(80)}
+    assert seen >= {(1, False), (1, True), (2, False)}
+
+
+def test_integer_kronecker_Z1_of_a_zero_side_is_the_canonical_zero_space():
+    e, estar = elliptic_pair()
+    # U = 0 and W = span (1, 1/2), over den 2: Z1 is 0, over den 1
+    m = OneMotive(GaloisLattice(2), GaloisLattice(2), A=e, Astar=estar,
+                  v=PointVector(e, [[0], [0]]),
+                  vstar=PointVector(estar, [[2], [1]]))
+    b_data = smallest_B(m)
+    assert b_data.w_astar.module.den == 2
+    z1 = derived_torus_Z1(m, b_data)
+    assert (z1.den, z1.ints) == (1, ()) and z1 == Subspace.zero(4)
+    assert_integer_Z1_is_the_span_of_the_products(m)
