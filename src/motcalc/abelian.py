@@ -17,15 +17,15 @@ the tests compare the row space with it, applied to the relation module
 found as a kernel.
 
 The algebra D is restricted to commutative fields in this version; a
-noncommutative declaration raises :class:`UnsupportedModelError`.  One
-reduction step, ``_reduce_tagged``, answers "which combination of earlier
-matrices is this matrix?": it reduces a flattened matrix, tagged with a
-unit vector, against an echelon of tagged earlier ones.  The closure of
-the generators and the coordinates of an algebra element read their
-answer from it.  ``_minimal_polynomial`` eliminates the flattened powers
-of an integer matrix with ``exactlin._gauss_jordan``, in ints; the field
-checks read it on each generator scaled to integer entries, and so does
-the finite-order check of ``lattices``, where ``_poly_divmod`` stays in ints.
+noncommutative declaration raises :class:`UnsupportedModelError`.  D's
+matrices are handled flattened (row-major) in ``exactlin``'s integer
+kernel: the closure of the generators grows one ``Subspace`` by each
+product outside it, and the coordinates of an element are its entries at
+that span's pivots times one inverse matrix.  ``_minimal_polynomial``
+eliminates the flattened powers of an integer matrix with
+``exactlin._gauss_jordan``, in ints; the field checks read it on each
+generator scaled to integer entries, and so does the finite-order check
+of ``lattices``, where ``_poly_divmod`` stays in ints.
 """
 
 import weakref
@@ -33,38 +33,12 @@ from fractions import Fraction
 
 from .errors import UnsupportedModelError, ValidationError
 from .exactlin import (RatMatrix, Subspace, _gauss_jordan, _int_matmul,
-                       _integer_rows, kernel, rat)
+                       _integer_row, _integer_rows, kernel, rat)
 
 
-def _reduce_tagged(echelon, m, index, width):
-    """Reduce flatten(m) (row-major), tagged with the unit vector e_index,
-    against echelon.
-
-    Each row of ``echelon`` is a (pivot, row) pair: a flattened matrix
-    followed by a tag in Q^width, together the combination
-    sum_i c_i (flatten(M_i), e_i) of tagged inputs M_i, scaled to 1 at its
-    pivot (the first nonzero of the matrix part); clearing each pivot in
-    turn keeps that form.  Returns (None, tag) when the matrix part
-    reduces to zero: then sum_i tag_i M_i = 0, with tag_index = 1 (an
-    ``index`` of None tags m with zero, so m = -sum_i tag_i M_i).
-    Otherwise returns the (pivot, row) pair that extends the echelon by m.
-    """
-    size = m.rows * m.cols
-    tag = [Fraction(0)] * width
-    if index is not None:
-        tag[index] = Fraction(1)
-    vec = [x for i in range(m.rows) for x in m.row(i)] + tag
-    for p, row in echelon:
-        f = vec[p]
-        if f:
-            vec = [a - f * b if b else a for a, b in zip(vec, row)]
-    pivot = next((k for k in range(size) if vec[k]), None)
-    if pivot is None:
-        return None, vec[size:]
-    f = vec[pivot]
-    if f != 1:
-        vec = [x / f if x else x for x in vec]
-    return pivot, vec
+def _flat(m):
+    """The entries of a matrix, row-major."""
+    return [x for i in range(m.rows) for x in m.row(i)]
 
 
 def _minimal_polynomial(ints):
@@ -155,15 +129,22 @@ class EndAlgebraRep:
     set of degree x degree rational matrices; the represented algebra is the
     unital Q-algebra they generate.  Construction verifies commutativity,
     checks that the algebra is a field, and then computes a Q-basis of it
-    (always containing the identity).  The field check: every generator,
-    scaled to integer entries, must have a squarefree minimal polynomial
-    with no rational root in degree two or more (scaling keeps both).  The
-    squarefree condition makes nilpotent detection complete (commuting
-    matrices with squarefree minimal polynomials generate a reduced
-    algebra).  A singular basis element is a nonzero product with a
-    singular nonscalar generator, whose root 0 the two tests reject.  A
-    product of two fields neither of which is Q can still evade the root
-    test, and then the module computations remain exact over the product.
+    (always containing the identity) with its generator ``words``, its
+    ``dimension`` (the degree of the field over Q), the
+    ``structure_constants`` of its products and its inverse trace form.
+    The field check: every generator, scaled to integer entries, must have
+    a squarefree minimal polynomial with no rational root in degree two or
+    more (scaling keeps both).  The squarefree condition makes nilpotent
+    detection complete (commuting matrices with squarefree minimal
+    polynomials generate a reduced algebra).  A singular basis element is
+    a nonzero product with a singular nonscalar generator, whose root 0 the
+    two tests reject.  A product of two fields neither of which is Q can
+    still evade the root test, as i + sqrt(-3) does, with minimal
+    polynomial (x^2+1)(x^2+3).  Such a product is accepted here, but the
+    radical is not exact over it: the row space of ``smallest_subvariety``
+    need not be a module over the product, and when its dimension is no
+    multiple of d the analysis fails with a ValidationError that names no
+    path.
 
     >>> E = EndAlgebraRep(1)
     >>> E.dimension
@@ -208,8 +189,20 @@ class EndAlgebraRep:
                     "rational root, so the algebra splits as a product "
                     "and is not a field"
                 )
-        self._basis, self._words, self._echelon = self._close()
-        self._structure = self._structure_constants()
+        self.basis, self.words, self._span = self._close()
+        self.dimension = len(self.basis)
+        # B_pt = basis[t] at pivot p of the span maps coordinates to pivot
+        # entries; the span's RREF, T times the flattened basis with T
+        # invertible, is I at the pivots, so B is invertible
+        self._from_pivots = RatMatrix(self.dimension, self.dimension, [
+            [b[divmod(p, degree)] for b in self.basis]
+            for p in self._span.pivots
+        ]).inverse()
+        # lam[t][u] = coordinates of basis[t] * basis[u]
+        self.structure_constants = tuple(
+            tuple(self.coordinates(bt * bu) for bu in self.basis)
+            for bt in self.basis
+        )
         self._trace_form_inverse = self._trace_form().inverse()
 
     def _close(self):
@@ -218,69 +211,39 @@ class EndAlgebraRep:
         Each basis element carries the tuple of generator indices whose
         product produced it; the identity carries the empty word.  The words
         let a variety model replay the same products on its point space.
-        Each candidate product is reduced against the tagged echelon of the
-        basis found so far (``_reduce_tagged``, tagged with its would-be
-        index); one that does not reduce to zero is a new basis element.
-        The echelon is returned with its tags cut to the dimension, for
+        A candidate product is a new basis element when its flattened
+        entries lie outside the span of the basis found so far, and the
+        span then grows by that row.  The span is returned too, for
         ``coordinates``.
         """
         size = self.degree * self.degree
-        # the dimension is at most size, so a candidate's index fits
-        width = size + 1
         basis = [RatMatrix.identity(self.degree)]
         words = [()]
-        echelon = [_reduce_tagged([], basis[0], 0, width)]
-        queue = [0]
-        while queue:
-            idx = queue.pop(0)
+        span = Subspace(size, [_flat(basis[0])])
+        # the basis grows while it is walked: it is its own breadth-first queue
+        for idx, bt in enumerate(basis):
             for gi, g in enumerate(self.generators):
-                cand = basis[idx] * g
-                pivot, row = _reduce_tagged(echelon, cand, len(basis), width)
-                if pivot is None:
+                cand = bt * g
+                row = _integer_row(_flat(cand))[0]
+                if span.contains(row):
                     continue
-                echelon.append((pivot, row))
+                span = Subspace._span(size, [*span.ints, row])
                 basis.append(cand)
                 words.append(words[idx] + (gi,))
-                queue.append(len(basis) - 1)
-        echelon = tuple((p, row[:size + len(basis)]) for p, row in echelon)
-        return tuple(basis), tuple(words), echelon
-
-    @property
-    def dimension(self):
-        """Q-dimension of the algebra (the degree of the field over Q)."""
-        return len(self._basis)
-
-    @property
-    def basis(self):
-        return self._basis
-
-    @property
-    def words(self):
-        return self._words
+        return tuple(basis), tuple(words), span
 
     def coordinates(self, m):
         """Coordinates of an algebra element in the closure basis.
 
-        m is reduced untagged against the closure echelon; it lies in the
-        algebra iff it reduces to zero, and then its coordinates are the
-        negated tag.
+        m lies in the algebra iff its flattened entries lie in the closure
+        span, and then its coordinates are its entries at the span's
+        pivots times the inverse computed at construction.
         """
         if m.rows == m.cols == self.degree:
-            pivot, tag = _reduce_tagged(self._echelon, m, None, self.dimension)
-            if pivot is None:
-                return tuple(-x for x in tag)
+            flat = _flat(m)
+            if self._span.contains(flat):
+                return self._from_pivots.apply([flat[p] for p in self._span.pivots])
         raise ValidationError("matrix does not lie in the algebra")
-
-    def _structure_constants(self):
-        """lam[t][u] = coordinates of basis[t] * basis[u]."""
-        return tuple(
-            tuple(self.coordinates(bt * bu) for bu in self._basis)
-            for bt in self._basis
-        )
-
-    @property
-    def structure_constants(self):
-        return self._structure
 
     def _trace_form(self):
         """G_tu = Tr(e_t e_u), the trace of multiplication on the algebra.
@@ -289,7 +252,7 @@ class EndAlgebraRep:
         commutative and reduced (the squarefree minimal polynomials see
         to that), so it is a product of fields and G is nondegenerate.
         """
-        lam = self._structure
+        lam = self.structure_constants
         d = self.dimension
         trace = [sum(lam[w][v][v] for v in range(d)) for w in range(d)]
         return RatMatrix(d, d, [

@@ -336,10 +336,13 @@ CYCLOTOMIC = [(1, 1), (1, 0), (1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
 
 @st.composite
 def field_generators(draw):
-    """Generators of a number field, conjugated by a unimodular U.
+    """Generators of a number field, conjugated by C = U·S.
 
     A cyclotomic field, a quadratic field Q(sqrt a), or Q(i, sqrt2) on
-    4 x 4 matrices with two commuting generators.
+    4 x 4 matrices with two commuting generators.  U is unimodular and S
+    diagonal with |det S| >= 2, so the conjugated generators have
+    denominators.  Half the time g^2 joins as a last generator, which
+    the closure skips wherever it already lies in the span.
     """
     kind = draw(st.sampled_from(("cyclotomic", "quadratic", "biquadratic")))
     if kind == "cyclotomic":
@@ -350,9 +353,14 @@ def field_generators(draw):
     else:
         gens = [IMAG.kron(RatMatrix.identity(2)),
                 RatMatrix.identity(2).kron(SQRT2)]
+    if draw(st.booleans()):
+        gens.append(gens[0] * gens[0])
     n = gens[0].rows
-    u = draw(unimodular_matrices(n))
-    return n, [u * g * u.inverse() for g in gens]
+    scales = [draw(st.sampled_from((2, 3, Fraction(-5, 2))))] + draw(st.lists(
+        st.sampled_from((1, -1, 2, 3)), min_size=n - 1, max_size=n - 1))
+    c = draw(unimodular_matrices(n)) * RatMatrix(n, n, [
+        [scales[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return n, [c * g * c.inverse() for g in gens]
 
 
 @settings(max_examples=60, deadline=None)

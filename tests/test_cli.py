@@ -438,6 +438,83 @@ def test_larger_reports_match_recorded_digests(capsys, tmp_path, label):
     assert digest == LARGER_REPORT_DIGESTS[label]
 
 
+def kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def self_dual_document(label, g, generators, n, v, vstar, psi):
+    """One self-dual variety A with points P0, ..., P(n-1) and the algebra
+    of ``generators``, and one motive over it."""
+    return {
+        "mult_basis": ["q"],
+        "varieties": [{"name": "A", "g": g,
+                       "points": ["P%d" % i for i in range(n)],
+                       "end_generators": generators,
+                       "end_action": generators, "dual": "A"}],
+        "motives": [{"name": label, "X_rank": len(v), "Yv_rank": len(vstar),
+                     "A": "A", "v": v, "vstar": vstar, "psi": psi}],
+    }
+
+
+END_ALGEBRA_DOCUMENTS = {
+    "Q_i_dual_pair": {
+        "mult_basis": ["q"],
+        "varieties": [
+            {"name": "E", "g": 1, "points": ["E1", "E2"],
+             "end_generators": [CM], "end_action": [CM],
+             "dual": "F", "dual_transfer": [[["0", "1"], ["-1", "0"]]]},
+            {"name": "F", "g": 1, "points": ["F1", "F2"], "dual": "E"},
+        ],
+        "motives": [{"name": "Q_i_dual_pair", "X_rank": 2, "Yv_rank": 1,
+                     "A": "E", "v": ["E1", ["1", "1"]], "vstar": ["F2"],
+                     "psi": [[["1"]], [["2"]]]}],
+    },
+    "Q_sqrt2_rational_generator": self_dual_document(
+        "Q_sqrt2_rational_generator", 2, [[[0, "1/2"], [1, 0]]], 2,
+        ["P0"], ["P1"], [[["1"]]]),
+    "Q_zeta3": self_dual_document(
+        "Q_zeta3", 1, [[[0, -1], [1, -1]]], 2, ["P0", "P1"],
+        ["P1", ["1", "-1"]], [[["1"], ["0"]], [["0"], ["1"]]]),
+    "Q_i_sqrt2": self_dual_document(
+        "Q_i_sqrt2", 2, [kron(CM, [[1, 0], [0, 1]]),
+                         kron([[1, 0], [0, 1]], [[0, 2], [1, 0]])], 4,
+        ["P0", ["1", "1", "0", "0"]], ["P3"], [[["1"]], [["-1"]]]),
+}
+
+# sha256 of ``analyze --format json --check-invariants`` and of ``dual`` on
+# the documents above, recorded while the algebra closure reduced tagged
+# Fraction rows.
+END_ALGEBRA_DIGESTS = {
+    "Q_i_dual_pair": (
+        "24703aec2b78618c371ce6401a5efc1ca214759ef2e7f7b195abdd465272656e",
+        "a691ae008fc5a7853a2eefa1c43d06dac7f7be8a314476bcfa0199c71b113a3a"),
+    "Q_sqrt2_rational_generator": (
+        "7e1d65791037b3dbdd9c49c0fe1e49527cf593e7aa184c4cdfd9462245e04d6b",
+        "3703463c47e3c1d5acce7da258ce8cab3ea97e2d11637080ecf3713f54c7546c"),
+    "Q_zeta3": (
+        "ecfebeb361f7b3ffbf9401a08f129319f4ba38b0c7feaeade243a93e8e989b67",
+        "586f87ee479f92f00d138104335f97c1d83476f42d421d755c85abc876a254da"),
+    "Q_i_sqrt2": (
+        "7755d0685ea6432e6c4a31af7de4d3e714b9264a3e9ec43f534833fe06c291ef",
+        "53c90a4920b5d6e789876c169d6160e6d9b57a011da7ed2e01d95e0327685f5f"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(END_ALGEBRA_DIGESTS))
+def test_end_algebra_reports_match_recorded_digests(capsys, tmp_path, label):
+    """Reports over End ⊗ Q ⊋ Q, of dimension 2 and 4, are byte-identical
+    to the recorded ones."""
+    path = tmp_path / (label + ".json")
+    path.write_text(json.dumps(END_ALGEBRA_DOCUMENTS[label]), encoding="utf-8")
+    digests = []
+    for argv in (("analyze", "--format", "json", "--check-invariants"),
+                 ("dual",)):
+        code, out, _ = run_main(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == END_ALGEBRA_DIGESTS[label]
+
+
 @pytest.mark.parametrize("name", sorted(
     os.path.basename(p) for p in glob.glob(os.path.join(CORPUS_DIR, "*.json"))))
 @pytest.mark.parametrize("argv", [("dual",), ("gr", "--format", "json")])

@@ -732,6 +732,26 @@ def test_split_algebra_raises_unsupported():
     fails_with(payload, "not a field", error=UnsupportedModelError)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 7: i + sqrt(-3) has minimal polynomial (x^2+1)(x^2+3), "
+    "squarefree with no rational root, so the parser accepts the product "
+    "Q(i) x Q(sqrt(-3)) as a field and analyze later exits 3 with no path"))
+def test_product_of_two_fields_raises_unsupported():
+    generator = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -3], [0, 0, 1, 0]]
+    payload = {
+        "mult_basis": ["q"],
+        "varieties": [{
+            "name": "A", "g": 2, "points": ["P0", "P1", "P2", "P3"],
+            "end_generators": [generator], "end_action": [generator],
+            "dual": "A",
+        }],
+        "motives": [{"X_rank": 1, "Yv_rank": 1, "A": "A", "v": ["P0"],
+                     "vstar": ["P2"], "psi": [[["1"]]]}],
+    }
+    with pytest.raises(UnsupportedModelError):
+        parse_input(doc_text(payload))
+
+
 def test_malformed_json_raises_decode_error():
     with pytest.raises(json.JSONDecodeError):
         parse_input("{")
