@@ -32,8 +32,8 @@ import weakref
 from fractions import Fraction
 
 from .errors import UnsupportedModelError, ValidationError
-from .exactlin import (RatMatrix, Subspace, _gauss_jordan, _int_matmul,
-                       _integer_row, _integer_rows, kernel, rat)
+from .exactlin import (_ZERO, RatMatrix, Subspace, _gauss_jordan,
+                       _int_matmul, _integer_row, _integer_rows, kernel, rat)
 
 
 def _flat(m):
@@ -198,11 +198,13 @@ class EndAlgebraRep:
             [b[divmod(p, degree)] for b in self.basis]
             for p in self._span.pivots
         ]).inverse()
-        # lam[t][u] = coordinates of basis[t] * basis[u]
-        self.structure_constants = tuple(
-            tuple(self.coordinates(bt * bu) for bu in self.basis)
-            for bt in self.basis
-        )
+        # lam[t][u] = coordinates of basis[t] * basis[u]; the generators
+        # commute, so the basis does, and lam[u][t] = lam[t][u]
+        lam = [[None] * self.dimension for _ in self.basis]
+        for t, bt in enumerate(self.basis):
+            for u in range(t, self.dimension):
+                lam[t][u] = lam[u][t] = self.coordinates(bt * self.basis[u])
+        self.structure_constants = tuple(map(tuple, lam))
         self._trace_form_inverse = self._trace_form().inverse()
 
     def _close(self):
@@ -466,8 +468,14 @@ def link_duals(a, b):
 class PointVector:
     """A tuple of m points on a single abelian variety model.
 
-    Coordinates are stored per copy: ``coords[j]`` is the point-space
-    coordinate tuple of the j-th entry.
+    Coordinates are stored per copy, in two forms of the same numbers:
+    ``coords[j]`` is the point-space coordinate tuple of the j-th entry,
+    as ``Fraction``s, and ``integer_coords()`` is (ints, den) with
+    coords[j][k] == ints[j][k] / den, int tuples over den, the lcm of the
+    denominators (the least one, so the form is canonical).  Each form is
+    built from the other on first read and kept: the radical reads only
+    the integer form, so a copy wrapped from one (``_of_ints``) builds no
+    ``Fraction`` unless something reads ``coords``.
     """
 
     def __init__(self, variety, coords):
@@ -478,13 +486,20 @@ class PointVector:
                     "point entry has %d coordinates, expected %d"
                     % (len(row), variety.point_space_dim))
         self.variety = variety
-        self.coords = rows
+        self._coords, self._ints = rows, None
 
     @classmethod
     def _of(cls, variety, coords):
         """Wrap a tuple of ``Fraction`` tuples of the right length, unchecked."""
         p = object.__new__(cls)
-        p.variety, p.coords = variety, coords
+        p.variety, p._coords, p._ints = variety, coords, None
+        return p
+
+    @classmethod
+    def _of_ints(cls, variety, ints, den):
+        """Wrap an integer form (see the class) of the right shape, unchecked."""
+        p = object.__new__(cls)
+        p.variety, p._coords, p._ints = variety, None, (ints, den)
         return p
 
     @classmethod
@@ -494,12 +509,26 @@ class PointVector:
                     for _ in range(multiplicity)])
 
     @property
+    def coords(self):
+        """The coordinates as ``Fraction`` tuples, built on first read."""
+        if self._coords is None:
+            ints, den = self._ints
+            self._coords = tuple(
+                tuple(Fraction(x, den) if x else _ZERO for x in row)
+                for row in ints)
+        return self._coords
+
+    @property
     def multiplicity(self):
-        return len(self.coords)
+        return len(self._coords if self._coords is not None else self._ints[0])
 
     def integer_coords(self):
-        """(ints, d) with coords[j][k] == ints[j][k] / d, d one lcm."""
-        return _integer_rows(self.coords)
+        """(ints, den) with coords[j][k] == ints[j][k] / den, den one lcm,
+        computed on first read and kept."""
+        if self._ints is None:
+            ints, den = _integer_rows(self._coords)
+            self._ints = tuple(map(tuple, ints)), den
+        return self._ints
 
     def flat(self):
         out = []

@@ -41,6 +41,7 @@ self-dual variety acts by its own "end_action" and takes no transfer.
 """
 
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -794,20 +795,25 @@ def gr_text(summary):
 def _scaled_motive(m, n):
     """The isogenous copy with v, v* scaled by n and psi by n^2.
 
-    Numerators are scaled in integers, Fraction(n * p, q).  Built unchecked
-    (``OneMotive._of``, ``PointVector._of``): every check on a motive is
-    linear in (v, v*, psi) or about shapes, m's own, so the copy passes.
+    The integer forms are scaled: k * ints / den is (k/g) * ints over
+    den/g, g = gcd(k, den), and den/g is again the least denominator.  No
+    ``Fraction`` is built; the copy's ``coords`` and ``psi`` are, on first
+    read.  Built unchecked (``OneMotive._of``, ``PointVector._of_ints``):
+    every check on a motive is linear in (v, v*, psi) or about shapes, m's
+    own, so the copy passes.
     """
-    def scaled(values, k):
-        return tuple(Fraction(k * c.numerator, c.denominator) for c in values)
+    def scaled(form, k):
+        ints, den = form
+        g = math.gcd(k, den)
+        k //= g
+        return tuple(tuple(k * x for x in row) for row in ints), den // g
 
     v = vstar = None
     if m.A is not None:
-        v, vstar = (PointVector._of(p.variety, tuple(
-            scaled(row, n) for row in p.coords)) for p in (m.v, m.vstar))
-    psi = tuple(tuple(scaled(entry, n * n) for entry in row) for row in m.psi)
-    return OneMotive._of(m.X, m.Yv, m.A, m.Astar, v, vstar, psi,
-                         m.mult_space)
+        v, vstar = (PointVector._of_ints(p.variety, *scaled(p.integer_coords(), n))
+                    for p in (m.v, m.vstar))
+    return OneMotive._of(m.X, m.Yv, m.A, m.Astar, v, vstar,
+                         scaled(m.psi_integer_rows(), n * n), m.mult_space)
 
 
 def _witness(space, other):

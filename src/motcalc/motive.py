@@ -13,6 +13,11 @@ form (X, Yv, A, A*, v, v*, psi):
 * ``psi``: an r x s matrix of values in a multiplicative group, the
   trivialization of the pullback of the Poincare biextension.
 
+The points and psi are also held as integers over one least
+denominator (``PointVector.integer_coords``, ``psi_integer_rows``),
+which the entry check computes once and the radical reads; the
+``Fraction`` forms of a derived motive are built only when read.
+
 The group G itself is never materialized; every computation downstream
 consumes the 7-tuple directly.  Tracked points and psi values are taken
 Galois-fixed (defined over k), so equivariance of (v, v*, psi) amounts to
@@ -31,9 +36,11 @@ Cartier duality exchanges the two halves of the 7-tuple and transposes
 psi; it is an involution.
 """
 
+from fractions import Fraction
+
 from .abelian import AbelianVarietyModel, PointVector
 from .errors import ValidationError
-from .exactlin import _int_matmul, _integer_rows, rat
+from .exactlin import _ZERO, _int_matmul, _integer_rows, rat
 from .lattices import GaloisLattice, dual, tensor
 from .multgroup import MultSpace
 
@@ -65,18 +72,20 @@ class OneMotive:
         self.vstar = self._check_points(vstar, Astar, Yv.rank, "vstar")
 
         self.mult_space = mult_space if mult_space is not None else MultSpace()
-        self.psi = self._check_psi(psi)
+        self._psi, self._psi_ints = self._check_psi(psi)
         self._check_equivariance()
 
     @classmethod
-    def _of(cls, X, Yv, A, Astar, v, vstar, psi, mult_space, name=None):
+    def _of(cls, X, Yv, A, Astar, v, vstar, psi_ints, mult_space, name=None):
         """Wrap the parts of a valid motive as they are, unchecked.
 
         The parts must be what the public constructor stores: ``v`` and
         ``vstar`` are point vectors (None without an abelian part) and
-        ``psi`` is an r x s tuple of value tuples of ``Fraction``.  The
-        callers derive them from a motive that passed the public checks,
-        by a map that keeps every check true:
+        ``psi_ints`` is psi's integer form (rows, den) of
+        ``psi_integer_rows``, which fixes the ``Fraction`` tuples of
+        ``psi``; they are built on first read.  The callers derive the
+        parts from a motive that passed the public checks, by a map that
+        keeps every check true:
 
         * the Cartier dual swaps (X, v) with (Yv, v*) and transposes
           psi (see ``cartier_dual``);
@@ -93,7 +102,8 @@ class OneMotive:
         m.v = v
         m.vstar = vstar
         m.mult_space = mult_space
-        m.psi = psi
+        m._psi = None
+        m._psi_ints = psi_ints
         return m
 
     @staticmethod
@@ -114,10 +124,14 @@ class OneMotive:
         return points
 
     def _check_psi(self, psi):
+        """psi as ``Fraction`` tuples, and its integer form (rows, den):
+        row k holds psi[i][j][k] at i*s + j, over den, the lcm of every
+        denominator in psi."""
         r, s, mu = self.X.rank, self.Yv.rank, self.mult_space.dim
         if psi is None:
-            return tuple(tuple((rat(0),) * mu for _ in range(s))
-                         for _ in range(r))
+            return (tuple(tuple((rat(0),) * mu for _ in range(s))
+                          for _ in range(r)),
+                    (((0,) * (r * s),) * mu, 1))
         rows = tuple(tuple(tuple(rat(c) for c in entry) for entry in row)
                      for row in psi)
         if len(rows) != r or any(len(row) != s for row in rows):
@@ -128,24 +142,26 @@ class OneMotive:
                     raise ValidationError(
                         "psi entry has %d coordinates, value group has dim %d"
                         % (len(entry), mu))
-        return rows
+        ints, den = _integer_rows(
+            [[entry[k] for row in rows for entry in row] for k in range(mu)])
+        return rows, (tuple(map(tuple, ints)), den)
 
     def _check_equivariance(self):
         """P gx = P, Q gy = Q and gx^T C gy = C for every generator.
 
-        P, Q (the points of v and v* as columns, held transposed) and each
-        psi component C are scaled by one common denominator per matrix,
-        and the products are compared in integers.
+        P, Q (the points of v and v* as columns, held transposed) and the
+        psi components C are the integer forms the motive keeps, each over
+        one common denominator, and the products are compared in integers.
         """
         if not self.X.group.generator_count:
             return
         r, s = self.X.rank, self.Yv.rank
-        pt = (_integer_rows(self.v.coords)[0]
+        pt = (list(map(list, self.v.integer_coords()[0]))
               if self.A is not None and r else None)
-        qt = (_integer_rows(self.vstar.coords)[0]
+        qt = (list(map(list, self.vstar.integer_coords()[0]))
               if self.Astar is not None and s else None)
-        comps = [_integer_rows([[e[m] for e in row] for row in self.psi])[0]
-                 for m in range(self.mult_space.dim)] if r and s else []
+        comps = [[list(row[i * s:(i + 1) * s]) for i in range(r)]
+                 for row in self._psi_ints[0]] if r and s else []
         for k in range(self.X.group.generator_count):
             gxt = _integer_rows(self.X.action[k].transpose().row_list())[0]
             gyt = _integer_rows(self.Yv.action[k].transpose().row_list())[0]
@@ -162,6 +178,25 @@ class OneMotive:
                         "psi is not equivariant under generator %d" % (k,))
 
     @property
+    def psi(self):
+        """psi as an r x s tuple of value tuples of ``Fraction``, built
+        from the integer rows on first read."""
+        if self._psi is None:
+            rows, den = self._psi_ints
+            s = self.s
+            entries = list(zip(*rows)) if rows else [()] * (self.r * s)
+            self._psi = tuple(
+                tuple(tuple(Fraction(x, den) if x else _ZERO for x in e)
+                      for e in entries[i * s:(i + 1) * s])
+                for i in range(self.r))
+        return self._psi
+
+    def psi_integer_rows(self):
+        """(rows, den): for each value-group coordinate k, the r*s entries
+        psi[i][j][k] at index i*s + j, as ints over one least den."""
+        return self._psi_ints
+
+    @property
     def r(self):
         return self.X.rank
 
@@ -174,17 +209,19 @@ class OneMotive:
         return self.A.g if self.A is not None else 0
 
     def structurally_equal(self, other):
-        """Field-by-field comparison (models compared by identity)."""
+        """Field-by-field comparison (models compared by identity).
+
+        Points and psi are compared in their integer forms, which are
+        canonical: each den is the least one.
+        """
         return (
             self.X == other.X
             and self.Yv == other.Yv
             and self.A is other.A
             and self.Astar is other.Astar
-            and (self.v.coords if self.v is not None else None)
-            == (other.v.coords if other.v is not None else None)
-            and (self.vstar.coords if self.vstar is not None else None)
-            == (other.vstar.coords if other.vstar is not None else None)
-            and self.psi == other.psi
+            and _integer_form(self.v) == _integer_form(other.v)
+            and _integer_form(self.vstar) == _integer_form(other.vstar)
+            and self._psi_ints == other._psi_ints
             and self.mult_space.generator_names == other.mult_space.generator_names
         )
 
@@ -192,6 +229,10 @@ class OneMotive:
         return "OneMotive(r=%d, g=%d, s=%d%s)" % (
             self.r, self.g, self.s,
             ", name=%r" % (self.name,) if self.name else "")
+
+
+def _integer_form(points):
+    return None if points is None else points.integer_coords()
 
 
 class WeightFiltration:
@@ -273,8 +314,15 @@ def cartier_dual(m):
     the new X and Yv, and for each psi component C the dual's component
     is C^T, with gy^T C^T gx = (gx^T C gy)^T = C^T.
     """
-    psi_t = tuple(
-        tuple(m.psi[i][j] for i in range(m.r)) for j in range(m.s))
+    rows, den = m.psi_integer_rows()
+    s = m.s
+    psi_t = []
+    for row in rows:
+        # entry (i, j) at i*s + j moves to (j, i) at j*r + i: block j is row[j::s]
+        t = []
+        for j in range(s):
+            t += row[j::s]
+        psi_t.append(tuple(t))
     return OneMotive._of(
-        m.Yv, m.X, m.Astar, m.A, m.vstar, m.v, psi_t, m.mult_space,
+        m.Yv, m.X, m.Astar, m.A, m.vstar, m.v, (tuple(psi_t), den), m.mult_space,
         name=None if m.name is None else m.name + "*")

@@ -133,13 +133,12 @@ def torus_Z(m, b_data, z1):
     Equivariance of psi (gx^T C gy = C) makes each psi row a fixed vector
     of X^v tensor Y, so the sum is as stable as Z1.  When Z1 is already
     all of Q^(r*s) it is Z, and nothing is eliminated; otherwise Z1's
-    integer rows and the psi rows, one per value-group coordinate, are.
+    integer rows and the motive's psi integer rows, one per value-group
+    coordinate, are, in one elimination.
     """
     if z1.dim == z1.ambient_dim:
         return z1
-    psi = [entry for row in m.psi for entry in row]
-    return Subspace(z1.ambient_dim, [*z1.ints, *(
-        [entry[k] for entry in psi] for k in range(m.mult_space.dim))])
+    return Subspace._span(z1.ambient_dim, [*z1.ints, *m.psi_integer_rows()[0]])
 
 
 class ExtensionHom:

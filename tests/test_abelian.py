@@ -64,6 +64,22 @@ def test_structure_constants_reproduce_products():
         assert recon == prod
 
 
+@pytest.mark.parametrize("gen", [
+    SQRT2,
+    # Q(zeta_7): companion matrix of x^6 + x^5 + ... + 1
+    RatMatrix(6, 6, [[int(i == j + 1) for j in range(5)] + [-1]
+                     for i in range(6)]),
+], ids=["Q_sqrt2", "Q_zeta7"])
+def test_structure_constants_equal_the_full_product_table(gen):
+    """The table filled from the products with t <= u, mirrored, is the
+    coordinates of all d^2 products."""
+    alg = EndAlgebraRep(gen.rows, [gen])
+    full = tuple(tuple(alg.coordinates(bt * bu) for bu in alg.basis)
+                 for bt in alg.basis)
+    assert alg.dimension == gen.rows
+    assert alg.structure_constants == full
+
+
 def test_cubic_field():
     # companion matrix of x^3 - 2
     cbrt2 = RatMatrix.from_rows([[0, 0, 2], [1, 0, 0], [0, 1, 0]])

@@ -25,7 +25,7 @@ from motcalc.document import (
 )
 from motcalc.errors import UnsupportedModelError, ValidationError
 from motcalc.exactlin import Subspace
-from motcalc.motive import OneMotive
+from motcalc.motive import OneMotive, cartier_dual
 from motcalc.radical import BData, RadicalReport, radical_cartier_dual, \
     unipotent_radical
 
@@ -363,6 +363,66 @@ def test_scaled_motive_without_abelian_part():
     assert scaled.v is None and scaled.vstar is None
     assert scaled.psi == tuple(tuple(tuple(4 * c for c in entry)
                                      for entry in row) for row in m.psi)
+
+
+def cyclic_halves_document():
+    """The swap on X and Yv, with v, v* and psi fixed by it and with
+    denominators."""
+    return parse_input(json.dumps({
+        "group": {"generators": 1, "relators": [[1, 1]]},
+        "mult_basis": ["q", "t"],
+        "varieties": [
+            {"name": "E", "g": 1, "points": ["P", "R"], "dual": "Es"},
+            {"name": "Es", "g": 1, "points": ["Q"], "dual": "E"}],
+        "motives": [{
+            "X_rank": 2, "Yv_rank": 2, "A": "E",
+            "X_action": [[[0, 1], [1, 0]]], "Yv_action": [[[0, 1], [1, 0]]],
+            "v": [["1/2", "-3/4"], ["1/2", "-3/4"]],
+            "vstar": [["2/3"], ["2/3"]],
+            "psi": [[["1/2", 0], ["-3/4", "5/6"]],
+                    [["-3/4", "5/6"], ["1/2", 0]]]}],
+    }))
+
+
+def as_text(rows):
+    return [[str(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", [2, 3, -1])
+@pytest.mark.parametrize("make", [halves_document, cyclic_halves_document])
+def test_points_and_psi_integer_forms(make, n):
+    _, m = make().motives[0]
+    r, s, mu = m.r, m.s, m.mult_space.dim
+    for p in (m.v, m.vstar):
+        ints, den = p.integer_coords()
+        want = [[Fraction(x, den) for x in row] for row in ints]
+        assert [list(row) for row in p.coords] == want
+        assert as_text(p.coords) == as_text(want)
+    rows, den = m.psi_integer_rows()
+    assert den > 1 and len(rows) == mu
+    for i, j in itertools.product(range(r), range(s)):
+        want = [Fraction(rows[k][i * s + j], den) for k in range(mu)]
+        assert list(m.psi[i][j]) == want
+        assert as_text([m.psi[i][j]]) == as_text([want])
+
+    dual = cartier_dual(m)
+    dual_rows, dual_den = dual.psi_integer_rows()
+    assert dual_den == den
+    assert dual_rows == tuple(
+        tuple(row[i * s + j] for j in range(s) for i in range(r))
+        for row in rows)
+    assert cartier_dual(dual).structurally_equal(m)
+
+    got = unipotent_radical(document._scaled_motive(m, n))
+    want = unipotent_radical(entrywise_scaled(m, n))
+    assert (got.z1, got.z) == (want.z1, want.z)
+    assert got.b.w_a.module == want.b.w_a.module
+    assert got.b.w_astar.module == want.b.w_astar.module
+
+    copy = document._scaled_motive(m, 2)
+    unipotent_radical(copy)
+    assert copy._psi is None
+    assert copy.v._coords is None and copy.vstar._coords is None
 
 
 def formatted_radical_fields(motive):

@@ -1406,3 +1406,40 @@ def test_integer_kronecker_Z1_of_a_zero_side_is_the_canonical_zero_space():
     z1 = derived_torus_Z1(m, b_data)
     assert (z1.den, z1.ints) == (1, ()) and z1 == Subspace.zero(4)
     assert_integer_Z1_is_the_span_of_the_products(m)
+
+
+@st.composite
+def kronecker_motives_with_psi(draw):
+    """Trivial-group motives with rational v, v* and psi: Z1 = U tensor W of
+    every size from zero to full, and psi rows inside Z1, partly outside it
+    or spanning the rest."""
+    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_a, n_astar = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.sampled_from(
+        (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)))
+    e, estar = elliptic_pair(n_a=n_a, n_astar=n_astar)
+    mu = draw(st.integers(0, 3))
+    psi = [[[draw(entry) for _ in range(mu)] for _ in range(s)]
+           for _ in range(r)]
+    return OneMotive(
+        GaloisLattice(r), GaloisLattice(s), A=e, Astar=estar,
+        v=PointVector(e, [[draw(entry) for _ in range(n_a)] for _ in range(r)]),
+        vstar=PointVector(estar, [[draw(entry) for _ in range(n_astar)]
+                                  for _ in range(s)]),
+        psi=psi, mult_space=MultSpace(["g%d" % t for t in range(mu)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kronecker_motives_with_psi())
+def test_torus_Z_from_the_psi_integer_rows_is_the_span_of_all_rows(m):
+    """Z from Z1's rows and the motive's kept psi integer rows is the
+    canonical form of Z1 plus the psi rows read as ``Fraction``s."""
+    b_data = smallest_B(m)
+    z1 = derived_torus_Z1(m, b_data)
+    z = torus_Z(m, b_data, z1)
+    rows, den = m.psi_integer_rows()
+    want = Subspace(m.r * m.s, [*z1.rows, *(
+        [entry[k] for row in m.psi for entry in row]
+        for k in range(m.mult_space.dim))])
+    assert (z.den, z.ints, z.pivots) == (want.den, want.ints, want.pivots)
+    assert z == Subspace._span(m.r * m.s, [*z1.ints, *rows])
