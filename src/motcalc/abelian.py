@@ -32,7 +32,7 @@ import weakref
 from fractions import Fraction
 
 from .errors import UnsupportedModelError, ValidationError
-from .exactlin import (_ZERO, RatMatrix, Subspace, _gauss_jordan,
+from .exactlin import (RatMatrix, Subspace, _fraction_row, _gauss_jordan,
                        _int_matmul, _integer_row, _integer_rows, kernel, rat)
 
 
@@ -513,9 +513,7 @@ class PointVector:
         """The coordinates as ``Fraction`` tuples, built on first read."""
         if self._coords is None:
             ints, den = self._ints
-            self._coords = tuple(
-                tuple(Fraction(x, den) if x else _ZERO for x in row)
-                for row in ints)
+            self._coords = tuple(_fraction_row(row, den) for row in ints)
         return self._coords
 
     @property

@@ -2,13 +2,14 @@
 
 An input document is a single JSON object describing abelian variety
 models, an optional Galois action group, a multiplicative value group,
-and a list of motives over these.  Rationals are written as integers or
-as strings "p/q"; every declared name must resolve; validation failures
-carry the JSON path of the offending field.  Every list-valued field is
-read through ``_items``, which checks that it is a list (of the length
-the schema fixes, if any) and pairs each item with its path
-``field[i]``, and every constructor on parsed data runs through
-``_build``, which reports a ValueError it raises at the field's path.
+and a list of motives over these.  A rational is an integer or a string
+"p" or "p/q" of ASCII digits, p optionally signed; every declared name
+must resolve; validation failures carry the JSON path of the offending
+field.  Every list-valued field is read through ``_items``, which checks
+that it is a list (of the length the schema fixes, if any) and pairs
+each item with its path ``field[i]``, and every constructor on parsed
+data runs through ``_build``, which reports a ValueError it raises at
+the field's path.
 
 The same schema is used for machine-readable output, so documents can be
 regenerated: parsing and serializing is idempotent after one
@@ -41,7 +42,7 @@ self-dual variety acts by its own "end_action" and takes no transfer.
 """
 
 import json
-import math
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -49,7 +50,7 @@ from .abelian import AbelianVarietyModel, EndAlgebraRep, PointVector, \
     link_duals
 from .errors import UnreadableInputError, UnsupportedModelError, \
     ValidationError
-from .exactlin import QuotientSpace, RatMatrix
+from .exactlin import QuotientSpace, RatMatrix, _scaled
 from .lattices import ActionGroup, GaloisLattice, TRIVIAL_GROUP
 from .liealg import build_E
 from .motive import OneMotive, cartier_dual, gr, weight_filtration
@@ -87,16 +88,21 @@ def _build(where, constructor, *args, **kwargs):
         _fail(where, str(exc))
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value, where):
     if isinstance(value, bool):
         _fail(where, "expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            _fail(where, "cannot parse %r as a rational" % (value,))
+        if _RATIONAL.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):  # past 4300 digits, or "p/0"
+                pass
+        _fail(where, "cannot parse %r as a rational" % (value,))
     _fail(where, "expected an integer or a 'p/q' string")
 
 
@@ -320,10 +326,8 @@ def _parse_point_entry(value, model, where):
     return _parse_vector(value, where, model.point_space_dim)
 
 
-def _normalize_point_entry(value):
-    if isinstance(value, str):
-        return value
-    return _vec_json(tuple(Fraction(x) for x in value))
+def _normalize_point_entry(value, parsed):
+    return value if isinstance(value, str) else _vec_json(parsed)
 
 
 def _parse_motive(entry, where, group, mult_space, models):
@@ -362,11 +366,11 @@ def _parse_motive(entry, where, group, mult_space, models):
         v_items = _items(entry.get("v", []), where + ".v", "a list", r)
         vstar_items = _items(entry.get("vstar", []), where + ".vstar",
                              "a list", s)
-        v = PointVector(a, [_parse_point_entry(e, a, path)
-                            for path, e in v_items])
-        vstar = PointVector(astar, [_parse_point_entry(e, astar, path)
-                                    for path, e in vstar_items])
-        kwargs = dict(A=a, Astar=astar, v=v, vstar=vstar)
+        v_rows = [_parse_point_entry(e, a, path) for path, e in v_items]
+        vstar_rows = [_parse_point_entry(e, astar, path)
+                      for path, e in vstar_items]
+        kwargs = dict(A=a, Astar=astar, v=PointVector(a, v_rows),
+                      vstar=PointVector(astar, vstar_rows))
     else:
         for key in ("v", "vstar"):
             path = "%s.%s" % (where, key)
@@ -395,10 +399,10 @@ def _parse_motive(entry, where, group, mult_space, models):
         normalized["Yv_action"] = [_mat_json(m) for m in yv.action]
     if "A" in entry:
         normalized["A"] = entry["A"]
-        normalized["v"] = [_normalize_point_entry(e)
-                           for e in entry.get("v", [])]
-        normalized["vstar"] = [_normalize_point_entry(e)
-                               for e in entry.get("vstar", [])]
+        normalized["v"] = [_normalize_point_entry(e, p)
+                           for (_, e), p in zip(v_items, v_rows)]
+        normalized["vstar"] = [_normalize_point_entry(e, p)
+                               for (_, e), p in zip(vstar_items, vstar_rows)]
     if raw_psi is not None:
         normalized["psi"] = [[_vec_json(vec) for vec in row]
                              for row in raw_psi]
@@ -795,25 +799,18 @@ def gr_text(summary):
 def _scaled_motive(m, n):
     """The isogenous copy with v, v* scaled by n and psi by n^2.
 
-    The integer forms are scaled: k * ints / den is (k/g) * ints over
-    den/g, g = gcd(k, den), and den/g is again the least denominator.  No
+    The integer forms are scaled (``exactlin._scaled``), so no
     ``Fraction`` is built; the copy's ``coords`` and ``psi`` are, on first
     read.  Built unchecked (``OneMotive._of``, ``PointVector._of_ints``):
     every check on a motive is linear in (v, v*, psi) or about shapes, m's
     own, so the copy passes.
     """
-    def scaled(form, k):
-        ints, den = form
-        g = math.gcd(k, den)
-        k //= g
-        return tuple(tuple(k * x for x in row) for row in ints), den // g
-
     v = vstar = None
     if m.A is not None:
-        v, vstar = (PointVector._of_ints(p.variety, *scaled(p.integer_coords(), n))
+        v, vstar = (PointVector._of_ints(p.variety, *_scaled(p.integer_coords(), n))
                     for p in (m.v, m.vstar))
     return OneMotive._of(m.X, m.Yv, m.A, m.Astar, v, vstar,
-                         scaled(m.psi_integer_rows(), n * n), m.mult_space)
+                         _scaled(m.psi_integer_rows(), n * n), m.mult_space)
 
 
 def _witness(space, other):
@@ -857,13 +854,13 @@ def check_invariants(doc):
             failures.append("%s: Z1 is not contained in Z: %s lies in Z1 "
                             "and not in Z"
                             % (label, _witness(report.z1, report.z)))
-        dual_report = unipotent_radical(cartier_dual(motive))
+        dual = cartier_dual(motive)
+        dual_report = unipotent_radical(dual)
         if (report.dim_B, report.dim_Z) != \
                 (dual_report.dim_B, dual_report.dim_Z):
             failures.append("%s: dual motive reports different dims"
                             % (label,))
-        double = cartier_dual(cartier_dual(motive))
-        if not motive.structurally_equal(double):
+        if not motive.structurally_equal(cartier_dual(dual)):
             failures.append("%s: double dual differs from the motive"
                             % (label,))
         scaled = unipotent_radical(_scaled_motive(motive, 2))

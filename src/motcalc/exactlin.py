@@ -13,8 +13,8 @@ Everything downstream runs on the three types defined here:
   Gauss–Jordan kernel that divides exactly by the previous pivot
   (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
   Gaussian elimination", Math. Comp. 22 (1968)).  The checks of integral
-  actions (``lattices``, ``motive``) run on plain ints: ``_integer_rows``
-  scales a matrix by one denominator and ``_int_matmul`` multiplies.
+  actions (``lattices``, ``motive``) run on plain ints, multiplied by
+  ``_int_matmul``.
 * ``Subspace``: a subspace of Q^n, held as the integer rows of its
   reduced row echelon basis over one least denominator, and their
   pivots: a canonical form, so that equality is structural.  Spans,
@@ -24,6 +24,11 @@ Everything downstream runs on the three types defined here:
   style echelon generator matrix (canonical only when every pivot is 1);
   ``saturate`` intersects its Q-span with the ambient Z^n (the "up to
   isogeny" normalization).
+
+``Subspace``, the points and psi hold int rows over the least positive
+den.  Only this module converts that form: ``_integer_rows`` builds it,
+``_scaled`` multiplies it by an int, and ``_fraction_row`` reads a row
+back as ``Fraction``s, with one shared zero.
 
 Zero-dimensional ambients are legal everywhere: degenerate inputs
 (rank-0 lattices, empty point tuples) are first-class test cases, not
@@ -76,6 +81,20 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple:
     flat, d = _integer_row([x for row in rows for x in row])
     entries = iter(flat)
     return [list(islice(entries, len(row))) for row in rows], d
+
+
+def _fraction_row(row: Iterable[int], den: int) -> tuple:
+    """The ints ``row`` over ``den`` as ``Fraction``s, each zero the shared ``_ZERO``."""
+    return tuple(Fraction(x, den) if x else _ZERO for x in row)
+
+
+def _scaled(form: tuple, k: int) -> tuple:
+    """k times the integer form (rows, den), at the least den again:
+    k·rows/den is (k/g)·rows over den/g, with g = gcd(k, den)."""
+    rows, den = form
+    g = math.gcd(k, den)
+    k //= g
+    return tuple(tuple(k * x for x in row) for row in rows), den // g
 
 
 def _int_matmul(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list:
@@ -270,7 +289,7 @@ class RatMatrix:
         rows, pivots, last, _ = _gauss_jordan(
             [_integer_row(row)[0] for row in self._entries], self.cols
         )
-        reduced = tuple(tuple(Fraction(x, last) if x else _ZERO for x in row) for row in rows)
+        reduced = tuple(_fraction_row(row, last) for row in rows)
         return RatMatrix._of(self.rows, self.cols, reduced), pivots
 
     def det(self) -> Fraction:
@@ -290,9 +309,7 @@ class RatMatrix:
         rows, pivots, last, _ = _gauss_jordan(aug, n)
         if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return RatMatrix._of(
-            n, n, tuple(tuple(Fraction(x, last) if x else _ZERO for x in row[n:]) for row in rows)
-        )
+        return RatMatrix._of(n, n, tuple(_fraction_row(row[n:], last) for row in rows))
 
 
 def _reduce(den: int, echelon: Iterable, vec: Sequence[int]) -> list:
@@ -371,8 +388,7 @@ class Subspace:
     def rows(self) -> tuple:
         """The reduced echelon rows as ``Fraction`` tuples, built on first read."""
         if self._rows is None:
-            self._rows = tuple(tuple(Fraction(x, self.den) if x else _ZERO for x in row)
-                               for row in self.ints)
+            self._rows = tuple(_fraction_row(row, self.den) for row in self.ints)
         return self._rows
 
     def basis_columns(self) -> list:
@@ -413,8 +429,8 @@ def kernel(m: RatMatrix) -> Subspace:
     free = [c for c in range(m.cols) if c not in pivots]
     vectors = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+        v = [_ZERO] * m.cols
+        v[f] = _ONE
         for r, c in enumerate(pivots):
             v[c] = -red[r, f]
         vectors.append(v)
@@ -480,7 +496,7 @@ class QuotientSpace:
     def project(self, vec) -> tuple:
         """Quotient coordinates of an ambient vector."""
         v, scale = self.relations._remainder(vec)
-        return tuple(Fraction(v[j], scale) if v[j] else _ZERO for j in self.free)
+        return _fraction_row([v[j] for j in self.free], scale)
 
     def generator(self, i: int) -> tuple:
         """Image of the i-th ambient unit vector."""

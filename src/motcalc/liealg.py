@@ -27,9 +27,8 @@ the module axiom can be verified exactly on basis elements without ever
 evaluating a pairing.
 """
 
-from fractions import Fraction
-
 from .errors import ValidationError
+from .exactlin import _ONE, _ZERO
 from .pairings import (
     BlockSpace,
     TorusPairingClass,
@@ -109,7 +108,7 @@ def _weil_key(variety, a_point, b_point):
 
 
 def _add_term(table, key, coeff):
-    total = table.get(key, Fraction(0)) + coeff
+    total = table.get(key, _ZERO) + coeff
     if total:
         table[key] = total
     else:
@@ -133,7 +132,7 @@ class ActionMaps:
         """Action of E_-1 on X, landing in A: evaluation on the XA part."""
         part, copy, point = x
         if part == XA and copy == k:
-            return {point: Fraction(1)}
+            return {point: _ONE}
         return {}
 
     def alpha2(self, x, point_sum):

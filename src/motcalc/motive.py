@@ -13,10 +13,10 @@ form (X, Yv, A, A*, v, v*, psi):
 * ``psi``: an r x s matrix of values in a multiplicative group, the
   trivialization of the pullback of the Poincare biextension.
 
-The points and psi are also held as integers over one least
-denominator (``PointVector.integer_coords``, ``psi_integer_rows``),
-which the entry check computes once and the radical reads; the
-``Fraction`` forms of a derived motive are built only when read.
+The points and psi are held as integers over one least denominator
+(``PointVector.integer_coords``, ``psi_integer_rows``), which the entry
+check computes once and the radical reads.  psi is held only in that
+form, and its ``Fraction`` table is built on first read of ``psi``.
 
 The group G itself is never materialized; every computation downstream
 consumes the 7-tuple directly.  Tracked points and psi values are taken
@@ -36,11 +36,9 @@ Cartier duality exchanges the two halves of the 7-tuple and transposes
 psi; it is an involution.
 """
 
-from fractions import Fraction
-
 from .abelian import AbelianVarietyModel, PointVector
 from .errors import ValidationError
-from .exactlin import _ZERO, _int_matmul, _integer_rows, rat
+from .exactlin import _fraction_row, _int_matmul, _integer_rows
 from .lattices import GaloisLattice, dual, tensor
 from .multgroup import MultSpace
 
@@ -72,7 +70,7 @@ class OneMotive:
         self.vstar = self._check_points(vstar, Astar, Yv.rank, "vstar")
 
         self.mult_space = mult_space if mult_space is not None else MultSpace()
-        self._psi, self._psi_ints = self._check_psi(psi)
+        self._psi, self._psi_ints = None, self._check_psi(psi)
         self._check_equivariance()
 
     @classmethod
@@ -82,8 +80,8 @@ class OneMotive:
         The parts must be what the public constructor stores: ``v`` and
         ``vstar`` are point vectors (None without an abelian part) and
         ``psi_ints`` is psi's integer form (rows, den) of
-        ``psi_integer_rows``, which fixes the ``Fraction`` tuples of
-        ``psi``; they are built on first read.  The callers derive the
+        ``psi_integer_rows``, the one form of psi that any motive holds
+        (``psi`` is built from it on first read).  The callers derive the
         parts from a motive that passed the public checks, by a map that
         keeps every check true:
 
@@ -124,27 +122,23 @@ class OneMotive:
         return points
 
     def _check_psi(self, psi):
-        """psi as ``Fraction`` tuples, and its integer form (rows, den):
-        row k holds psi[i][j][k] at i*s + j, over den, the lcm of every
-        denominator in psi."""
+        """psi's integer form (rows, den): row k holds psi[i][j][k] at
+        i*s + j, over den, the lcm of every denominator in psi.  An entry
+        that is not an exact rational raises ``TypeError``."""
         r, s, mu = self.X.rank, self.Yv.rank, self.mult_space.dim
         if psi is None:
-            return (tuple(tuple((rat(0),) * mu for _ in range(s))
-                          for _ in range(r)),
-                    (((0,) * (r * s),) * mu, 1))
-        rows = tuple(tuple(tuple(rat(c) for c in entry) for entry in row)
-                     for row in psi)
+            return ((0,) * (r * s),) * mu, 1
+        rows = [[tuple(entry) for entry in row] for row in psi]
         if len(rows) != r or any(len(row) != s for row in rows):
             raise ValidationError("psi must be an r x s matrix of values")
-        for row in rows:
-            for entry in row:
-                if len(entry) != mu:
-                    raise ValidationError(
-                        "psi entry has %d coordinates, value group has dim %d"
-                        % (len(entry), mu))
-        ints, den = _integer_rows(
-            [[entry[k] for row in rows for entry in row] for k in range(mu)])
-        return rows, (tuple(map(tuple, ints)), den)
+        entries = [entry for row in rows for entry in row]
+        for entry in entries:
+            if len(entry) != mu:
+                raise ValidationError(
+                    "psi entry has %d coordinates, value group has dim %d"
+                    % (len(entry), mu))
+        ints, den = _integer_rows([[e[k] for e in entries] for k in range(mu)])
+        return tuple(map(tuple, ints)), den
 
     def _check_equivariance(self):
         """P gx = P, Q gy = Q and gx^T C gy = C for every generator.
@@ -186,8 +180,7 @@ class OneMotive:
             s = self.s
             entries = list(zip(*rows)) if rows else [()] * (self.r * s)
             self._psi = tuple(
-                tuple(tuple(Fraction(x, den) if x else _ZERO for x in e)
-                      for e in entries[i * s:(i + 1) * s])
+                tuple(_fraction_row(e, den) for e in entries[i * s:(i + 1) * s])
                 for i in range(self.r))
         return self._psi
 

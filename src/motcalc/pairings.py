@@ -24,10 +24,8 @@ Sign conventions, fixed once and used everywhere:
   is always permitted under the isogeny convention).
 """
 
-from fractions import Fraction
-
 from .errors import ValidationError
-from .exactlin import RatMatrix
+from .exactlin import _ONE, _ZERO, RatMatrix
 from .lattices import GaloisLattice
 
 
@@ -201,9 +199,7 @@ def antisymmetrize(c):
     return c + swapped
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+_MINUS_ONE = -_ONE
 
 
 def _weil_table(x, y):

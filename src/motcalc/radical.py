@@ -47,10 +47,10 @@ Subspaces of X^v tensor Y are flattened with index (i, j) -> i*s + j.
 """
 
 import math
-from fractions import Fraction
 
 from .abelian import PointVector, smallest_subvariety
-from .exactlin import _ZERO, IntLattice, RatMatrix, Subspace, saturate
+from .exactlin import (_ZERO, IntLattice, RatMatrix, Subspace, _fraction_row,
+                       saturate)
 from .lattices import GaloisLattice
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -192,8 +192,8 @@ def _point_row(row, dz, coords, ints, d, zero):
         return zero
     if len(terms) == 1 and terms[0][0] == dz:
         return coords[terms[0][1]]
-    return tuple(Fraction(y, dz * d) if y else _ZERO for y in (
-        sum(x * ints[c][e] for x, c in terms) for e in range(len(zero))))
+    return _fraction_row((sum(x * ints[c][e] for x, c in terms)
+                          for e in range(len(zero))), dz * d)
 
 
 class RadicalReport:

@@ -1,6 +1,5 @@
 """Tests for abelian variety models and smallest-subvariety computation."""
 
-import doctest
 import itertools
 import random
 import signal
@@ -24,11 +23,6 @@ from motcalc.abelian import (
 )
 from motcalc.errors import UnsupportedModelError, ValidationError
 from motcalc.exactlin import RatMatrix, Subspace, _integer_rows, kernel
-
-
-def test_doctests():
-    failed, _ = doctest.testmod(abelian)
-    assert failed == 0
 
 
 # ---------------------------------------------------------------- algebras

@@ -180,6 +180,33 @@ def test_invalid_document_exits_3(capsys, tmp_path):
     assert "motives[0]" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+@pytest.mark.parametrize("text", ["0.5", " 1/2 ", "1_000", "1e3", "1e5000"])
+def test_rational_outside_the_grammar_exits_3(capsys, tmp_path, command, text):
+    bad = tmp_path / "rational.json"
+    bad.write_text(json.dumps({"mult_basis": ["q"], "motives": [
+        {"X_rank": 1, "Yv_rank": 1, "psi": [[[text]]]}]}))
+    code, out, err = run_main(capsys, command, str(bad))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "motives[0].psi[0][0][0]: cannot parse %r as a rational" % (text,) in err
+
+
+def test_signed_rationals_normalize(capsys, tmp_path):
+    source = tmp_path / "signed.json"
+    source.write_text(json.dumps({
+        "mult_basis": ["q", "t"],
+        "varieties": [{"name": "E", "g": 1, "points": ["P"], "dual": "Es"},
+                      {"name": "Es", "g": 1, "points": ["Q"], "dual": "E"}],
+        "motives": [{"X_rank": 1, "Yv_rank": 1, "A": "E", "v": [["-3/6"]],
+                     "vstar": [["+2"]], "psi": [[["-3/6", "+2"]]]}]}))
+    code, out, _ = run_main(capsys, "dual", str(source))
+    assert code == 0
+    entry = json.loads(out)["motives"][0]
+    assert (entry["v"], entry["vstar"]) == ([["2"]], [["-1/2"]])
+    assert entry["psi"] == [[["-1/2", "2"]]]
+
+
 def test_relator_mismatch_exits_3(capsys, tmp_path):
     order3 = [[0, -1], [1, -1]]
     payload = {

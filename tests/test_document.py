@@ -307,20 +307,23 @@ def test_check_invariants_names_the_subspace_scaling_moved(
         assert before.contains(vec) and any(vec)
 
 
+HALVES = {
+    "mult_basis": ["q", "t"],
+    "varieties": [
+        {"name": "E", "g": 1, "points": ["P", "R"], "dual": "Es"},
+        {"name": "Es", "g": 1, "points": ["Q"], "dual": "E"}],
+    "motives": [{
+        "X_rank": 2, "Yv_rank": 3, "A": "E",
+        "v": [["1/2", "-3/4"], [0, "5/6"]],
+        "vstar": [["1/2"], ["-1/4"], [3]],
+        "psi": [[["1/2", 0], ["1/4", "-1/3"], [0, 0]],
+                [[1, "7/8"], ["-1/2", "1/6"], ["2/3", 5]]]}],
+}
+
+
 def halves_document():
     """v, v* and psi with even denominators: 1/2 * 2 must read "1"."""
-    return parse_input(json.dumps({
-        "mult_basis": ["q", "t"],
-        "varieties": [
-            {"name": "E", "g": 1, "points": ["P", "R"], "dual": "Es"},
-            {"name": "Es", "g": 1, "points": ["Q"], "dual": "E"}],
-        "motives": [{
-            "X_rank": 2, "Yv_rank": 3, "A": "E",
-            "v": [["1/2", "-3/4"], [0, "5/6"]],
-            "vstar": [["1/2"], ["-1/4"], [3]],
-            "psi": [[["1/2", 0], ["1/4", "-1/3"], [0, 0]],
-                    [[1, "7/8"], ["-1/2", "1/6"], ["2/3", 5]]]}],
-    }))
+    return parse_input(json.dumps(HALVES))
 
 
 def entrywise_scaled(m, n):
@@ -365,23 +368,26 @@ def test_scaled_motive_without_abelian_part():
                                      for entry in row) for row in m.psi)
 
 
+CYCLIC_HALVES = {
+    "group": {"generators": 1, "relators": [[1, 1]]},
+    "mult_basis": ["q", "t"],
+    "varieties": [
+        {"name": "E", "g": 1, "points": ["P", "R"], "dual": "Es"},
+        {"name": "Es", "g": 1, "points": ["Q"], "dual": "E"}],
+    "motives": [{
+        "X_rank": 2, "Yv_rank": 2, "A": "E",
+        "X_action": [[[0, 1], [1, 0]]], "Yv_action": [[[0, 1], [1, 0]]],
+        "v": [["1/2", "-3/4"], ["1/2", "-3/4"]],
+        "vstar": [["2/3"], ["2/3"]],
+        "psi": [[["1/2", 0], ["-3/4", "5/6"]],
+                [["-3/4", "5/6"], ["1/2", 0]]]}],
+}
+
+
 def cyclic_halves_document():
     """The swap on X and Yv, with v, v* and psi fixed by it and with
     denominators."""
-    return parse_input(json.dumps({
-        "group": {"generators": 1, "relators": [[1, 1]]},
-        "mult_basis": ["q", "t"],
-        "varieties": [
-            {"name": "E", "g": 1, "points": ["P", "R"], "dual": "Es"},
-            {"name": "Es", "g": 1, "points": ["Q"], "dual": "E"}],
-        "motives": [{
-            "X_rank": 2, "Yv_rank": 2, "A": "E",
-            "X_action": [[[0, 1], [1, 0]]], "Yv_action": [[[0, 1], [1, 0]]],
-            "v": [["1/2", "-3/4"], ["1/2", "-3/4"]],
-            "vstar": [["2/3"], ["2/3"]],
-            "psi": [[["1/2", 0], ["-3/4", "5/6"]],
-                    [["-3/4", "5/6"], ["1/2", 0]]]}],
-    }))
+    return parse_input(json.dumps(CYCLIC_HALVES))
 
 
 def as_text(rows):
@@ -391,7 +397,15 @@ def as_text(rows):
 @pytest.mark.parametrize("n", [2, 3, -1])
 @pytest.mark.parametrize("make", [halves_document, cyclic_halves_document])
 def test_points_and_psi_integer_forms(make, n):
-    _, m = make().motives[0]
+    doc = make()
+    _, m = doc.motives[0]
+    # a parsed motive builds its Fraction psi only when psi is read
+    unipotent_radical(m)
+    assert check_invariants(doc) == []
+    assert m._psi is None
+    spec = {halves_document: HALVES, cyclic_halves_document: CYCLIC_HALVES}[make]
+    assert m.psi == tuple(tuple(tuple(map(Fraction, entry)) for entry in row)
+                          for row in spec["motives"][0]["psi"])
     r, s, mu = m.r, m.s, m.mult_space.dim
     for p in (m.v, m.vstar):
         ints, den = p.integer_coords()

@@ -1,6 +1,5 @@
 """Tests for the exact linear algebra substrate."""
 
-import doctest
 import itertools
 import math
 import random
@@ -26,11 +25,6 @@ from motcalc.exactlin import (
     space_intersect,
     space_sum,
 )
-
-
-def test_doctests():
-    failed, _ = doctest.testmod(exactlin)
-    assert failed == 0
 
 
 def random_matrix(rng, rows, cols, span=6):
@@ -337,6 +331,34 @@ def assert_apply_matches_sympy(m, vec):
 @given(apply_operands())
 def test_apply_against_sympy(operands):
     assert_apply_matches_sympy(*operands)
+
+
+@st.composite
+def integer_forms(draw):
+    """A canonical integer form (rows, den), gcd(den, every entry) = 1, with
+    den often > 1 and rows often zero."""
+    cols = draw(st.integers(0, 4))
+    row = st.lists(st.integers(-30, 30), min_size=cols, max_size=cols)
+    rows = draw(st.lists(st.one_of(st.just([0] * cols), row), max_size=4))
+    den = draw(st.integers(1, 12))
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    return tuple(tuple(x // g for x in r) for r in rows), den // g
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_forms(), st.sampled_from([k for k in range(-6, 7) if k]))
+def test_fraction_row_and_scaled_match_fraction_arithmetic(form, k):
+    rows, den = form
+    for r in rows:
+        got = exactlin._fraction_row(r, den)
+        assert got == tuple(Fraction(x, den) for x in r)
+        assert all(type(x) is Fraction for x in got)
+        assert all(x is exactlin._ZERO for x in got if not x)
+    k_rows, k_den = exactlin._scaled(form, k)
+    assert k_den > 0
+    assert math.gcd(k_den, *itertools.chain.from_iterable(k_rows)) == 1
+    assert [[Fraction(y, k_den) for y in r] for r in k_rows] == \
+        [[k * Fraction(x, den) for x in r] for r in rows]
 
 
 @pytest.mark.parametrize("rows, inner, cols", [

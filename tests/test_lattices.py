@@ -1,6 +1,5 @@
 """Tests for group actions on lattices."""
 
-import doctest
 import math
 import random
 
@@ -21,11 +20,6 @@ from motcalc.lattices import (
 )
 
 SWAP = RatMatrix.from_rows([[0, 1], [1, 0]])
-
-
-def test_doctests():
-    failed, _ = doctest.testmod(lattices)
-    assert failed == 0
 
 
 def swap_lattice():

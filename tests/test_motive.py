@@ -1,21 +1,13 @@
 """Tests for the 1-motive data model, weights and Cartier duality."""
 
-import doctest
-
 import pytest
 
-from motcalc import motive
 from motcalc.abelian import AbelianVarietyModel, PointVector, link_duals
 from motcalc.errors import ValidationError
 from motcalc.exactlin import RatMatrix
 from motcalc.lattices import ActionGroup, GaloisLattice
 from motcalc.motive import OneMotive, cartier_dual, gr, weight_filtration
 from motcalc.multgroup import MultSpace
-
-
-def test_doctests():
-    failed, _ = doctest.testmod(motive)
-    assert failed == 0
 
 
 def dual_pair(name="E", n=2):

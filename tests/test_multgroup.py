@@ -1,17 +1,10 @@
 """Tests for multiplicative value groups."""
 
-import doctest
-
 import pytest
 
 from motcalc import multgroup
 from motcalc.errors import ValidationError
 from motcalc.multgroup import MultSpace
-
-
-def test_doctests():
-    failed, _ = doctest.testmod(multgroup)
-    assert failed == 0
 
 
 def test_independent_generators():

@@ -1,11 +1,9 @@
 """Tests for torus-valued pairing classes and the explicit biextension."""
 
-import doctest
 import itertools
 
 import pytest
 
-from motcalc import pairings
 from motcalc.abelian import AbelianVarietyModel, link_duals
 from motcalc.errors import ValidationError
 from motcalc.exactlin import RatMatrix
@@ -18,11 +16,6 @@ from motcalc.pairings import (
     assemble_example_biext,
     swap_pullback,
 )
-
-
-def test_doctests():
-    failed, _ = doctest.testmod(pairings)
-    assert failed == 0
 
 
 def dual_pair(name="A"):

@@ -1,6 +1,5 @@
 """Tests for the unipotent radical computation."""
 
-import doctest
 import glob
 import json
 import math
@@ -56,11 +55,6 @@ from motcalc.radical import (
     torus_Z,
     unipotent_radical,
 )
-
-
-def test_doctests():
-    failed, _ = doctest.testmod(radical)
-    assert failed == 0
 
 
 def psi_matrix(m):
