@@ -542,6 +542,72 @@ def test_end_algebra_reports_match_recorded_digests(capsys, tmp_path, label):
     assert tuple(digests) == END_ALGEBRA_DIGESTS[label]
 
 
+# A document whose rationals are written every way the grammar allows:
+# "p/q", "+p" and unreduced "-3/6" entries in v, v* and psi, point
+# relations, mult_relations, and named points mixed with coordinate rows.
+# No corpus document has a "p/q" entry or mult_relations.
+RATIONAL_DOCUMENT = {
+    "mult_basis": ["q1", "q2", "q3", "q4"],
+    "mult_relations": [["-2", "+1", 0, 0], ["1/3", 0, "-3/6", 0]],
+    "varieties": [
+        {"name": "E", "g": 1, "points": ["P1", "P2", "P3"],
+         "relations": [["-4/2", "+1", 0]], "dual": "Es"},
+        {"name": "Es", "g": 1, "points": ["Q1", "Q2", "Q3"],
+         "relations": [["3/6", "-1", "+1"]], "dual": "E"},
+    ],
+    "motives": [
+        {"name": "rational", "X_rank": 2, "Yv_rank": 2, "A": "E",
+         "v": ["P2", ["1/3", "-3/6"]], "vstar": [["+2", "5/7"], "Q3"],
+         "psi": [[["1/2", "+1", 0, "-3/6"], ["2", 0, "7/3", 1]],
+                 [[0, "-3/6", 1, "+4"], ["1", "1", "1", "1"]]]},
+        {"name": "torus", "X_rank": 1, "Yv_rank": 2,
+         "psi": [[["-3/6", "+1", 0, "2/4"], [0, 0, 0, 0]]]},
+    ],
+}
+
+# sha256 of ``analyze --format json --check-invariants`` and of ``dual`` on
+# RATIONAL_DOCUMENT, recorded while the parser read each entry as a Fraction.
+RATIONAL_DOCUMENT_DIGESTS = (
+    "64bf08be5670c52b1f09a318c89e5c93714d99867d26e56a9bbad2e64429252f",
+    "d242074b763afe3f4dcd29e0e1d6bd88bf87b9c8db4c171a2abb74c6b1c08959")
+
+
+def test_rational_document_matches_recorded_digests(capsys, tmp_path):
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(RATIONAL_DOCUMENT), encoding="utf-8")
+    digests = []
+    for argv in (("analyze", "--format", "json", "--check-invariants"),
+                 ("dual",)):
+        code, out, _ = run_main(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == RATIONAL_DOCUMENT_DIGESTS
+
+
+@pytest.mark.parametrize("field", ["psi", "v", "mult_relations"])
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000, "1/0"],
+                         ids=["numerator_past_the_digit_limit",
+                              "denominator_past_the_digit_limit",
+                              "zero_denominator"])
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_rational_past_the_integer_route_exits_3(capsys, tmp_path, command,
+                                                  text, field):
+    doc = json.loads(json.dumps(RATIONAL_DOCUMENT))
+    first = doc["motives"][0]
+    if field == "psi":
+        first["psi"][0][1][2], where = text, "motives[0].psi[0][1][2]"
+    elif field == "v":
+        first["v"][1][0], where = text, "motives[0].v[1][0]"
+    else:
+        doc["mult_relations"][1][0], where = text, "mult_relations[1][0]"
+    bad = tmp_path / "limit.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_main(capsys, command, str(bad))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "%s: cannot parse %r as a rational" % (where, text) in err
+
+
 @pytest.mark.parametrize("name", sorted(
     os.path.basename(p) for p in glob.glob(os.path.join(CORPUS_DIR, "*.json"))))
 @pytest.mark.parametrize("argv", [("dual",), ("gr", "--format", "json")])
