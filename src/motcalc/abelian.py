@@ -474,8 +474,8 @@ class PointVector:
     coords[j][k] == ints[j][k] / den, int tuples over den, the lcm of the
     denominators (the least one, so the form is canonical).  Each form is
     built from the other on first read and kept: the radical reads only
-    the integer form, so a copy wrapped from one (``_of_ints``) builds no
-    ``Fraction`` unless something reads ``coords``.
+    the integer form, so points wrapped from one (``_of_ints``: parsed, or
+    a scaled copy) build no ``Fraction`` unless something reads ``coords``.
     """
 
     def __init__(self, variety, coords):

@@ -3,13 +3,15 @@
 An input document is a single JSON object describing abelian variety
 models, an optional Galois action group, a multiplicative value group,
 and a list of motives over these.  A rational is an integer or a string
-"p" or "p/q" of ASCII digits, p optionally signed; every declared name
-must resolve; validation failures carry the JSON path of the offending
-field.  Every list-valued field is read through ``_items``, which checks
-that it is a list (of the length the schema fixes, if any) and pairs
-each item with its path ``field[i]``, and every constructor on parsed
-data runs through ``_build``, which reports a ValueError it raises at
-the field's path.
+"p" or "p/q" of ASCII digits, p optionally signed, and each list of them
+is read once into the integer form (ints, den) the motive holds
+(``_parse_row``): ``Fraction``s are built only on first read of
+``coords``, ``psi`` or ``rows``.  Every declared name must resolve;
+validation failures carry the JSON path of the offending field.  Every
+list-valued field is read through ``_items``, which checks that it is a
+list (of the length the schema fixes, if any) and pairs each item with
+its path ``field[i]``, and every constructor on parsed data runs through
+``_build``, which reports a ValueError it raises at the field's path.
 
 The same schema is used for machine-readable output, so documents can be
 regenerated: parsing and serializing is idempotent after one
@@ -42,15 +44,15 @@ self-dual variety acts by its own "end_action" and takes no transfer.
 """
 
 import json
-import re
-from fractions import Fraction
+import math
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .abelian import AbelianVarietyModel, EndAlgebraRep, PointVector, \
     link_duals
 from .errors import UnreadableInputError, UnsupportedModelError, \
     ValidationError
-from .exactlin import QuotientSpace, RatMatrix, _scaled
+from .exactlin import QuotientSpace, RatMatrix, _fraction_row, _integer_row, \
+    _least, _ratio, _scaled, _stacked
 from .lattices import ActionGroup, GaloisLattice, TRIVIAL_GROUP
 from .liealg import build_E
 from .motive import OneMotive, cartier_dual, gr, weight_filtration
@@ -88,21 +90,14 @@ def _build(where, constructor, *args, **kwargs):
         _fail(where, str(exc))
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def parse_rational(value, where):
+    """(p, q), q > 0, for an int or a string of ``exactlin._ratio``."""
     if isinstance(value, bool):
         _fail(where, "expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
-        if _RATIONAL.fullmatch(value):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):  # past 4300 digits, or "p/0"
-                pass
-        _fail(where, "cannot parse %r as a rational" % (value,))
+        return _build(where, _ratio, value)
     _fail(where, "expected an integer or a 'p/q' string")
 
 
@@ -119,15 +114,21 @@ def _parse_int(value, where, minimum=0):
     return value
 
 
-def _parse_vector(value, where, length=None):
-    return tuple(parse_rational(x, path) for path, x in
-                 _items(value, where, "a list of rationals", length))
+def _parse_row(value, where, length=None):
+    """The list of rationals ``value`` as its least integer form."""
+    if type(value) is list and length in (None, len(value)) and all(
+            type(x) is int for x in value):
+        return tuple(value), 1
+    pairs = [parse_rational(x, path) for path, x in
+             _items(value, where, "a list of rationals", length)]
+    den = math.lcm(*(q for _, q in pairs))
+    return _least([p * (den // q) for p, q in pairs], den)
 
 
 def _parse_square_matrix(value, where, size):
-    rows = [_parse_vector(row, path, size) for path, row in
-            _items(value, where, "a matrix as a list of rows", size, "rows")]
-    return RatMatrix(size, size, rows)
+    return RatMatrix._of(size, size, tuple(
+        _fraction_row(*_parse_row(row, path, size)) for path, row in
+        _items(value, where, "a matrix as a list of rows", size, "rows")))
 
 
 def _parse_matrix_list(value, where, count, size):
@@ -145,9 +146,10 @@ def _check_keys(obj, where, allowed, required=()):
             _fail(where, "missing required field %r" % (key,))
 
 
-def _vec_json(vec):
-    # str gives "p" or "p/q" for a Fraction and "p" for an int
-    return list(map(str, vec))
+def _vec_json(vec, den=1):
+    # str gives "p" or "p/q" for a Fraction and "p" for an int; ints over a
+    # den > 1 are written as their Fractions
+    return list(map(str, vec if den == 1 else _fraction_row(vec, den)))
 
 
 def _mat_json(m):
@@ -205,14 +207,15 @@ class _Variety:
             if pname in self.point_names:
                 _fail(path, "duplicate point name %r" % (pname,))
             self.point_names.append(pname)
-        self.relations = [_parse_vector(rel, path, len(self.point_names))
+        self.relations = [_parse_row(rel, path, len(self.point_names))
                           for path, rel in _items(entry.get("relations", []),
                                                   where + ".relations",
                                                   "a list of rows")]
         if self.relations and not self.point_names:
             _fail(where + ".relations", "relations need declared points")
         self.quotient = _build(where + ".relations", QuotientSpace,
-                               len(self.point_names), self.relations)
+                               len(self.point_names),
+                               [row for row, _ in self.relations])
         self.algebra, self.action = None, ()
         self.declared = "end_generators" in entry
         if self.declared:
@@ -306,7 +309,7 @@ def _parse_varieties(entries):
         if rec.point_names:
             out["points"] = list(rec.point_names)
         if rec.relations:
-            out["relations"] = [_vec_json(rel) for rel in rec.relations]
+            out["relations"] = [_vec_json(*r) for r in rec.relations]
         if rec.declared:
             out["end_generators"] = [_mat_json(m)
                                      for m in rec.algebra.generators]
@@ -320,14 +323,11 @@ def _parse_varieties(entries):
     return models, normalized
 
 
-def _parse_point_entry(value, model, where):
+def _point_entry(value, model, where):
+    """A "v"/"vstar" entry, a point name or a row, as its integer form."""
     if isinstance(value, str):
-        return _build(where, model.point, value)
-    return _parse_vector(value, where, model.point_space_dim)
-
-
-def _normalize_point_entry(value, parsed):
-    return value if isinstance(value, str) else _vec_json(parsed)
+        return _integer_row(_build(where, model.point, value))
+    return _parse_row(value, where, model.point_space_dim)
 
 
 def _parse_motive(entry, where, group, mult_space, models):
@@ -363,29 +363,29 @@ def _parse_motive(entry, where, group, mult_space, models):
                   "variety %r needs a dual link to serve as the abelian part"
                   % (a_name,))
         astar = a.dual
-        v_items = _items(entry.get("v", []), where + ".v", "a list", r)
-        vstar_items = _items(entry.get("vstar", []), where + ".vstar",
-                             "a list", s)
-        v_rows = [_parse_point_entry(e, a, path) for path, e in v_items]
-        vstar_rows = [_parse_point_entry(e, astar, path)
-                      for path, e in vstar_items]
-        kwargs = dict(A=a, Astar=astar, v=PointVector(a, v_rows),
-                      vstar=PointVector(astar, vstar_rows))
+        kwargs, points = dict(A=a, Astar=astar), {}
+        sides = [(k, m, _items(entry.get(k, []), where + "." + k, "a list", n))
+                 for k, m, n in (("v", a, r), ("vstar", astar, s))]
+        for key, model, items in sides:
+            points[key] = [_point_entry(e, model, path) for path, e in items]
+            kwargs[key] = PointVector._of_ints(model, *_stacked(points[key]))
     else:
         for key in ("v", "vstar"):
             path = "%s.%s" % (where, key)
             if key in entry and _items(entry[key], path, "a list"):
                 _fail(path, "given but the motive declares no abelian part")
 
-    psi = None
-    raw_psi = None
+    psi = raw_psi = None
     if "psi" in entry:
         width = len(mult_space.generator_names)
-        raw_psi = [[_parse_vector(vec, path, width) for path, vec in
+        raw_psi = [[_parse_row(vec, path, width) for path, vec in
                     _items(row, wrow, "a list of exponent vectors", s)]
                    for wrow, row in _items(entry["psi"], where + ".psi",
                                            "a list of rows", r, "rows")]
-        psi = [[mult_space.element(vec) for vec in row] for row in raw_psi]
+        # each value as ints, or as Fractions where it is not integral
+        psi = [[ints if den == 1 else _fraction_row(ints, den) for ints, den
+                in (mult_space.quotient._coords(*vec) for vec in row)]
+               for row in raw_psi]
 
     motive = _build(where, OneMotive, x, yv, psi=psi, mult_space=mult_space,
                     name=name, **kwargs)
@@ -399,12 +399,11 @@ def _parse_motive(entry, where, group, mult_space, models):
         normalized["Yv_action"] = [_mat_json(m) for m in yv.action]
     if "A" in entry:
         normalized["A"] = entry["A"]
-        normalized["v"] = [_normalize_point_entry(e, p)
-                           for (_, e), p in zip(v_items, v_rows)]
-        normalized["vstar"] = [_normalize_point_entry(e, p)
-                               for (_, e), p in zip(vstar_items, vstar_rows)]
+        for key, _, items in sides:
+            normalized[key] = [e if isinstance(e, str) else _vec_json(*p)
+                               for (_, e), p in zip(items, points[key])]
     if raw_psi is not None:
-        normalized["psi"] = [[_vec_json(vec) for vec in row]
+        normalized["psi"] = [[_vec_json(*vec) for vec in row]
                              for row in raw_psi]
     return normalized, motive
 
@@ -431,12 +430,13 @@ def parse_input(text):
     names = [_expect(n, str, path, "a string") for path, n in
              _items(data.get("mult_basis", []), "mult_basis",
                     "a list of names")]
-    relations = [_parse_vector(rel, path, len(names)) for path, rel in
+    relations = [_parse_row(rel, path, len(names)) for path, rel in
                  _items(data.get("mult_relations", []), "mult_relations",
                         "a list of rows")]
     if relations and not names:
         _fail("mult_relations", "relations need mult_basis generators")
-    mult_space = _build("mult_basis", MultSpace, names, relations)
+    mult_space = _build("mult_basis", MultSpace, names,
+                        [row for row, _ in relations])
 
     models, varieties_norm = _parse_varieties(data.get("varieties", []))
 
@@ -460,7 +460,7 @@ def parse_input(text):
     if names:
         normalized["mult_basis"] = names
     if relations:
-        normalized["mult_relations"] = [_vec_json(rel) for rel in relations]
+        normalized["mult_relations"] = [_vec_json(*r) for r in relations]
     if varieties_norm:
         normalized["varieties"] = varieties_norm
     normalized["motives"] = [n for n, _ in motives]

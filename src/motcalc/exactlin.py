@@ -26,9 +26,9 @@ Everything downstream runs on the three types defined here:
   isogeny" normalization).
 
 ``Subspace``, the points and psi hold int rows over the least positive
-den.  Only this module converts that form: ``_integer_rows`` builds it,
-``_scaled`` multiplies it by an int, and ``_fraction_row`` reads a row
-back as ``Fraction``s, with one shared zero.
+den.  Only this module converts that form: ``_integer_rows``, ``_least``
+and ``_stacked`` build it, ``_scaled`` multiplies it by an int, and
+``_fraction_row`` reads a row back as ``Fraction``s, with one shared zero.
 
 Zero-dimensional ambients are legal everywhere: degenerate inputs
 (rank-0 lattices, empty point tuples) are first-class test cases, not
@@ -43,6 +43,7 @@ errors.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import chain, islice
 from operator import add, mul
@@ -51,14 +52,23 @@ from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _ratio(text: str) -> tuple:
+    """(p, q), q > 0, for a rational as a string: "p" or "p/q" in ASCII digits, p signed or not."""
+    try:
+        return int((match := _RATIONAL.fullmatch(text))[1]), int(match[2] or 1)
+    except (TypeError, ValueError):  # no match, or past int's digit limit
+        raise ValueError(f"cannot parse {text!r} as a rational") from None
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string, or Fraction to an exact Fraction."""
+    """Coerce an int, a string of ``_ratio``'s grammar, or a Fraction to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        return Fraction(*_ratio(x)) if isinstance(x, str) else Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -81,6 +91,18 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple:
     flat, d = _integer_row([x for row in rows for x in row])
     entries = iter(flat)
     return [list(islice(entries, len(row))) for row in rows], d
+
+
+def _least(row: Sequence[int], den: int) -> tuple:
+    """The integer form (row, den), den > 0, at the least den."""
+    g = math.gcd(den, *row)
+    return tuple(x // g for x in row), den // g
+
+
+def _stacked(forms: Sequence[tuple]) -> tuple:
+    """One integer form (rows, den) of rows given each as its own least (row, d)."""
+    den = math.lcm(*(d for _, d in forms))
+    return tuple(tuple(x * (den // d) for x in row) for row, d in forms), den
 
 
 def _fraction_row(row: Iterable[int], den: int) -> tuple:
@@ -394,15 +416,11 @@ class Subspace:
     def basis_columns(self) -> list:
         return list(self.rows)
 
-    def _remainder(self, vec: Sequence) -> tuple:
-        """(w, scale): vec reduced against the echelon rows is w / scale."""
-        v, d = _integer_row(tuple(vec))
+    def contains(self, vec: Sequence) -> bool:
+        v = _integer_row(tuple(vec))[0]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return _reduce(self.den, zip(self.pivots, self.ints), v), self.den * d
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._remainder(vec)[0])
+        return not any(_reduce(self.den, zip(self.pivots, self.ints), v))
 
     def contains_space(self, other: "Subspace") -> bool:
         """other ⊆ self: every echelon row of other reduces to zero."""
@@ -493,14 +511,23 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.free)
 
+    def _coords(self, ints: Sequence[int], den: int) -> tuple:
+        """Quotient coordinates of the vector ints/den, both integer forms at the least den."""
+        if len(ints) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        rel = self.relations
+        if not rel.pivots:  # no relations: the vector is its own image
+            return tuple(ints), den
+        v = _reduce(rel.den, zip(rel.pivots, rel.ints), ints)
+        return _least([v[j] for j in self.free], rel.den * den)
+
     def project(self, vec) -> tuple:
-        """Quotient coordinates of an ambient vector."""
-        v, scale = self.relations._remainder(vec)
-        return _fraction_row([v[j] for j in self.free], scale)
+        """Quotient coordinates of an ambient vector, as ``Fraction``s."""
+        return _fraction_row(*self._coords(*_integer_row(tuple(vec))))
 
     def generator(self, i: int) -> tuple:
         """Image of the i-th ambient unit vector."""
-        return self.project([int(j == i) for j in range(self.ambient_dim)])
+        return _fraction_row(*self._coords([int(j == i) for j in range(self.ambient_dim)], 1))
 
 
 # ----- integer lattices --------------------------------------------------

@@ -13,10 +13,10 @@ form (X, Yv, A, A*, v, v*, psi):
 * ``psi``: an r x s matrix of values in a multiplicative group, the
   trivialization of the pullback of the Poincare biextension.
 
-The points and psi are held as integers over one least denominator
-(``PointVector.integer_coords``, ``psi_integer_rows``), which the entry
-check computes once and the radical reads.  psi is held only in that
-form, and its ``Fraction`` table is built on first read of ``psi``.
+The points and psi are held only as integers over one least denominator
+(``PointVector.integer_coords``, ``psi_integer_rows``), which the radical
+reads.  The parser reads them as integer rows, and ``Fraction``s are
+built only on first read of ``coords`` or ``psi``.
 
 The group G itself is never materialized; every computation downstream
 consumes the 7-tuple directly.  Tracked points and psi values are taken

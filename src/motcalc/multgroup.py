@@ -5,7 +5,10 @@ the linear algebra downstream only the group generated by the occurring
 values matters, and only up to roots of unity: the relevant object is
 Gamma tensor Q for a finitely generated subgroup Gamma of k*.  A
 :class:`MultSpace` presents such a group by named generators plus declared
-multiplicative relations and hands out exact coordinate vectors.
+multiplicative relations and hands out exact coordinate vectors: the
+parser reads psi's exponent rows as ints into ``quotient._coords``, and
+``element`` is its ``Fraction`` view, so ``Fraction``s are built only on
+first read of ``psi``.
 
 Writing relations additively, a declared relation is an integer exponent
 vector (e_1, ..., e_k) asserting g_1^e_1 * ... * g_k^e_k is a root of

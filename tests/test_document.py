@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motcalc import document
+from motcalc import document, exactlin
 from motcalc.abelian import PointVector, SubvarietyData
 from motcalc.document import (
     analyze_motive,
@@ -437,6 +437,138 @@ def test_points_and_psi_integer_forms(make, n):
     unipotent_radical(copy)
     assert copy._psi is None
     assert copy.v._coords is None and copy.vstar._coords is None
+
+
+def oracle_rref(rows, n):
+    """The reduced echelon rows of Fraction rows of length n, with pivots."""
+    rows, out, pivots = [list(row) for row in rows], [], []
+    for c in range(n):
+        top = next((row for row in rows if row[c]), None)
+        if top is None:
+            continue
+        rows.remove(top)
+        top = [x / top[c] for x in top]
+        out = [[a - row[c] * b for a, b in zip(row, top)] for row in out]
+        rows = [[a - row[c] * b for a, b in zip(row, top)] for row in rows]
+        out.append(top)
+        pivots.append(c)
+    return out, pivots
+
+
+def oracle_project(vec, relations):
+    """Quotient coordinates of a Fraction vector modulo the span of
+    ``relations``: the vector reduced against their echelon rows, at the
+    columns that are not pivots."""
+    rows, pivots = oracle_rref(relations, len(vec))
+    vec = list(vec)
+    for p, row in zip(pivots, rows):
+        vec = [a - vec[p] * b for a, b in zip(vec, row)]
+    return [x for j, x in enumerate(vec) if j not in pivots]
+
+
+def oracle_form(rows):
+    ints, den = exactlin._integer_rows(rows)
+    return tuple(map(tuple, ints)), den
+
+
+RATIONAL_ENTRY = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(str),
+    st.integers(0, 6).map("+{}".format),
+    st.tuples(st.integers(-6, 6), st.integers(1, 6)).map("%d/%d".__mod__))
+
+
+@st.composite
+def rational_documents(draw):
+    """A trivial-group document with r, s <= 3 and every rational written
+    as an int, "p", "+p" or "p/q" (not always reduced), with optional
+    point and multiplicative relations and named points mixed with
+    coordinate rows; and its parsed values, computed with Fractions."""
+    def rows(count, width):
+        return draw(st.lists(st.lists(RATIONAL_ENTRY, min_size=width,
+                                      max_size=width),
+                             min_size=count, max_size=count))
+
+    def values(raw):
+        return [[Fraction(x) for x in row] for row in raw]
+
+    mu = draw(st.integers(0, 3))
+    names = ["q%d" % k for k in range(mu)]
+    mult_relations = rows(draw(st.integers(0, mu)), mu) if mu else []
+    varieties, points = [], {}
+    for name, dual in (("E", "Es"), ("Es", "E")):
+        n = draw(st.integers(0, 3))
+        relations = rows(draw(st.integers(0, n)), n) if n else []
+        entry = {"name": name, "g": 1, "dual": dual}
+        if n:
+            entry["points"] = ["%s%d" % (name, j) for j in range(n)]
+        if relations:
+            entry["relations"] = relations
+        varieties.append(entry)
+        unit = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+        named = {"%s%d" % (name, j): oracle_project(u, values(relations))
+                 for j, u in enumerate(unit)}
+        points[name] = (named, n - len(oracle_rref(values(relations), n)[1]))
+    r, s = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    motive = {"name": "m", "X_rank": r, "Yv_rank": s, "A": "E"}
+    coords = {}
+    for key, variety, rank in (("v", "E", r), ("vstar", "Es", s)):
+        named, dim = points[variety]
+        motive[key], coords[key] = [], []
+        for _ in range(rank):
+            if named and draw(st.booleans()):
+                label = draw(st.sampled_from(sorted(named)))
+                motive[key].append(label)
+                coords[key].append(named[label])
+            else:
+                row = rows(1, dim)[0]
+                motive[key].append(row)
+                coords[key].append([Fraction(x) for x in row])
+    motive["psi"] = [rows(s, mu) for _ in range(r)]
+    psi = [[oracle_project([Fraction(x) for x in e], values(mult_relations))
+            for e in row] for row in motive["psi"]]
+    payload = {"varieties": varieties, "motives": [motive]}
+    if names:
+        payload["mult_basis"] = names
+    if mult_relations:
+        payload["mult_relations"] = mult_relations
+    return payload, coords, psi
+
+
+def fraction_text(node):
+    """Each rational in nested lists as the text str gives its Fraction."""
+    if isinstance(node, list):
+        return [fraction_text(x) for x in node]
+    return str(Fraction(node))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_documents())
+def test_parsed_integer_forms_match_a_fraction_oracle(case):
+    """The parser's integer rows of v, v* and psi, and its normalized text,
+    equal what Fraction arithmetic gives on the same document."""
+    payload, coords, psi = case
+    doc = parse_input(json.dumps(payload))
+    _, m = doc.motives[0]
+    assert m.v.integer_coords() == oracle_form(coords["v"])
+    assert m.vstar.integer_coords() == oracle_form(coords["vstar"])
+    r, s, mu = m.r, m.s, m.mult_space.dim
+    assert m.psi_integer_rows() == oracle_form(
+        [[psi[i][j][k] for i in range(r) for j in range(s)]
+         for k in range(mu)])
+    assert m.psi == tuple(tuple(tuple(e) for e in row) for row in psi)
+    want = json.loads(json.dumps(payload))
+    want["varieties"].sort(key=lambda entry: entry["name"])
+    for entry in [want] + want["varieties"]:
+        for key in ("relations", "mult_relations"):
+            if key in entry:
+                entry[key] = fraction_text(entry[key])
+    entry = want["motives"][0]
+    for key in ("v", "vstar"):
+        entry[key] = [e if isinstance(e, str) else fraction_text(e)
+                      for e in entry[key]]
+    entry["psi"] = fraction_text(entry["psi"])
+    assert doc.normalized == want
 
 
 def formatted_radical_fields(motive):

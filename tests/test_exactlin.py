@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motcalc import exactlin
+from motcalc.multgroup import MultSpace
 from motcalc.exactlin import (
     IntLattice,
     QuotientSpace,
@@ -39,6 +40,19 @@ def test_rat_coercion():
     assert rat(Fraction(1, 7)) == Fraction(1, 7)
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", " 1/2 ", "1_000", "1e3", "1e200000", "1/0",
+    pytest.param("1" * 5000, id="digits_past_the_limit")])
+def test_rat_reads_only_the_rational_grammar(text):
+    """A string is "p" or "p/q" in ASCII digits, p optionally signed, as in
+    a document; "1e200000" does not build a 664,386-bit integer."""
+    with pytest.raises(ValueError, match="cannot parse"):
+        rat(text)
+    with pytest.raises(ValueError, match="cannot parse"):
+        MultSpace(["q"]).element({"q": text})
+    assert rat("+3") == 3 and rat("-3/6") == Fraction(-1, 2)
 
 
 def test_matrix_round_trip_is_identical():
