@@ -23,9 +23,10 @@ kernel: the closure of the generators grows one ``Subspace`` by each
 product outside it, and the coordinates of an element are its entries at
 that span's pivots times one inverse matrix.  ``_minimal_polynomial``
 eliminates the flattened powers of an integer matrix with
-``exactlin._gauss_jordan``, in ints; the field checks read it on each
-generator scaled to integer entries, and so does the finite-order check
-of ``lattices``, where ``_poly_divmod`` stays in ints.
+``exactlin._gauss_jordan``, in ints, first up to M^2 only; the field
+checks read it on each generator scaled to integer entries, and so does
+the finite-order check of ``lattices``, where ``_poly_divmod`` stays in
+ints.
 """
 
 import weakref
@@ -44,23 +45,28 @@ def _flat(m):
 def _minimal_polynomial(ints):
     """Monic minimal polynomial of a square integer matrix, constant coefficient first.
 
-    ``_gauss_jordan`` eliminates the flattened powers M^0, ..., M^n (n the
-    size, M given as integer rows) as columns.  Once M^k depends on the
-    powers before it so do all later ones, so the degree k is the number of
-    pivots, and column k gives M^k = sum_i c_i M^i.  The c_i are integers
-    (Gauss's lemma), so the result is a tuple of ints.
+    ``_gauss_jordan`` eliminates the flattened powers M^0, ..., M^k (M
+    given as integer rows) as columns, at k = n, the size, and before that
+    in a cheap first round at k = 2, which settles every degree up to 2
+    (below size 4 that round would be most of the full one, and is left
+    out).  Once M^j depends on the powers before it so do all later ones,
+    so the degree j is the number of pivots, and column j gives
+    M^j = sum_i c_i M^i.  The c_i are integers (Gauss's lemma), so the
+    result is a tuple of ints.
     """
     n = len(ints)
     cols = list(zip(*ints))
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     flats = [[x for row in power for x in row]]
-    for _ in range(n):
+    for k in range(1, n + 1):
         power = _int_matmul(power, cols)
         flats.append([x for row in power for x in row])
-    columns = [list(c) for c in zip(*flats)]
-    reduced, pivots, last, _ = _gauss_jordan(columns, n + 1)
-    k = len(pivots)
-    return tuple(-reduced[i][k] // last for i in range(k)) + (1,)
+        if k == n or k == 2 < n - 1:
+            reduced, pivots, last, _ = _gauss_jordan([list(c) for c in zip(*flats)], k + 1)
+            j = len(pivots)
+            if j <= k:
+                return tuple(-reduced[i][j] // last for i in range(j)) + (1,)
+    return (1,)  # n = 0
 
 
 def _poly_trim(p):
@@ -295,7 +301,8 @@ class AbelianVarietyModel:
         every linear relation that holds among the corresponding products
         of algebra generators.
     tracked_points:
-        Mapping from point names to coordinate tuples of length n.
+        Mapping from point names to coordinate tuples of length n, held
+        as integer forms (ints, den); ``point`` reads one as ``Fraction``s.
 
     A model may be linked to a dual model with :func:`link_duals`, after
     which ``model.dual`` is available.  There is no polarization data here;
@@ -341,13 +348,13 @@ class AbelianVarietyModel:
             for u in range(ginv.cols))
         self.tracked_points = {}
         for pname, coords in (tracked_points or {}).items():
-            vec = tuple(rat(c) for c in coords)
-            if len(vec) != point_space_dim:
+            ints, den = _integer_row(coords)
+            if len(ints) != point_space_dim:
                 raise ValidationError(
                     "point %r has %d coordinates, expected %d"
-                    % (pname, len(vec), point_space_dim)
+                    % (pname, len(ints), point_space_dim)
                 )
-            self.tracked_points[pname] = vec
+            self.tracked_points[pname] = tuple(ints), den
         self._dual = None
         self._primal = None
 
@@ -422,6 +429,9 @@ class AbelianVarietyModel:
         return self._primal
 
     def point(self, name):
+        return _fraction_row(*self._point_form(name))
+
+    def _point_form(self, name):
         if name not in self.tracked_points:
             raise ValidationError(
                 "model %r has no tracked point %r" % (self.name, name))
@@ -486,20 +496,20 @@ class PointVector:
                     "point entry has %d coordinates, expected %d"
                     % (len(row), variety.point_space_dim))
         self.variety = variety
-        self._coords, self._ints = rows, None
+        self._coords, self._ints, self._subvariety = rows, None, None
 
     @classmethod
     def _of(cls, variety, coords):
         """Wrap a tuple of ``Fraction`` tuples of the right length, unchecked."""
         p = object.__new__(cls)
-        p.variety, p._coords, p._ints = variety, coords, None
+        p.variety, p._coords, p._ints, p._subvariety = variety, coords, None, None
         return p
 
     @classmethod
     def _of_ints(cls, variety, ints, den):
         """Wrap an integer form (see the class) of the right shape, unchecked."""
         p = object.__new__(cls)
-        p.variety, p._coords, p._ints = variety, None, (ints, den)
+        p.variety, p._coords, p._ints, p._subvariety = variety, None, (ints, den), None
         return p
 
     @classmethod
@@ -527,6 +537,13 @@ class PointVector:
             ints, den = _integer_rows(self._coords)
             self._ints = tuple(map(tuple, ints)), den
         return self._ints
+
+    def subvariety(self):
+        """``smallest_subvariety`` of these points, computed on first read
+        and kept: a motive and its Cartier dual share their point vectors."""
+        if self._subvariety is None:
+            self._subvariety = smallest_subvariety(self)
+        return self._subvariety
 
     def flat(self):
         out = []

@@ -51,7 +51,7 @@ from .abelian import AbelianVarietyModel, EndAlgebraRep, PointVector, \
     link_duals
 from .errors import UnreadableInputError, UnsupportedModelError, \
     ValidationError
-from .exactlin import QuotientSpace, RatMatrix, _fraction_row, _integer_row, \
+from .exactlin import QuotientSpace, RatMatrix, _fraction_row, \
     _least, _ratio, _scaled, _stacked
 from .lattices import ActionGroup, GaloisLattice, TRIVIAL_GROUP
 from .liealg import build_E
@@ -125,10 +125,15 @@ def _parse_row(value, where, length=None):
     return _least([p * (den // q) for p, q in pairs], den)
 
 
+def _rationals(ints, den):
+    """The row ints/den: its ints when den is 1, else ``Fraction``s."""
+    return ints if den == 1 else _fraction_row(ints, den)
+
+
 def _parse_square_matrix(value, where, size):
-    return RatMatrix._of(size, size, tuple(
-        _fraction_row(*_parse_row(row, path, size)) for path, row in
-        _items(value, where, "a matrix as a list of rows", size, "rows")))
+    """A size x size matrix of rationals as its rows (``_rationals``)."""
+    return tuple(_rationals(*_parse_row(row, path, size)) for path, row in
+                 _items(value, where, "a matrix as a list of rows", size, "rows"))
 
 
 def _parse_matrix_list(value, where, count, size):
@@ -149,11 +154,11 @@ def _check_keys(obj, where, allowed, required=()):
 def _vec_json(vec, den=1):
     # str gives "p" or "p/q" for a Fraction and "p" for an int; ints over a
     # den > 1 are written as their Fractions
-    return list(map(str, vec if den == 1 else _fraction_row(vec, den)))
+    return list(map(str, _rationals(vec, den)))
 
 
-def _mat_json(m):
-    return [_vec_json(row) for row in m.row_list()]
+def _mat_json(rows):
+    return [_vec_json(row) for row in rows]
 
 
 class InputDocument:
@@ -225,10 +230,11 @@ class _Variety:
                 _fail(path, "need at least one matrix")
             degree = len(_items(gens[0][1], gens[0][0], "a matrix"))
             self.algebra = _build(path, EndAlgebraRep, degree, [
-                _parse_square_matrix(m, at, degree) for at, m in gens])
-            self.action = _parse_matrix_list(
+                RatMatrix.from_rows(_parse_square_matrix(m, at, degree))
+                for at, m in gens])
+            self.action = tuple(map(RatMatrix.from_rows, _parse_matrix_list(
                 entry.get("end_action", []), where + ".end_action",
-                len(gens), self.quotient.dim)
+                len(gens), self.quotient.dim)))
         elif "end_action" in entry:
             _fail(where + ".end_action", "requires end_generators")
         self.dual_name = entry.get("dual")
@@ -289,7 +295,7 @@ def _parse_varieties(entries):
                   "the dual variety %r shares this algebra" % (target.name,))
         target.algebra = source.algebra
         target.action = tuple(
-            _parse_square_matrix(m, path, target.quotient.dim)
+            RatMatrix.from_rows(_parse_square_matrix(m, path, target.quotient.dim))
             for path, m in source.transfer)
 
     models = {
@@ -297,8 +303,9 @@ def _parse_varieties(entries):
             rec.where, AbelianVarietyModel, rec.name, rec.g,
             end_algebra=rec.algebra, point_space_dim=rec.quotient.dim,
             end_action=rec.action,
-            tracked_points={pname: rec.quotient.generator(j)
-                            for j, pname in enumerate(rec.point_names)})
+            tracked_points={pname: _rationals(*rec.quotient._coords(
+                [int(i == j) for i in range(len(rec.point_names))], 1))
+                for j, pname in enumerate(rec.point_names)})
         for rec in records.values()}
     for a, b in pairs:
         _build(a.where + ".dual", link_duals, models[a.name], models[b.name])
@@ -311,13 +318,13 @@ def _parse_varieties(entries):
         if rec.relations:
             out["relations"] = [_vec_json(*r) for r in rec.relations]
         if rec.declared:
-            out["end_generators"] = [_mat_json(m)
+            out["end_generators"] = [_mat_json(m.row_list())
                                      for m in rec.algebra.generators]
-            out["end_action"] = [_mat_json(m) for m in rec.action]
+            out["end_action"] = [_mat_json(m.row_list()) for m in rec.action]
         if rec.dual_name is not None:
             out["dual"] = rec.dual_name
         if rec.transfer is not None:
-            out["dual_transfer"] = [_mat_json(m)
+            out["dual_transfer"] = [_mat_json(m.row_list())
                                     for m in records[rec.dual_name].action]
         normalized.append(out)
     return models, normalized
@@ -326,7 +333,7 @@ def _parse_varieties(entries):
 def _point_entry(value, model, where):
     """A "v"/"vstar" entry, a point name or a row, as its integer form."""
     if isinstance(value, str):
-        return _integer_row(_build(where, model.point, value))
+        return _build(where, model._point_form, value)
     return _parse_row(value, where, model.point_space_dim)
 
 
@@ -383,8 +390,7 @@ def _parse_motive(entry, where, group, mult_space, models):
                    for wrow, row in _items(entry["psi"], where + ".psi",
                                            "a list of rows", r, "rows")]
         # each value as ints, or as Fractions where it is not integral
-        psi = [[ints if den == 1 else _fraction_row(ints, den) for ints, den
-                in (mult_space.quotient._coords(*vec) for vec in row)]
+        psi = [[_rationals(*mult_space.quotient._coords(*vec)) for vec in row]
                for row in raw_psi]
 
     motive = _build(where, OneMotive, x, yv, psi=psi, mult_space=mult_space,
@@ -394,9 +400,9 @@ def _parse_motive(entry, where, group, mult_space, models):
     if name is not None:
         normalized["name"] = name
     if "X_action" in entry:
-        normalized["X_action"] = [_mat_json(m) for m in x.action]
+        normalized["X_action"] = list(map(_mat_json, x.integer_action))
     if "Yv_action" in entry:
-        normalized["Yv_action"] = [_mat_json(m) for m in yv.action]
+        normalized["Yv_action"] = list(map(_mat_json, yv.integer_action))
     if "A" in entry:
         normalized["A"] = entry["A"]
         for key, _, items in sides:
@@ -719,8 +725,8 @@ def analyze_motive(motive, reductive_dim=None):
         },
         "dual_radical": {
             "Zv_rank": dual_data.lattice.rank,
-            "Zv_action": [_rows_json(map(m.row, range(m.rows)), texts)
-                          for m in dual_data.lattice.action],
+            "Zv_action": [_rows_json(m, texts)
+                          for m in dual_data.lattice.integer_action],
             "characters": dual_chars,
             "V_astar": dual_astar,
             "V_a": dual_a,

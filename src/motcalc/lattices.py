@@ -2,20 +2,22 @@
 
 A Galois action on a character or cocharacter lattice always factors
 through a finite quotient, so it is entered here as a tuple of integer
-generator matrices, each of finite order (so of determinant +-1).  The
-operations are the ones the motive calculus needs: tensor products
-(Kronecker, row-major basis order, formed only when read) and duals
-(inverse transpose).
-``stable_closure`` of a subspace has no caller in the calculus, whose
-spans are stable by equivariance; it is kept as the reference the tests
-compare those spans against.
+generator matrices, each of finite order (so of determinant +-1), held
+as int rows.  The operations are the ones the motive calculus needs:
+tensor products (Kronecker, row-major basis order) and duals (inverse
+transpose), whose matrices, like the ``RatMatrix`` view ``action``, are
+formed only when read.  ``stable_closure`` of a subspace has no caller
+in the calculus, whose spans are stable by equivariance; it is kept as
+the reference the tests compare those spans against.
 
 An action is checked once, where it enters: the public ``GaloisLattice``
-constructor tests integrality, then, on the numerators as plain ints,
+constructor tests integrality, every relator (integer products), then
 finite order of each generator (its integer minimal polynomial divided
-by cyclotomic polynomials, which forces det +-1) and every relator
-(integer products).  ``dual`` and ``tensor`` build their result
-from lattices that passed that test, through the unchecked
+by cyclotomic polynomials, which forces det +-1) but those a relator
+g_k^n, a power of +k alone, has proved of finite order.  When a relator
+fails, finite order comes first, so the first failure and its message
+do not depend on the relators.  ``dual`` and ``tensor`` build their
+result from lattices that passed that test, through the unchecked
 ``GaloisLattice._of``: the dual and the tensor product of
 representations of a group are representations of it, with integral
 unimodular matrices, so checking them again could not fail.  Finite
@@ -80,63 +82,83 @@ TRIVIAL_GROUP = ActionGroup(0)
 class GaloisLattice:
     """A free Z-module of finite rank with an ActionGroup acting on it.
 
-    A tensor product a ⊗ b (see ``tensor``) keeps its factors and forms
-    its Kronecker matrices only when ``action`` is first read.
+    An action matrix is given as a ``RatMatrix`` or as rows of rationals
+    and held as int rows (``integer_action``), which equality compares.
+    A tensor product or a dual forms its rows only when they are read, and
+    ``action``, the ``RatMatrix`` view, is formed when it is read.
     """
 
-    __slots__ = ("group", "rank", "_action", "_factors")
+    __slots__ = ("group", "rank", "_rows", "_action", "_factors", "_source")
 
     def __init__(
         self,
         rank: int,
-        action: Optional[Iterable[RatMatrix]] = None,
+        action: Optional[Iterable] = None,
         group: Optional[ActionGroup] = None,
     ) -> None:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         if action is not None:
-            mats = tuple(action)
-        elif group is not None:
+            mats = [_integer_matrix(m, rank) for m in action]
+        elif group is not None and group.generator_count:
             # omitted action with an explicit group means the trivial action
-            mats = tuple(RatMatrix.identity(rank) for _ in range(group.generator_count))
+            mats = [tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))]
+            mats *= group.generator_count
         else:
-            mats = ()
+            mats = []
         if group is None:
             group = ActionGroup(len(mats)) if mats else TRIVIAL_GROUP
         if len(mats) != group.generator_count:
             raise ValueError("one action matrix per group generator required")
-        integral = []
-        for m in mats:
-            if m.rows != rank or m.cols != rank:
-                raise ValueError("action matrix shape does not match rank")
-            ints, d = _integer_rows(m.row_list())
-            if d != 1:
-                raise ValueError("action matrices must be integral")
-            if rank > 0 and not _has_finite_order(ints):
+        # a relator that holds and is a power of +k alone proves g_k of
+        # finite order; when one fails, each matrix is tested in turn first
+        held = str not in map(type, mats) and _relators_hold(group, rank, mats)
+        pinned = {w[0] for w in group.relators if held and w and set(w) == {abs(w[0])}}
+        for k, m in enumerate(mats, 1):
+            if type(m) is str:
+                raise ValueError(m)
+            if rank > 0 and k not in pinned and not _has_finite_order(m):
                 raise ValueError("action matrices must have finite order")
-            integral.append(ints)
-        _validate_relators(group, rank, integral)
-        self.group = group
-        self.rank = rank
-        self._action = mats
-        self._factors = None
+        if not held:
+            _validate_relators(group, rank, mats)
+        self.group, self.rank, self._rows = group, rank, tuple(mats)
+        self._action = self._factors = self._source = None
 
     @classmethod
-    def _of(cls, rank: int, action: tuple, group: ActionGroup) -> "GaloisLattice":
-        """Wrap a tuple of action matrices as it is, unchecked."""
+    def _of(cls, rank: int, rows: Optional[tuple], group: ActionGroup,
+            factors: Optional[tuple] = None, source=None) -> "GaloisLattice":
+        """Wrap a tuple of int-row action matrices as it is, unchecked; a
+        tensor product holds its ``factors``, a dual its ``source``, instead."""
         lat = object.__new__(cls)
-        lat.group = group
-        lat.rank = rank
-        lat._action = action
-        lat._factors = None
+        lat.group, lat.rank, lat._rows, lat._action = group, rank, rows, None
+        lat._factors, lat._source = factors, source
         return lat
 
     @property
+    def integer_action(self) -> tuple:
+        """The generator matrices as tuples of int rows, formed on first
+        read for a tensor product or a dual."""
+        if self._rows is None:
+            if self._factors is not None:
+                a, b = self._factors
+                self._rows = tuple(
+                    tuple(tuple(x * y for x in ra for y in rb) for ra in ma for rb in mb)
+                    for ma, mb in zip(a.integer_action, b.integer_action))
+            else:
+                self._rows = tuple(tuple(zip(*_int_inverse(m)))
+                                   for m in self._source.integer_action)
+        return self._rows
+
+    @property
     def action(self) -> tuple:
-        """The generator matrices, formed on first read for a tensor product."""
+        """The generator matrices as ``RatMatrix``, formed on first read."""
         if self._action is None:
-            a, b = self._factors
-            self._action = tuple(ma.kron(mb) for ma, mb in zip(a.action, b.action))
+            if self._factors is not None:
+                a, b = self._factors
+                self._action = tuple(ma.kron(mb) for ma, mb in zip(a.action, b.action))
+            else:
+                self._action = tuple(RatMatrix(self.rank, self.rank, m)
+                                     for m in self.integer_action)
         return self._action
 
     def __eq__(self, other) -> bool:
@@ -146,14 +168,10 @@ class GaloisLattice:
             and self.rank == other.rank
         ):
             return False
-        # equal factors give equal Kronecker matrices, but unequal ones can
-        # too (a ⊗ b = (-a) ⊗ (-b)), so only a match skips the matrices
-        if self._factors is not None and self._factors == other._factors:
-            return True
-        return self.action == other.action
+        return self.integer_action == other.integer_action
 
     def __hash__(self) -> int:
-        return hash((self.group, self.rank, self.action))
+        return hash((self.group, self.rank, self.integer_action))
 
     def __repr__(self) -> str:
         return f"GaloisLattice(rank {self.rank}, {self.group.generator_count} generators)"
@@ -162,8 +180,8 @@ class GaloisLattice:
 def tensor(a: GaloisLattice, b: GaloisLattice) -> GaloisLattice:
     """Tensor product lattice; basis e_i⊗f_j at flat index (i-1)·rank(b)+j.
 
-    The result holds a and b; its ``action``, the Kronecker products
-    ma ⊗ mb, is formed on first read.  On an element read as the
+    The result holds a and b; its matrices, the Kronecker products
+    ma ⊗ mb, are formed on first read.  On an element read as the
     rank(a) x rank(b) table C (row-major), ma ⊗ mb is C -> ma·C·mbᵀ, so
     a caller that has the factors can apply it without forming it.
 
@@ -174,27 +192,64 @@ def tensor(a: GaloisLattice, b: GaloisLattice) -> GaloisLattice:
     """
     if a.group != b.group:
         raise ValueError("tensor factors must share an action group")
-    lat = GaloisLattice._of(a.rank * b.rank, None, a.group)
-    lat._factors = (a, b)
-    return lat
+    return GaloisLattice._of(a.rank * b.rank, None, a.group, factors=(a, b))
 
 
 def dual(a: GaloisLattice) -> GaloisLattice:
     """Dual lattice; generators act by the inverse transpose.
 
-    The result is not checked again.  m -> m^-T is a homomorphism, so a
+    The result holds a, and forms its matrices m^-T, in ints, on first
+    read.  It is not checked again.  m -> m^-T is a homomorphism, so a
     relator that holds on a holds on its dual, and the inverse transpose
     of an integral unimodular matrix is integral and unimodular.
     """
-    return GaloisLattice._of(
-        a.rank,
-        tuple(m.inverse().transpose() for m in a.action),
-        a.group,
-    )
+    return GaloisLattice._of(a.rank, None, a.group, source=a)
 
 
-def _validate_relators(group: ActionGroup, rank: int, action: list) -> None:
-    """Multiply out each relator on integer generator matrices; reject one that is not I."""
+def _integer_matrix(m, rank: int):
+    """A RatMatrix or rows of rationals as a tuple of int rows, or the
+    message that rejects it."""
+    rows = m.row_list() if isinstance(m, RatMatrix) else m
+    if len(rows) != rank or any(len(row) != rank for row in rows):
+        return "action matrix shape does not match rank"
+    if all(type(x) is int for row in rows for x in row):
+        return tuple(map(tuple, rows))
+    ints, d = _integer_rows(rows)
+    return tuple(map(tuple, ints)) if d == 1 else "action matrices must be integral"
+
+
+def _int_inverse(m: Sequence[Sequence[int]]) -> list:
+    """m⁻¹ as int rows, for an integer matrix m of determinant ±1."""
+    n = len(m)
+    # [m | I] reduces to last·[I | m⁻¹], and det ±1 makes last ±1
+    rows, _, last, _ = _gauss_jordan(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)], n)
+    return [[x // last for x in row[n:]] for row in rows]
+
+
+def _relators_hold(group: ActionGroup, rank: int, action: list) -> bool:
+    """Whether every relator holds.  A product with an entry past
+    (rank·m)^rank, m the largest generator entry, counts as a failure: a
+    long word in a matrix of infinite order grows past it fast, and after a
+    failure finite order is tested first and rejects that matrix."""
+    if not group.relators:
+        return True
+    m = max([1, *(abs(x) for g in action for row in g for x in row)])
+    try:
+        _validate_relators(group, rank, action, (rank * m) ** rank)
+    except ValueError:
+        return False
+    return True
+
+
+def _validate_relators(group: ActionGroup, rank: int, action: list,
+                       bound: Optional[int] = None) -> None:
+    """Multiply out each relator on integer generator matrices; reject one
+    that is not I, or, given a bound, a product with an entry past it.
+
+    A negative letter's inverse is exact only for a generator of
+    determinant ±1.
+    """
     if not group.relators:
         return
     identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
@@ -204,11 +259,11 @@ def _validate_relators(group: ActionGroup, rank: int, action: list) -> None:
         for k in word:
             if k not in columns:
                 m = action[abs(k) - 1]
-                if k < 0:  # [m | I] reduces to last·[I | m⁻¹], and finite order makes last ±1
-                    rows, _, last, _ = _gauss_jordan([a + b for a, b in zip(m, identity)], rank)
-                    m = [[x // last for x in row[rank:]] for row in rows]
-                columns[k] = list(zip(*m))
+                columns[k] = list(zip(*(_int_inverse(m) if k < 0 else m)))
             prod = _int_matmul(prod, columns[k])
+            if bound is not None and any(max(row) > bound or -min(row) > bound
+                                         for row in prod):
+                raise ValueError(f"relator {word} outgrows {bound}")
         if prod != identity:
             raise ValueError(
                 f"relator {word} does not evaluate to the identity on rank-{rank} lattice"

@@ -143,9 +143,9 @@ class OneMotive:
     def _check_equivariance(self):
         """P gx = P, Q gy = Q and gx^T C gy = C for every generator.
 
-        P, Q (the points of v and v* as columns, held transposed) and the
-        psi components C are the integer forms the motive keeps, each over
-        one common denominator, and the products are compared in integers.
+        gx, gy (the lattices' int rows), P, Q (the points of v and v* as
+        columns, held transposed) and the psi components C are the integer
+        forms the motive keeps, and the products are compared in integers.
         """
         if not self.X.group.generator_count:
             return
@@ -157,8 +157,8 @@ class OneMotive:
         comps = [[list(row[i * s:(i + 1) * s]) for i in range(r)]
                  for row in self._psi_ints[0]] if r and s else []
         for k in range(self.X.group.generator_count):
-            gxt = _integer_rows(self.X.action[k].transpose().row_list())[0]
-            gyt = _integer_rows(self.Yv.action[k].transpose().row_list())[0]
+            gxt = list(zip(*self.X.integer_action[k]))
+            gyt = list(zip(*self.Yv.integer_action[k]))
             if pt is not None and _int_matmul(gxt, list(zip(*pt))) != pt:
                 raise ValidationError(
                     "v is not equivariant under generator %d" % (k,))
@@ -256,9 +256,9 @@ class WeightFiltration:
 class GradedPieces:
     """The split weight-graded object X + A + Y(1) of a 1-motive.
 
-    ``em2`` is X^v tensor Y (rank r*s).  It forms its (r*s) x (r*s)
-    Kronecker matrices only when ``em2.action`` is read, which no reader
-    on the analyze path does.
+    ``grm2`` is Y, the dual of Yv, and ``em2`` is X^v tensor Y (rank
+    r*s).  Each forms its matrices (inverse transposes, Kronecker
+    products) only when read, which no reader on the analyze path does.
     """
 
     def __init__(self, gr0, grm1, grm2):

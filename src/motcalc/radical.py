@@ -48,9 +48,8 @@ Subspaces of X^v tensor Y are flattened with index (i, j) -> i*s + j.
 
 import math
 
-from .abelian import PointVector, smallest_subvariety
-from .exactlin import (_ZERO, IntLattice, RatMatrix, Subspace, _fraction_row,
-                       saturate)
+from .abelian import PointVector
+from .exactlin import _ZERO, IntLattice, Subspace, _fraction_row, saturate
 from .lattices import GaloisLattice
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -77,11 +76,12 @@ def smallest_B(m):
     Per side this is ``smallest_subvariety`` of the frame points, one
     row space each: v and v* are equivariant, so the rows that span each
     module are fixed by its copy lattice (X^v or Y, tensored with the
-    identity of the endomorphism algebra).
+    identity of the endomorphism algebra).  Each is kept on its point
+    vector (``PointVector.subvariety``), which the Cartier dual shares.
     """
     if m.A is None:
         return BData(None, None)
-    return BData(smallest_subvariety(m.v), smallest_subvariety(m.vstar))
+    return BData(m.v.subvariety(), m.vstar.subvariety())
 
 
 def derived_torus_Z1(m, b_data):
@@ -325,8 +325,9 @@ def radical_cartier_dual(report):
     m = report.motive
     chars = _integral_basis(report.z)
     group = m.X.group
-    lattice = GaloisLattice._of(len(chars), (
-        RatMatrix.identity(len(chars)),) * group.generator_count, group)
+    n = len(chars)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    lattice = GaloisLattice._of(n, (identity,) * group.generator_count, group)
     if report.z.den == 1:
         extension = report.extension
     else:

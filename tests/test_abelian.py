@@ -296,6 +296,32 @@ def test_minimal_polynomial_examples(rows):
     assert_minimal_polynomial(RatMatrix.from_rows(rows))
 
 
+def block_sum(block, copies):
+    n = len(block)
+    return [[block[i % n][j % n] if i // n == j // n else 0
+             for j in range(n * copies)] for i in range(n * copies)]
+
+
+@pytest.mark.parametrize("rows, poly, powers", [
+    ([[-int(i == j) for j in range(12)] for i in range(12)], (1, 1), 2),
+    (block_sum([[0, -1], [1, -1]], 3), (1, 1, 1), 2),
+    ([[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)],
+     (-1, 0, 0, 0, 0, 1), 5),
+])
+def test_minimal_polynomial_stops_after_the_cheap_round(monkeypatch, rows, poly, powers):
+    """-I of rank 12 and an order-3 block sum of rank 6 form M and M^2
+    only; the 5-cycle, of degree 5, forms all five powers."""
+    products = []
+    original = abelian._int_matmul
+
+    def counting(a, b):
+        products.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(abelian, "_int_matmul", counting)
+    assert abelian._minimal_polynomial(rows) == poly
+    assert len(products) == powers
+
 def flatten(m):
     """Row-major flattening of a matrix into one coordinate tuple."""
     return tuple(x for row in m.row_list() for x in row)

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from motcalc import exactlin
 from motcalc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PARSE,
@@ -437,6 +438,26 @@ def test_generated_workloads_match_recorded_digests(capsys, tmp_path,
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == recorded[label], label
 
+
+def test_parse_reads_actions_and_points_as_ints(monkeypatch):
+    """Parsing a cyclic_relators document turns no action matrix or
+    tracked point into ``Fraction``s and back: the one conversion left is
+    psi's, in ``OneMotive._check_psi``."""
+    callers = []
+    for name in ("_integer_rows", "_fraction_row"):
+        original = getattr(exactlin, name)
+
+        def counting(*args, original=original, name=name):
+            callers.append((name, sys._getframe(1).f_code.co_name))
+            return original(*args)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("motcalc") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
+    documents = benchmark_generator().documents("cyclic_relators", 0)
+    for _, text in documents:
+        parse_input(text)
+    assert callers == [("_integer_rows", "_check_psi")] * len(documents)
 
 # sha256 of ``analyze --format json`` on two n = 8 documents of
 # perfbench/generate.py (seed 0), recorded when reports were written by

@@ -367,3 +367,124 @@ def test_stable_closure_idempotent_monotone():
 def test_trivial_group_is_shared_default():
     assert trivial_lattice(2).group is TRIVIAL_GROUP
     assert trivial_lattice(0).group is TRIVIAL_GROUP
+
+
+def generator_first_failure(rank, mats, group):
+    """The message of the first failing check when each generator's finite
+    order (``_has_finite_order``) is tested before the relators, or None."""
+    try:
+        for m in mats:
+            if rank and not lattices._has_finite_order(m):
+                raise ValueError("action matrices must have finite order")
+        lattices._validate_relators(group, rank, mats)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def relator_presentations(draw):
+    """One or two integer generators of one rank 1-4, unimodular or not,
+    with relators g^k and g^-k (k <= 12) and mixed words."""
+    pick = st.one_of(unimodular_matrices(), non_unimodular_matrices())
+    first = draw(pick)
+    n = len(first)
+    mats = [first] + [draw(pick.filter(lambda m: len(m) == n))
+                      for _ in range(draw(st.integers(0, 1)))]
+    letters = [k for g in range(1, len(mats) + 1) for k in (g, -g)]
+    # 8, 10 and 12 are multiples of every order of a finite-order matrix here
+    exponent = st.one_of(st.sampled_from((8, 10, 12)), st.integers(1, 12))
+    power = st.tuples(st.sampled_from(letters), exponent).map(
+        lambda t: (t[0],) * t[1])
+    mixed = st.lists(st.sampled_from(letters), min_size=1, max_size=8).map(tuple)
+    relators = draw(st.lists(st.one_of(power, mixed), max_size=3))
+    return n, mats, ActionGroup(len(mats), relators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relator_presentations())
+def test_relator_first_checks_decide_as_the_generator_first_oracle(case):
+    """Same accept or reject, and the same message, whether the matrices
+    come as RatMatrix or as int rows."""
+    n, mats, group = case
+    expected = generator_first_failure(n, mats, group)
+    for given_as in ([RatMatrix.from_rows(m) for m in mats], mats):
+        try:
+            GaloisLattice(n, given_as, group=group)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+
+
+def test_a_power_of_one_letter_pins_that_generator(monkeypatch):
+    calls = []
+    original = lattices._has_finite_order
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(lattices, "_has_finite_order", counting)
+    order3 = RatMatrix.from_rows([[0, -1], [1, -1]])
+    for relators, tested in ([[(1, 1, 1)], 0], [[(1,) * 6], 0], [[], 1],
+                             [[(-1, -1, -1)], 1], [[(1, -1)], 1]):
+        calls.clear()
+        GaloisLattice(2, [order3], group=ActionGroup(1, relators))
+        assert len(calls) == tested, relators
+    # g1^2 pins only the first generator
+    calls.clear()
+    GaloisLattice(2, [SWAP, order3], group=ActionGroup(2, [(1, 1)]))
+    assert calls == [2]
+    # a failing relator puts finite order first: the shear's message wins
+    shear = RatMatrix.from_rows([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="finite order"):
+        GaloisLattice(2, [shear], group=ActionGroup(1, [(1, 1)]))
+
+
+def test_a_long_power_of_an_infinite_order_matrix_is_given_up_early(monkeypatch):
+    """A pin word g^5000 on Arnold's cat map, whose powers grow
+    exponentially: the relators give up past (2·2)^2 = 16, after 4
+    products, and the finite-order test then rejects the map."""
+    calls = []
+    original = lattices._int_matmul
+
+    def counting(a, b):
+        calls.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(lattices, "_int_matmul", counting)
+    cat = RatMatrix.from_rows([[2, 1], [1, 1]])
+    with pytest.raises(ValueError, match="finite order"):
+        GaloisLattice(2, [cat], group=ActionGroup(1, [(1,) * 5000]))
+    assert len(calls) == 4
+
+def test_dual_forms_its_matrices_on_first_read(monkeypatch):
+    calls = []
+    original = lattices._int_inverse
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(lattices, "_int_inverse", counting)
+    shear = GaloisLattice(2, [RatMatrix.from_rows([[1, 1], [0, -1]])])
+    d = dual(shear)
+    assert calls == []
+    assert d.integer_action == (((1, 0), (1, -1)),)
+    assert calls == [2]
+    assert d.action[0] == RatMatrix.from_rows([[1, 0], [1, -1]])
+    assert d.action is d.action
+    assert calls == [2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dual_action_is_the_inverse_transpose(data):
+    n, mats = data.draw(finite_actions(2))
+    orders = [matrix_order(m) for m in mats]
+    group = ActionGroup(2, [(k + 1,) * o for k, o in enumerate(orders)])
+    x = GaloisLattice(n, mats, group=group)
+    assert dual(x).action == tuple(m.inverse().transpose() for m in mats)
+    assert dual(dual(x)) == x and x == dual(dual(x))
+    assert hash(dual(dual(x))) == hash(x)

@@ -30,7 +30,7 @@ from motcalc.exactlin import (
     space_intersect,
     space_sum,
 )
-from motcalc import exactlin, lattices, radical
+from motcalc import abelian, exactlin, lattices, radical
 from motcalc.document import (
     _scaled_motive,
     analyze_motive,
@@ -1023,6 +1023,26 @@ def test_analyze_and_check_form_no_kronecker_matrix(monkeypatch):
     assert gr(motive).em2.action[0].rows == 16
     assert calls == [(4, 4)]
 
+
+def test_analyze_and_check_invert_no_rational_matrix(monkeypatch):
+    """The duals X^v and Y invert in ints, and only when read."""
+    doc = parsed_cyclic_document(4)
+    inverses = count_calls(monkeypatch, "inverse", owner=RatMatrix)
+    _, motive = doc.motives[0]
+    analyze_motive(motive)
+    assert check_invariants(doc) == []
+    assert inverses == []
+
+
+def test_check_takes_each_point_vectors_subvariety_once(monkeypatch):
+    """The motive and its Cartier dual share v and v*; the scaled copy has
+    its own: 4 of the 6 B sides are computed."""
+    doc = parsed_cyclic_document()
+    calls = count_calls(monkeypatch, "smallest_subvariety", owner=abelian)
+    assert check_invariants(doc) == []
+    _, motive = doc.motives[0]
+    assert [p for (p,) in calls][:2] == [motive.v, motive.vstar]
+    assert len(calls) == 4
 
 def parsed_torus_document():
     """[Z -> Gm^2] with u(1) = (q^2, q): Z is spanned by (1, 1/2)."""
