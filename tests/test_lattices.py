@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -415,6 +416,34 @@ def test_relator_first_checks_decide_as_the_generator_first_oracle(case):
         except ValueError as exc:
             got = str(exc)
         assert got == expected
+
+
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+SHEAR = [[1, 1], [0, 1]]
+HALF = [[Fraction(1, 2), 0], [0, 1]]
+ORDER3 = [[0, -1], [1, -1]]
+MINUS = [[-1, 0], [0, -1]]
+FINITE = "action matrices must have finite order"
+
+
+@pytest.mark.parametrize("mats, group, message", [
+    ([IDENTITY3], ActionGroup(2), "one action matrix per group generator required"),
+    ([SHEAR, IDENTITY3], None, FINITE),
+    ([HALF, SHEAR], None, "action matrices must be integral"),
+    ([SHEAR, HALF], None, FINITE),
+    ([[[0, 1], [1, 0]], SHEAR], ActionGroup(2, [(1, 1), (2, 2)]), FINITE),
+    ([ORDER3], ActionGroup(1, [(1, 1)]),
+     "relator (1, 1) does not evaluate to the identity on rank-2 lattice"),
+    ([[[0, 1], [1, 0]], MINUS], ActionGroup(2, [(1, 1), (1, 2)]),
+     "relator (1, 2) does not evaluate to the identity on rank-2 lattice"),
+])
+def test_the_first_failure_names_the_mixed_fault_met_first(mats, group, message):
+    """Count, then each generator in turn (shape, integrality, finite
+    order), then the relators: the same message from RatMatrix and rows."""
+    for given_as in ([RatMatrix.from_rows(m) for m in mats], mats):
+        with pytest.raises(ValueError) as exc:
+            GaloisLattice(2, given_as, group=group)
+        assert str(exc.value) == message
 
 
 def test_a_power_of_one_letter_pins_that_generator(monkeypatch):
