@@ -490,7 +490,7 @@ class QuotientSpace:
     >>> q = QuotientSpace(2, [(-2, 1)])   # second generator is twice the first
     >>> q.dim
     1
-    >>> q.generator(0), q.generator(1)
+    >>> q.project((1, 0)), q.project((0, 1))
     ((Fraction(1, 2),), (Fraction(1, 1),))
     """
 
@@ -524,10 +524,6 @@ class QuotientSpace:
     def project(self, vec) -> tuple:
         """Quotient coordinates of an ambient vector, as ``Fraction``s."""
         return _fraction_row(*self._coords(*_integer_row(tuple(vec))))
-
-    def generator(self, i: int) -> tuple:
-        """Image of the i-th ambient unit vector."""
-        return _fraction_row(*self._coords([int(j == i) for j in range(self.ambient_dim)], 1))
 
 
 # ----- integer lattices --------------------------------------------------

@@ -5,19 +5,21 @@ through a finite quotient, so it is entered here as a tuple of integer
 generator matrices, each of finite order (so of determinant +-1), held
 as int rows.  The operations are the ones the motive calculus needs:
 tensor products (Kronecker, row-major basis order) and duals (inverse
-transpose), whose matrices, like the ``RatMatrix`` view ``action``, are
-formed only when read.  ``stable_closure`` of a subspace has no caller
-in the calculus, whose spans are stable by equivariance; it is kept as
-the reference the tests compare those spans against.
+transpose), which hold only the function that forms their rows on first
+read; ``action``, the ``RatMatrix`` view, is also formed when read.
+``stable_closure`` of a subspace has no caller in the calculus, whose
+spans are stable by equivariance; it is kept as the reference the tests
+compare those spans against.
 
-An action is checked once, where it enters: the public ``GaloisLattice``
-constructor tests integrality, every relator (integer products), then
-finite order of each generator (its integer minimal polynomial divided
-by cyclotomic polynomials, which forces det +-1) but those a relator
-g_k^n, a power of +k alone, has proved of finite order.  When a relator
-fails, finite order comes first, so the first failure and its message
-do not depend on the relators.  ``dual`` and ``tensor`` build their
-result from lattices that passed that test, through the unchecked
+An action is checked once, where it enters, in one pass that raises at
+the first failure: the public ``GaloisLattice`` constructor tests the
+matrix count, then each generator in turn (shape, integrality, then
+finite order), then each relator not already found to hold.  A relator
+g_k^n, a power of +k alone, that holds proves g_k of finite order; else
+the integer minimal polynomial is divided by cyclotomic polynomials,
+which forces det +-1.  So the first failure and its message do not
+depend on the relators.  ``dual`` and ``tensor`` build their result from
+lattices that passed that test, through the unchecked
 ``GaloisLattice._of``: the dual and the tensor product of
 representations of a group are representations of it, with integral
 unimodular matrices, so checking them again could not fail.  Finite
@@ -83,12 +85,13 @@ class GaloisLattice:
     """A free Z-module of finite rank with an ActionGroup acting on it.
 
     An action matrix is given as a ``RatMatrix`` or as rows of rationals
-    and held as int rows (``integer_action``), which equality compares.
-    A tensor product or a dual forms its rows only when they are read, and
-    ``action``, the ``RatMatrix`` view, is formed when it is read.
+    and held as int rows (``integer_action``), which equality compares; a
+    tensor product or a dual holds instead the function that forms its
+    rows on first read.  ``action`` is the ``RatMatrix`` view of the rows,
+    formed when it is read.
     """
 
-    __slots__ = ("group", "rank", "_rows", "_action", "_factors", "_source")
+    __slots__ = ("group", "rank", "_rows", "_action")
 
     def __init__(
         self,
@@ -99,66 +102,50 @@ class GaloisLattice:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         if action is not None:
-            mats = [_integer_matrix(m, rank) for m in action]
+            action = list(action)
         elif group is not None and group.generator_count:
             # omitted action with an explicit group means the trivial action
-            mats = [tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))]
-            mats *= group.generator_count
+            action = [tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))]
+            action *= group.generator_count
         else:
-            mats = []
+            action = []
         if group is None:
-            group = ActionGroup(len(mats)) if mats else TRIVIAL_GROUP
-        if len(mats) != group.generator_count:
+            group = ActionGroup(len(action)) if action else TRIVIAL_GROUP
+        if len(action) != group.generator_count:
             raise ValueError("one action matrix per group generator required")
-        # a relator that holds and is a power of +k alone proves g_k of
-        # finite order; when one fails, each matrix is tested in turn first
-        held = str not in map(type, mats) and _relators_hold(group, rank, mats)
-        pinned = {w[0] for w in group.relators if held and w and set(w) == {abs(w[0])}}
-        for k, m in enumerate(mats, 1):
-            if type(m) is str:
-                raise ValueError(m)
-            if rank > 0 and k not in pinned and not _has_finite_order(m):
+        rows, columns, proved = [], {}, set()
+        for k, m in enumerate(action, 1):
+            rows.append(_integer_matrix(m, rank))
+            # a relator g_k^n that holds proves g_k of finite order
+            powers = [i for i, w in enumerate(group.relators) if w and set(w) == {k}]
+            proved.update(i for i in powers
+                          if _holds(group.relators[i], rank, rows, columns, bounded=True))
+            if rank and proved.isdisjoint(powers) and not _has_finite_order(rows[-1]):
                 raise ValueError("action matrices must have finite order")
-        if not held:
-            _validate_relators(group, rank, mats)
-        self.group, self.rank, self._rows = group, rank, tuple(mats)
-        self._action = self._factors = self._source = None
+        _validate_relators(group, rank, rows, proved, columns)
+        self.group, self.rank, self._rows, self._action = group, rank, tuple(rows), None
 
     @classmethod
-    def _of(cls, rank: int, rows: Optional[tuple], group: ActionGroup,
-            factors: Optional[tuple] = None, source=None) -> "GaloisLattice":
-        """Wrap a tuple of int-row action matrices as it is, unchecked; a
-        tensor product holds its ``factors``, a dual its ``source``, instead."""
+    def _of(cls, rank: int, rows, group: ActionGroup) -> "GaloisLattice":
+        """Wrap a tuple of int-row action matrices, or a function that
+        forms it on first read, as it is, unchecked."""
         lat = object.__new__(cls)
         lat.group, lat.rank, lat._rows, lat._action = group, rank, rows, None
-        lat._factors, lat._source = factors, source
         return lat
 
     @property
     def integer_action(self) -> tuple:
-        """The generator matrices as tuples of int rows, formed on first
-        read for a tensor product or a dual."""
-        if self._rows is None:
-            if self._factors is not None:
-                a, b = self._factors
-                self._rows = tuple(
-                    tuple(tuple(x * y for x in ra for y in rb) for ra in ma for rb in mb)
-                    for ma, mb in zip(a.integer_action, b.integer_action))
-            else:
-                self._rows = tuple(tuple(zip(*_int_inverse(m)))
-                                   for m in self._source.integer_action)
+        """The generator matrices as tuples of int rows."""
+        if not isinstance(self._rows, tuple):
+            self._rows = self._rows()
         return self._rows
 
     @property
     def action(self) -> tuple:
         """The generator matrices as ``RatMatrix``, formed on first read."""
         if self._action is None:
-            if self._factors is not None:
-                a, b = self._factors
-                self._action = tuple(ma.kron(mb) for ma, mb in zip(a.action, b.action))
-            else:
-                self._action = tuple(RatMatrix(self.rank, self.rank, m)
-                                     for m in self.integer_action)
+            self._action = tuple(RatMatrix(self.rank, self.rank, m)
+                                 for m in self.integer_action)
         return self._action
 
     def __eq__(self, other) -> bool:
@@ -180,10 +167,10 @@ class GaloisLattice:
 def tensor(a: GaloisLattice, b: GaloisLattice) -> GaloisLattice:
     """Tensor product lattice; basis e_i⊗f_j at flat index (i-1)·rank(b)+j.
 
-    The result holds a and b; its matrices, the Kronecker products
-    ma ⊗ mb, are formed on first read.  On an element read as the
-    rank(a) x rank(b) table C (row-major), ma ⊗ mb is C -> ma·C·mbᵀ, so
-    a caller that has the factors can apply it without forming it.
+    The result forms its matrices, the Kronecker products ma ⊗ mb, on
+    first read.  On an element read as the rank(a) x rank(b) table C
+    (row-major), ma ⊗ mb is C -> ma·C·mbᵀ, so a caller that has the
+    factors can apply it without forming it.
 
     The result is not checked again.  (a, b) -> a ⊗ b is a homomorphism,
     so a relator that holds on both factors holds on the product; a
@@ -192,30 +179,40 @@ def tensor(a: GaloisLattice, b: GaloisLattice) -> GaloisLattice:
     """
     if a.group != b.group:
         raise ValueError("tensor factors must share an action group")
-    return GaloisLattice._of(a.rank * b.rank, None, a.group, factors=(a, b))
+    return GaloisLattice._of(a.rank * b.rank, lambda: _kron_rows(a, b), a.group)
+
+
+def _kron_rows(a: GaloisLattice, b: GaloisLattice) -> tuple:
+    """The Kronecker products of the int-row generator matrices of a and b."""
+    return tuple(tuple(tuple(x * y for x in ra for y in rb) for ra in ma for rb in mb)
+                 for ma, mb in zip(a.integer_action, b.integer_action))
 
 
 def dual(a: GaloisLattice) -> GaloisLattice:
     """Dual lattice; generators act by the inverse transpose.
 
-    The result holds a, and forms its matrices m^-T, in ints, on first
-    read.  It is not checked again.  m -> m^-T is a homomorphism, so a
-    relator that holds on a holds on its dual, and the inverse transpose
-    of an integral unimodular matrix is integral and unimodular.
+    The result forms its matrices m^-T, in ints, on first read.  It is
+    not checked again.  m -> m^-T is a homomorphism, so a relator that
+    holds on a holds on its dual, and the inverse transpose of an
+    integral unimodular matrix is integral and unimodular.
     """
-    return GaloisLattice._of(a.rank, None, a.group, source=a)
+    return GaloisLattice._of(
+        a.rank, lambda: tuple(tuple(zip(*_int_inverse(m))) for m in a.integer_action),
+        a.group)
 
 
-def _integer_matrix(m, rank: int):
-    """A RatMatrix or rows of rationals as a tuple of int rows, or the
-    message that rejects it."""
+def _integer_matrix(m, rank: int) -> tuple:
+    """A RatMatrix or rows of rationals as a tuple of int rows; a wrong
+    shape or a non-integral entry raises."""
     rows = m.row_list() if isinstance(m, RatMatrix) else m
     if len(rows) != rank or any(len(row) != rank for row in rows):
-        return "action matrix shape does not match rank"
+        raise ValueError("action matrix shape does not match rank")
     if all(type(x) is int for row in rows for x in row):
         return tuple(map(tuple, rows))
     ints, d = _integer_rows(rows)
-    return tuple(map(tuple, ints)) if d == 1 else "action matrices must be integral"
+    if d != 1:
+        raise ValueError("action matrices must be integral")
+    return tuple(map(tuple, ints))
 
 
 def _int_inverse(m: Sequence[Sequence[int]]) -> list:
@@ -227,44 +224,35 @@ def _int_inverse(m: Sequence[Sequence[int]]) -> list:
     return [[x // last for x in row[n:]] for row in rows]
 
 
-def _relators_hold(group: ActionGroup, rank: int, action: list) -> bool:
-    """Whether every relator holds.  A product with an entry past
-    (rank·m)^rank, m the largest generator entry, counts as a failure: a
-    long word in a matrix of infinite order grows past it fast, and after a
-    failure finite order is tested first and rejects that matrix."""
-    if not group.relators:
-        return True
-    m = max([1, *(abs(x) for g in action for row in g for x in row)])
-    try:
-        _validate_relators(group, rank, action, (rank * m) ** rank)
-    except ValueError:
-        return False
-    return True
+def _holds(word: Sequence[int], rank: int, action: list, columns: dict,
+           bounded: bool = False) -> bool:
+    """Whether the relator word multiplies out to I on the integer
+    generator matrices.  When bounded, a product with an entry past
+    (rank·m)^rank, m the largest entry of the word's generators, counts
+    as a failure: a power of a matrix of infinite order grows past it
+    fast.  ``columns`` caches each letter's columns, an inverse only for
+    a negative letter, which is exact only for determinant ±1."""
+    prod = identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    bound = (rank * max([1, *(abs(x) for k in set(word) for row in action[abs(k) - 1]
+                              for x in row)])) ** rank if bounded else None
+    for k in word:
+        if k not in columns:
+            m = action[abs(k) - 1]
+            columns[k] = list(zip(*(_int_inverse(m) if k < 0 else m)))
+        prod = _int_matmul(prod, columns[k])
+        if bounded and any(max(row) > bound or -min(row) > bound for row in prod):
+            return False
+    return prod == identity
 
 
 def _validate_relators(group: ActionGroup, rank: int, action: list,
-                       bound: Optional[int] = None) -> None:
-    """Multiply out each relator on integer generator matrices; reject one
-    that is not I, or, given a bound, a product with an entry past it.
-
-    A negative letter's inverse is exact only for a generator of
-    determinant ±1.
-    """
-    if not group.relators:
-        return
-    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    columns = {}  # letter -> columns of its matrix; an inverse only for a negative letter
-    for word in group.relators:
-        prod = identity
-        for k in word:
-            if k not in columns:
-                m = action[abs(k) - 1]
-                columns[k] = list(zip(*(_int_inverse(m) if k < 0 else m)))
-            prod = _int_matmul(prod, columns[k])
-            if bound is not None and any(max(row) > bound or -min(row) > bound
-                                         for row in prod):
-                raise ValueError(f"relator {word} outgrows {bound}")
-        if prod != identity:
+                       proved=(), columns: Optional[dict] = None) -> None:
+    """Multiply out each relator but those whose index is in ``proved``
+    on integer generator matrices of finite order, and reject the first
+    that is not I."""
+    columns = {} if columns is None else columns
+    for i, word in enumerate(group.relators):
+        if i not in proved and not _holds(word, rank, action, columns):
             raise ValueError(
                 f"relator {word} does not evaluate to the identity on rank-{rank} lattice"
             )

@@ -244,15 +244,16 @@ def test_quotient_space_single_relation():
     # generator 1 equals twice generator 0
     q = QuotientSpace(2, [(-2, 1)])
     assert q.dim == 1
-    assert q.generator(0) == (Fraction(1, 2),)
-    assert q.generator(1) == (Fraction(1),)
+    assert q.project((1, 0)) == (Fraction(1, 2),)
+    assert q.project((0, 1)) == (Fraction(1),)
 
 
 def test_quotient_space_presentation_independent():
     a = QuotientSpace(3, [(1, -1, 0), (0, 1, -1)])
     b = QuotientSpace(3, [(2, -2, 0), (1, 0, -1), (1, -1, 0)])
     for i in range(3):
-        assert a.generator(i) == b.generator(i)
+        unit = tuple(int(j == i) for j in range(3))
+        assert a.project(unit) == b.project(unit)
 
 
 def test_quotient_space_kills_relations():
@@ -495,7 +496,7 @@ def test_span_queries_run_no_elimination(monkeypatch):
     monkeypatch.setattr(exactlin, "_gauss_jordan", counting)
     assert s.contains((1, 3, 1, 4)) and not s.contains((0, 0, 0, 1))
     assert s.contains_space(t) and not t.contains_space(s)
-    assert q.project((1, -1, 2, 1)) == (0, 0) and q.generator(2) == (0, Fraction(-1, 2))
+    assert q.project((1, -1, 2, 1)) == (0, 0) and q.project((0, 0, 1, 0)) == (0, Fraction(-1, 2))
     assert calls == []
     Subspace(2, [(1, 1)])
     assert len(calls) == 1

@@ -129,24 +129,27 @@ def test_tensor_basis_order_is_row_major():
 
 def test_tensor_forms_its_action_on_first_read(monkeypatch):
     calls = []
-    original = RatMatrix.kron
+    original = lattices._kron_rows
 
-    def counting(self, other):
-        calls.append((self.rows, other.rows))
-        return original(self, other)
+    def counting(a, b):
+        calls.append((a.rank, b.rank))
+        return original(a, b)
 
-    monkeypatch.setattr(RatMatrix, "kron", counting)
+    monkeypatch.setattr(lattices, "_kron_rows", counting)
     group = ActionGroup(1)
     a = GaloisLattice(2, [SWAP], group=group)
     b = GaloisLattice(3, [RatMatrix.identity(3).scale(-1)], group=group)
     t = tensor(a, b)
     assert (t.rank, t.group) == (6, group)
-    # equal factors: equal without forming the matrices
-    assert t == tensor(a, b)
     assert calls == []
+    # the RatMatrix view is the Kronecker product, formed once
     assert t.action == (SWAP.kron(RatMatrix.identity(3).scale(-1)),)
     assert t.action is t.action
-    assert len(calls) == 2  # one for t, one for the expected value
+    assert calls == [(2, 3)]
+    # equal factors: equal, each side forming its rows once
+    assert t == tensor(a, b)
+    assert t.integer_action is t.integer_action
+    assert calls == [(2, 3), (2, 3)]
     # unequal factors with equal products: (-a) ⊗ (-b) = a ⊗ b
     neg_a = GaloisLattice(2, [SWAP.scale(-1)], group=group)
     neg_b = GaloisLattice(3, [RatMatrix.identity(3)], group=group)
