@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from motcalc import exactlin
+from motcalc import cli, exactlin
 from motcalc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PARSE,
@@ -346,6 +346,52 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch,
             out = capsys.readouterr().out
             assert (code, out) == (expected.returncode, expected.stdout), argv
     assert built == []
+
+
+def parse_outcome(capsys, parse, argv):
+    """Exit code (None when ``parse`` returns), stdout and stderr of parse(argv)."""
+    try:
+        parse(list(argv))
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+USAGE_FILE = corpus_path("z0.json")
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--help",), ("-h", "analyze"), ("analyze", "--help"),
+    ("frobnicate", USAGE_FILE), ("analyze",),
+    ("analyze", USAGE_FILE, "--bogus"),
+    ("gr", USAGE_FILE, "--format", "yaml"),
+    ("dual", USAGE_FILE, "--format", "json"),
+    ("analyze", USAGE_FILE, "--reductive-dim", "x"),
+], ids=["no_arguments", "help", "help_before_command", "command_help",
+        "unknown_command", "missing_file", "unknown_option",
+        "invalid_choice", "option_of_another_command", "invalid_int"])
+def test_main_stops_where_the_full_parser_stops(capsys, argv):
+    """A help request or a usage error gives the exit code, stdout and
+    stderr of the full parser; its usage text varies across Python
+    versions, so the parser is the reference, not a literal."""
+    expected = parse_outcome(capsys, cli._PARSER.parse_args, argv)
+    assert expected[0] is not None
+    assert parse_outcome(capsys, main, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", USAGE_FILE, "--form", "json"),
+    ("analyze", USAGE_FILE, "--format=json"),
+    ("analyze", "--format", "json", USAGE_FILE),
+    ("analyze", "--check-invariants", "--format=json", USAGE_FILE),
+], ids=["abbreviated_option", "option_with_equals", "option_before_file",
+        "options_before_file"])
+def test_spellings_of_an_analyze_call_print_one_report(capsys, argv):
+    expected = run_main(capsys, "analyze", USAGE_FILE, "--format", "json")
+    assert expected[0] == 0
+    assert run_main(capsys, *argv) == expected
 
 
 @pytest.mark.parametrize(
