@@ -336,16 +336,9 @@ class AbelianVarietyModel:
                     % (m.rows, m.cols, point_space_dim, point_space_dim)
                 )
         self.end_action = action
-        self._point_basis = tuple(
-            self._word_matrix(w) for w in self.end_algebra.words
-        )
-        self._check_action_relations()
-        # P*_u = sum_t (G^-1)_tu P_t: the point-space matrices of the
-        # basis trace-dual to the closure basis (G is symmetric).
-        ginv = self.end_algebra._trace_form_inverse
-        self._trace_dual_basis = tuple(
-            self.element_point_matrix(ginv.column(u))
-            for u in range(ginv.cols))
+        self._basis_matrices = self._trace_dual_matrices = None
+        if action:  # with no generator (End = Q) there is no relation
+            self._check_action_relations()
         self.tracked_points = {}
         for pname, coords in (tracked_points or {}).items():
             ints, den = _integer_row(coords)
@@ -357,6 +350,26 @@ class AbelianVarietyModel:
             self.tracked_points[pname] = tuple(ints), den
         self._dual = None
         self._primal = None
+
+    @property
+    def _point_basis(self):
+        """The point-space matrices of the closure basis, formed on first read."""
+        if self._basis_matrices is None:
+            self._basis_matrices = tuple(
+                self._word_matrix(w) for w in self.end_algebra.words)
+        return self._basis_matrices
+
+    @property
+    def _trace_dual_basis(self):
+        """P*_u = sum_t (G^-1)_tu P_t, the point-space matrices of the basis
+        trace-dual to the closure basis (G is symmetric), formed on first
+        read: only ``smallest_subvariety`` at d > 1 reads them."""
+        if self._trace_dual_matrices is None:
+            ginv = self.end_algebra._trace_form_inverse
+            self._trace_dual_matrices = tuple(
+                self.element_point_matrix(ginv.column(u))
+                for u in range(ginv.cols))
+        return self._trace_dual_matrices
 
     def _word_matrix(self, word):
         m = RatMatrix.identity(self.point_space_dim)
@@ -482,10 +495,12 @@ class PointVector:
     ``coords[j]`` is the point-space coordinate tuple of the j-th entry,
     as ``Fraction``s, and ``integer_coords()`` is (ints, den) with
     coords[j][k] == ints[j][k] / den, int tuples over den, the lcm of the
-    denominators (the least one, so the form is canonical).  Each form is
-    built from the other on first read and kept: the radical reads only
-    the integer form, so points wrapped from one (``_of_ints``: parsed, or
-    a scaled copy) build no ``Fraction`` unless something reads ``coords``.
+    denominators (the least one, so the form is canonical; only the
+    radical's extension values, which the report writes as text, may hold
+    a larger common one).  Each form is built from the other on first read
+    and kept: the radical and the report read only the integer form, so
+    points wrapped from one (``_of_ints``: parsed, a scaled copy, or an
+    extension value) build no ``Fraction`` unless something reads ``coords``.
     """
 
     def __init__(self, variety, coords):
@@ -616,8 +631,8 @@ def smallest_subvariety(p):
     nondegenerate.  So W is the annihilator of ker M under
     phi^T (I_m tensor G) w, which is (I_m tensor G)^-1 rowspace(M): the
     row space of the n x (m*d) matrix whose column (j, u) is P*_u p_j,
-    with P*_u = sum_t (G^-1)_tu P_t the trace-dual basis stored on the
-    model.  For D = Q, P*_0 = I: W is the row space of the points' integer
+    with P*_u = sum_t (G^-1)_tu P_t the trace-dual basis the model
+    forms on first read.  For D = Q, P*_0 = I: W is the row space of the points' integer
     columns, no product.
 
     >>> A = AbelianVarietyModel("A", 1, point_space_dim=2)

@@ -12,6 +12,10 @@ Exit codes: 0 on success, 1 when ``--check-invariants`` finds a
 violation, 2 when the input cannot be read or decoded (a parse error
 comes with line and column), 3 on a validation error (with the JSON
 path), 4 on an unsupported model.
+
+A call that names a subcommand first is parsed by that subcommand's own
+parser, and anything else, or anything that parser leaves over, by the
+full one, so both give the same messages and exit codes.
 """
 
 import argparse
@@ -37,6 +41,7 @@ EXIT_UNSUPPORTED = 4
 
 
 def _build_parser():
+    """The full parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="motcalc",
         description="Exact calculator for the motivic Galois group "
@@ -63,15 +68,30 @@ def _build_parser():
     grcmd.add_argument("file", help="input document (JSON)")
     grcmd.add_argument("--format", choices=("json", "text"),
                        default="text", help="output format")
-    return parser
+    return parser, {"analyze": analyze, "dual": dual, "gr": grcmd}
 
 
 # parse_args leaves the parser as it found it, so one serves every call
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv):
+    """The arguments of one call: one pass of the subcommand's parser when
+    argv starts with a subcommand and that parser leaves nothing over (it
+    is the parser the full one hands the rest to), else the full parser."""
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     try:
         doc = load_input(args.file)
         if args.command == "analyze":

@@ -52,7 +52,7 @@ from .abelian import AbelianVarietyModel, EndAlgebraRep, PointVector, \
 from .errors import UnreadableInputError, UnsupportedModelError, \
     ValidationError
 from .exactlin import QuotientSpace, RatMatrix, _fraction_row, \
-    _least, _ratio, _scaled, _stacked
+    _least, _ratio, _scaled, _stacked, _text_row
 from .lattices import ActionGroup, GaloisLattice, TRIVIAL_GROUP
 from .liealg import build_E
 from .motive import OneMotive, cartier_dual, gr, weight_filtration
@@ -151,14 +151,8 @@ def _check_keys(obj, where, allowed, required=()):
             _fail(where, "missing required field %r" % (key,))
 
 
-def _vec_json(vec, den=1):
-    # str gives "p" or "p/q" for a Fraction and "p" for an int; ints over a
-    # den > 1 are written as their Fractions
-    return list(map(str, _rationals(vec, den)))
-
-
 def _mat_json(rows):
-    return [_vec_json(row) for row in rows]
+    return [_text_row(row) for row in rows]
 
 
 class InputDocument:
@@ -316,7 +310,7 @@ def _parse_varieties(entries):
         if rec.point_names:
             out["points"] = list(rec.point_names)
         if rec.relations:
-            out["relations"] = [_vec_json(*r) for r in rec.relations]
+            out["relations"] = [_text_row(*r) for r in rec.relations]
         if rec.declared:
             out["end_generators"] = [_mat_json(m.row_list())
                                      for m in rec.algebra.generators]
@@ -406,10 +400,10 @@ def _parse_motive(entry, where, group, mult_space, models):
     if "A" in entry:
         normalized["A"] = entry["A"]
         for key, _, items in sides:
-            normalized[key] = [e if isinstance(e, str) else _vec_json(*p)
+            normalized[key] = [e if isinstance(e, str) else _text_row(*p)
                                for (_, e), p in zip(items, points[key])]
     if raw_psi is not None:
-        normalized["psi"] = [[_vec_json(*vec) for vec in row]
+        normalized["psi"] = [[_text_row(*vec) for vec in row]
                              for row in raw_psi]
     return normalized, motive
 
@@ -466,7 +460,7 @@ def parse_input(text):
     if names:
         normalized["mult_basis"] = names
     if relations:
-        normalized["mult_relations"] = [_vec_json(*r) for r in relations]
+        normalized["mult_relations"] = [_text_row(*r) for r in relations]
     if varieties_norm:
         normalized["varieties"] = varieties_norm
     normalized["motives"] = [n for n, _ in motives]
@@ -499,6 +493,11 @@ def serialize_document(payload):
     _write_json(payload, "\n", chunks, {})
     chunks.append("\n")
     return "".join(chunks)
+
+
+# The text of each dict key with its separator, formed once: the keys come
+# from the fixed schemas of documents and reports.
+_KEY_TEXT = {}
 
 
 def _write_json(value, newline, chunks, spans):
@@ -558,10 +557,13 @@ def _write_json(value, newline, chunks, spans):
         inner = newline + "  "
         lead = "{" + inner
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError("keys must be str, not %s"
-                                % (type(key).__name__,))
-            chunks.append(lead + _json_str(key) + ": ")
+            text = _KEY_TEXT.get(key)
+            if text is None:
+                if not isinstance(key, str):
+                    raise TypeError("keys must be str, not %s"
+                                    % (type(key).__name__,))
+                text = _KEY_TEXT[key] = _json_str(key) + ": "
+            chunks.append(lead + text)
             lead = "," + inner
             item = value[key]
             kind = type(item)
@@ -616,16 +618,18 @@ def dual_document(doc):
 
 
 def _basis_json(space):
-    return [_vec_json(col) for col in space.basis_columns()]
+    return [_text_row(row, space.den) for row in space.ints]
 
 
-def _rows_json(rows, texts):
-    """Each row as a list of strings, one list per row object (by id)."""
+def _rows_json(rows, texts, den=1):
+    """Each row over den as a list of strings (``_text_row``), one list per
+    row object and den."""
     out = []
     for row in rows:
-        text = texts.get(id(row))
+        key = id(row) if den == 1 else (id(row), den)
+        text = texts.get(key)
         if text is None:
-            text = texts[id(row)] = list(map(str, row))
+            text = texts[key] = _text_row(row, den)
         out.append(text)
     return out
 
@@ -633,7 +637,8 @@ def _rows_json(rows, texts):
 def _points_json(points, texts):
     if points is None:
         return None
-    return _rows_json(points.coords, texts)
+    ints, den = points.integer_coords()
+    return _rows_json(ints, texts, den)
 
 
 def _bracket_json(data, texts):
@@ -675,7 +680,7 @@ def analyze_motive(motive, reductive_dim=None):
     a = [_points_json(p, texts) for p in ext.a_values]
     dual_chars, dual_astar, dual_a = z_basis, astar, a
     if dual_data.extension is not ext:
-        dual_chars = [_vec_json(c) for c in dual_data.characters]
+        dual_chars = [_text_row(c) for c in dual_data.characters]
         dual_astar = [_points_json(p, texts) for p in dual_data.astar_values]
         dual_a = [_points_json(p, texts) for p in dual_data.a_values]
 

@@ -27,8 +27,10 @@ Everything downstream runs on the three types defined here:
 
 ``Subspace``, the points and psi hold int rows over the least positive
 den.  Only this module converts that form: ``_integer_rows``, ``_least``
-and ``_stacked`` build it, ``_scaled`` multiplies it by an int, and
-``_fraction_row`` reads a row back as ``Fraction``s, with one shared zero.
+and ``_stacked`` build it, ``_scaled`` multiplies it by an int,
+``_fraction_row`` reads a row back as ``Fraction``s, with one shared zero,
+and ``_text_row`` writes a row's text, the one place a rational's text is
+formed.
 
 Zero-dimensional ambients are legal everywhere: degenerate inputs
 (rank-0 lattices, empty point tuples) are first-class test cases, not
@@ -108,6 +110,20 @@ def _stacked(forms: Sequence[tuple]) -> tuple:
 def _fraction_row(row: Iterable[int], den: int) -> tuple:
     """The ints ``row`` over ``den`` as ``Fraction``s, each zero the shared ``_ZERO``."""
     return tuple(Fraction(x, den) if x else _ZERO for x in row)
+
+
+def _text_row(row: Iterable[int], den: int = 1) -> list:
+    """The ints ``row`` over ``den`` > 0 as text: each entry is
+    str(Fraction(x, den)), "p" or "p/q" in lowest terms, with no Fraction
+    built.  At den 1 each entry is written with str, so a row of
+    ``Fraction``s is written as it is."""
+    if den == 1:
+        return list(map(str, row))
+    out = []
+    for x in row:
+        g = math.gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
 
 
 def _scaled(form: tuple, k: int) -> tuple:
@@ -485,7 +501,8 @@ class QuotientSpace:
     that are not its pivots.  A vector reduced against the relation rows
     is zero at every pivot, so its entries at the free columns are its
     canonical coordinates: two presentations with the same relation span
-    give bit-identical coordinates.
+    give bit-identical coordinates.  With no relations, ``relations`` is
+    ``Subspace.zero`` and nothing is eliminated.
 
     >>> q = QuotientSpace(2, [(-2, 1)])   # second generator is twice the first
     >>> q.dim
@@ -499,7 +516,9 @@ class QuotientSpace:
     def __init__(self, ambient_dim: int, relations=()):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be >= 0")
-        self.relations = Subspace(ambient_dim, relations)
+        relations = tuple(relations)
+        self.relations = (Subspace(ambient_dim, relations) if relations
+                          else Subspace.zero(ambient_dim))
         pivots = set(self.relations.pivots)
         self.free = tuple(j for j in range(ambient_dim) if j not in pivots)
 

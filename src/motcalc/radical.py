@@ -49,7 +49,7 @@ Subspaces of X^v tensor Y are flattened with index (i, j) -> i*s + j.
 import math
 
 from .abelian import PointVector
-from .exactlin import _ZERO, IntLattice, Subspace, _fraction_row, saturate
+from .exactlin import IntLattice, Subspace, _least, saturate
 from .lattices import GaloisLattice
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -164,36 +164,39 @@ def _extension_values(m, characters, ints, den):
 
     ``characters[k]`` is ``ints[k]`` over the one denominator ``den``.
     Entry k = i*s + j of z adds z_k v*_j to row i of the A* side and z_k v_i
-    to row j of the A side.  A row with one term of coefficient 1 is the
-    input point's own tuple and a row with none the shared zero tuple; any
-    other is an integer sum over den times the points' lcm denominator,
-    one Fraction per nonzero coordinate.
+    to row j of the A side.  Each value is an integer form
+    (``PointVector._of_ints``) over dz * d, with z = ints/dz at its least
+    dz and d the points' denominator, so a common denominator but not
+    always the least one: a row with one term of coefficient 1 (every
+    nonzero row of a unit character) is the input point's own int row, a
+    row with none the side's one zero row, and any other an integer sum.
     """
     if m.A is None:
         none = (None,) * len(characters)
         return ExtensionHom(characters, none, none)
     r, s = m.r, m.s
+    least = [_least(z, den) for z in ints] if den != 1 else [(z, 1) for z in ints]
     values = []
     for variety, points, table in (
             (m.Astar, m.vstar, lambda z: [z[i * s:(i + 1) * s] for i in range(r)]),
             (m.A, m.v, lambda z: [z[j::s] for j in range(s)])):
         coords, d = points.integer_coords()
-        zero = (_ZERO,) * variety.point_space_dim
-        values.append(tuple(PointVector._of(variety, tuple(
-            _point_row(row, den, points.coords, coords, d, zero)
-            for row in table(z))) for z in ints))
+        zero = (0,) * variety.point_space_dim
+        values.append(tuple(PointVector._of_ints(variety, tuple(
+            _point_row(row, coords, zero) for row in table(z)), dz * d)
+            for z, dz in least))
     return ExtensionHom(characters, *values)
 
 
-def _point_row(row, dz, coords, ints, d, zero):
-    """The point sum_c row[c]/dz coords[c], with coords[c] = ints[c]/d."""
+def _point_row(row, ints, zero):
+    """The int row sum_c row[c] ints[c]."""
     terms = [(x, c) for c, x in enumerate(row) if x]
     if not terms:
         return zero
-    if len(terms) == 1 and terms[0][0] == dz:
-        return coords[terms[0][1]]
-    return _fraction_row((sum(x * ints[c][e] for x, c in terms)
-                          for e in range(len(zero))), dz * d)
+    if len(terms) == 1 and terms[0][0] == 1:
+        return ints[terms[0][1]]
+    return tuple(sum(x * ints[c][e] for x, c in terms)
+                 for e in range(len(zero)))
 
 
 class RadicalReport:
@@ -325,9 +328,12 @@ def radical_cartier_dual(report):
     m = report.motive
     chars = _integral_basis(report.z)
     group = m.X.group
-    n = len(chars)
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    lattice = GaloisLattice._of(n, (identity,) * group.generator_count, group)
+    n, count = len(chars), group.generator_count
+    action = ()
+    if count:
+        action = (tuple(tuple(int(i == j) for j in range(n))
+                        for i in range(n)),) * count
+    lattice = GaloisLattice._of(n, action, group)
     if report.z.den == 1:
         extension = report.extension
     else:

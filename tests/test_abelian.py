@@ -766,6 +766,17 @@ def test_trace_dual_basis_of_rational_field_is_identity():
     assert model._trace_dual_basis == (RatMatrix.identity(3),)
 
 
+def test_rational_field_model_forms_its_matrices_on_first_read():
+    """End = Q: neither construction nor ``smallest_subvariety`` forms a
+    point-space matrix; reading the bases does."""
+    model = simple_model(n=2)
+    assert smallest_subvariety(PointVector(model, [[1, 0], [2, 0]])).dim == 1
+    assert model._basis_matrices is model._trace_dual_matrices is None
+    assert model._point_basis == (RatMatrix.identity(2),)
+    assert model._trace_dual_basis == (RatMatrix.identity(2),)
+    assert model._point_basis is model._point_basis
+
+
 def trace_dual_product_module(p):
     """The module as the row space of P*_u p_j over the trace-dual basis."""
     variety, m = p.variety, p.multiplicity

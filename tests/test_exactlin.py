@@ -240,6 +240,17 @@ def test_quotient_space_no_relations_is_identity():
     assert q.project((1, 2, 3)) == (1, 2, 3)
 
 
+def test_quotient_space_without_relations_eliminates_nothing(monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("eliminated an empty relation list")
+
+    monkeypatch.setattr(exactlin, "_echelon", no_elimination)
+    for q in (QuotientSpace(3), QuotientSpace(3, []), QuotientSpace(0),
+              MultSpace(["a", "b", "c"]).quotient):
+        assert q.relations == Subspace.zero(q.ambient_dim)
+        assert q.free == tuple(range(q.ambient_dim))
+
+
 def test_quotient_space_single_relation():
     # generator 1 equals twice generator 0
     q = QuotientSpace(2, [(-2, 1)])
@@ -374,6 +385,33 @@ def test_fraction_row_and_scaled_match_fraction_arithmetic(form, k):
     assert math.gcd(k_den, *itertools.chain.from_iterable(k_rows)) == 1
     assert [[Fraction(y, k_den) for y in r] for r in k_rows] == \
         [[k * Fraction(x, den) for x in r] for r in rows]
+
+
+@st.composite
+def text_forms(draw):
+    """Ints within 10^30 of zero, zero included, over a den from 1 to
+    10^12: any, or a product of several small primes, with entries that
+    share a factor with den or are multiples of it."""
+    den = draw(st.one_of(
+        st.just(1), st.integers(1, 10 ** 12),
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=2,
+                 max_size=10).map(math.prod)))
+    factor = math.gcd(den, draw(st.integers(1, 10 ** 6)))
+    bound = 10 ** 30
+    small = st.integers(-10 ** 6, 10 ** 6)
+    entry = st.one_of(st.just(0), st.integers(-bound, bound),
+                      small.map(lambda x: x * factor),
+                      small.map(lambda x: x * den))
+    return draw(st.lists(entry, max_size=6)), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_forms())
+def test_text_row_is_the_text_of_each_fraction(form):
+    ints, den = form
+    assert exactlin._text_row(ints, den) == [str(Fraction(x, den)) for x in ints]
+    if den == 1:
+        assert exactlin._text_row(ints) == list(map(str, ints))
 
 
 @pytest.mark.parametrize("rows, inner, cols", [

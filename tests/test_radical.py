@@ -875,6 +875,20 @@ def test_radical_dual_of_weight_minus_two():
     assert (emitted.r, emitted.s, emitted.g) == (0, 0, 0)
 
 
+def test_radical_dual_holds_one_identity_per_generator():
+    """Z^v of the trivial group holds no matrix; under C_3 it holds one
+    identity, of size dim Z."""
+    trivial = radical_cartier_dual(unipotent_radical(z4_gm_motive()))
+    assert trivial.lattice.rank == 2
+    assert trivial.lattice.integer_action == ()
+    _, motive = parsed_cyclic_document().motives[0]
+    cyclic = radical_cartier_dual(unipotent_radical(motive))
+    n = cyclic.lattice.rank
+    assert n > 0
+    assert cyclic.lattice.integer_action == (
+        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),)
+
+
 def test_radical_dual_of_ext_weil():
     rep = unipotent_radical(ext_weil_motive())
     data = radical_cartier_dual(rep)
@@ -1153,19 +1167,22 @@ def test_extension_values_match_the_stacked_product(case):
             assert all(type(row) is tuple and len(row) == width
                        for row in p.coords)
             assert all(type(x) is Fraction for row in p.coords for x in row)
-    # a row no entry of z reaches is one zero tuple per side, and a unit
-    # character's nonzero rows are the input points themselves
+    # the values are integer forms: a row no entry of z reaches is one zero
+    # int row per side, and a unit character's nonzero rows are the input
+    # points' own int rows
     r, s = m.r, m.s
+    v_rows, vstar_rows = m.v.integer_coords()[0], m.vstar.integer_coords()[0]
     empty_astar, empty_a = set(), set()
     for z, on_astar, on_a in zip(characters, ext.astar_values, ext.a_values):
-        empty_astar |= {id(on_astar.coords[i]) for i in range(r)
+        astar_rows, a_rows = on_astar.integer_coords()[0], on_a.integer_coords()[0]
+        empty_astar |= {id(astar_rows[i]) for i in range(r)
                         if not any(z[i * s:(i + 1) * s])}
-        empty_a |= {id(on_a.coords[j]) for j in range(s) if not any(z[j::s])}
+        empty_a |= {id(a_rows[j]) for j in range(s) if not any(z[j::s])}
         nonzero = [k for k, x in enumerate(z) if x]
         if len(nonzero) == 1 and z[nonzero[0]] == 1:
             i, j = divmod(nonzero[0], s)
-            assert on_astar.coords[i] is m.vstar.coords[j]
-            assert on_a.coords[j] is m.v.coords[i]
+            assert astar_rows[i] is vstar_rows[j]
+            assert a_rows[j] is v_rows[i]
     assert len(empty_astar) <= 1 and len(empty_a) <= 1
 
 
