@@ -700,3 +700,91 @@ def test_integer_constructors_give_the_checked_form():
     assert Subspace._of(3, 2, ((2, 0, -6), (0, 2, 3)), (0, 1)) == s
     assert Subspace(2, [(-3, -6)]).ints == ((1, 2),)
     assert Subspace.zero(2) == Subspace(2, [(0, 0)]) and Subspace.zero(2).den == 1
+
+
+def eager_gauss_jordan(rows, ncols):
+    """The oracle for ``exactlin._gauss_jordan``: Bareiss's fraction-free
+    Gauss–Jordan elimination that rescales every row at every step, as the
+    kernel was first written."""
+    nrows = len(rows)
+    pivots = []
+    prev = 1
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        pc = top[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], top)]
+            elif pc != prev:
+                rows[i] = [pc * a // prev for a in rows[i]]
+        prev = pc
+        pivots.append(c)
+    return rows, pivots, prev, sign
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(rows, ncols): up to 7 integer rows of width up to 9, entries in
+    [-4, 4], dense or mostly zero.  A row is, at times, zero or an integer
+    combination of the rows above it, and ``ncols`` is at times less than
+    the width, as in the [A | I] rows of an inverse."""
+    width = draw(st.integers(0, 9))
+    sparse = draw(st.booleans())
+    entry = st.integers(-4, 4)
+    if sparse:
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            rows.append([0] * width)
+        elif kind == 1 and rows:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    ncols = draw(st.one_of(st.just(width), st.integers(0, width)))
+    return rows, ncols
+
+
+def assert_kernel_matches_eager(rows, ncols):
+    want = eager_gauss_jordan([list(row) for row in rows], ncols)
+    assert exactlin._gauss_jordan([list(row) for row in rows], ncols) == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(elimination_inputs())
+def test_gauss_jordan_matches_the_eager_oracle(case):
+    assert_kernel_matches_eager(*case)
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([], 0),
+    ([], 3),
+    ([[]], 0),
+    ([[], []], 0),
+    ([[0, 0, 0]], 3),
+    ([[0, 0], [0, 0], [0, 0]], 2),
+    ([[0, 2, 4], [0, 0, 0], [0, 1, 2]], 3),
+    ([[1, 2, 3], [2, 4, 6], [0, 0, 5]], 3),
+    ([[0, 0, 3], [0, 0, 0], [2, 0, 0], [0, 5, 0]], 3),
+    # [A | I] with A invertible and singular: pivots in the first ncols only
+    ([[2, 1, 1, 0], [1, 1, 0, 1]], 2),
+    ([[1, 2, 1, 0], [2, 4, 0, 1]], 2),
+    ([[3, 0, 0, 1, 0, 0], [0, 0, 2, 0, 1, 0], [0, 4, 1, 0, 0, 1]], 3),
+])
+def test_gauss_jordan_matches_the_eager_oracle_on_edge_cases(rows, ncols):
+    assert_kernel_matches_eager(rows, ncols)
