@@ -12,7 +12,8 @@ Everything downstream runs on the three types defined here:
   and every ``Subspace``) runs on integer rows too, in one fraction-free
   Gauss–Jordan kernel that divides exactly by the previous pivot
   (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
-  Gaussian elimination", Math. Comp. 22 (1968)).  The checks of integral
+  Gaussian elimination", Math. Comp. 22 (1968)) and touches only the
+  rows a step changes.  The checks of integral
   actions (``lattices``, ``motive``) run on plain ints, multiplied by
   ``_int_matmul``.
 * ``Subspace``: a subspace of Q^n, held as the integer rows of its
@@ -152,6 +153,17 @@ def _gauss_jordan(rows: list, ncols: int) -> tuple:
     zero: the reduced echelon form is the pivot rows divided by the last
     pivot.
 
+    A step touches only the rows it changes.  Each row keeps a scale, the
+    pivot at which it was last formed (1 for an input row): the row as
+    eliminated above is the row held times prev // scale.  A step brings
+    its pivot row, and each row with a nonzero entry in the pivot column,
+    to prev first (``x * prev // scale``), then gives them the new pivot as
+    their scale; a row with a zero entry there is left alone, where the
+    formula above would only multiply it by p // prev.  One pass at the end
+    brings every row to the last pivot.  This is exact: a row left alone
+    from the step with pivot p_k to the step with pivot p_m, eliminated as
+    above, is the row held times p_m / p_k, and that is an integer row.
+
     Pivots are sought in the first ``ncols`` columns only, so rows [A | B]
     with A square, invertible and ``ncols`` wide end as last·[I | A⁻¹B].
 
@@ -161,6 +173,7 @@ def _gauss_jordan(rows: list, ncols: int) -> tuple:
         swap_sign · last_pivot is its determinant.
     """
     nrows = len(rows)
+    scales = [1] * nrows
     pivots = []
     prev = 1
     sign = 1
@@ -168,24 +181,36 @@ def _gauss_jordan(rows: list, ncols: int) -> tuple:
         r = len(pivots)
         if r == nrows:
             break
-        p = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if p is None:
+        for p in range(r, nrows):
+            if rows[p][c]:
+                break
+        else:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
+            scales[r], scales[p] = scales[p], scales[r]
             sign = -sign
         top = rows[r]
+        k = scales[r]
+        if k != prev:
+            top = rows[r] = [x * prev // k for x in top]
         pc = top[c]
-        for i in range(nrows):
-            if i == r:
+        for i, row in enumerate(rows):
+            f = row[c]
+            if not f or i == r:
                 continue
-            f = rows[i][c]
-            if f:
-                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], top)]
-            elif pc != prev:
-                rows[i] = [pc * a // prev for a in rows[i]]
+            k = scales[i]
+            if k != prev:
+                row = [x * prev // k for x in row]
+                f = row[c]
+            rows[i] = [(pc * a - f * b) // prev for a, b in zip(row, top)]
+            scales[i] = pc
+        scales[r] = pc
         prev = pc
         pivots.append(c)
+    for i, k in enumerate(scales):
+        if k != prev:
+            rows[i] = [x * prev // k for x in rows[i]]
     return rows, pivots, prev, sign
 
 
@@ -439,9 +464,12 @@ class Subspace:
         return not any(_reduce(self.den, zip(self.pivots, self.ints), v))
 
     def contains_space(self, other: "Subspace") -> bool:
-        """other ⊆ self: every echelon row of other reduces to zero."""
+        """other ⊆ self: every echelon row of other reduces to zero.  Nothing
+        is reduced when other is self or self is all of Q^n."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        if other is self or self.dim == self.ambient_dim:
+            return True
         echelon = tuple(zip(self.pivots, self.ints))
         return all(not any(_reduce(self.den, echelon, row)) for row in other.ints)
 

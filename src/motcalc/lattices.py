@@ -149,6 +149,8 @@ class GaloisLattice:
         return self._action
 
     def __eq__(self, other) -> bool:
+        if other is self:  # a double dual holds the motive's own lattices
+            return True
         if not (
             isinstance(other, GaloisLattice)
             and self.group == other.group

@@ -98,6 +98,9 @@ def derived_torus_Z1(m, b_data):
     the rows are Z1's reduced echelon basis with no elimination in Q^(r*s).
     In integers they are the products of the two integer bases over
     den_U * den_W, already canonical: each factor's rows have content 1.
+    Each product row a tensor b is formed by concatenation, one block of
+    width s per entry x of a: b itself when x = 1, one shared zero block
+    when x = 0, and x*b otherwise.
 
     >>> from motcalc.abelian import AbelianVarietyModel, link_duals
     >>> E = AbelianVarietyModel("E", 1, point_space_dim=2)
@@ -119,9 +122,16 @@ def derived_torus_Z1(m, b_data):
         for n, side in ((r, b_data.w_a), (s, b_data.w_astar)))
     if not (u.dim and w.dim):
         return Subspace.zero(r * s)
-    return Subspace._of(r * s, u.den * w.den, tuple(
-        tuple(x * y for x in a for y in b) for a in u.ints for b in w.ints),
-        tuple(p * s + q for p in u.pivots for q in w.pivots))
+    zero = (0,) * s
+    rows = []
+    for a in u.ints:
+        for b in w.ints:
+            row = []
+            for x in a:
+                row += b if x == 1 else zero if not x else [x * y for y in b]
+            rows.append(tuple(row))
+    return Subspace._of(r * s, u.den * w.den, tuple(rows),
+                        tuple(p * s + q for p in u.pivots for q in w.pivots))
 
 
 def torus_Z(m, b_data, z1):
@@ -151,18 +161,27 @@ class ExtensionHom:
     """
 
     def __init__(self, characters, astar_values, a_values):
-        self.characters = characters
+        self._characters = characters
         self.astar_values = astar_values
         self.a_values = a_values
 
+    @property
+    def characters(self):
+        """The characters as given, or, when given as the space Z, Z's
+        ``Fraction`` rows, formed on first read (``Subspace.rows``)."""
+        chars = self._characters
+        return chars.rows if isinstance(chars, Subspace) else chars
+
     def __repr__(self):
-        return "ExtensionHom(%d characters)" % (len(self.characters),)
+        return "ExtensionHom(%d characters)" % (len(self.astar_values),)
 
 
 def _extension_values(m, characters, ints, den):
     """V on each character, built from the character's nonzero entries.
 
-    ``characters[k]`` is ``ints[k]`` over the one denominator ``den``.
+    ``characters[k]`` is ``ints[k]`` over the one denominator ``den``;
+    ``characters`` may also be the ``Subspace`` whose form (ints, den) is,
+    so that its ``Fraction`` rows are formed only if a caller reads them.
     Entry k = i*s + j of z adds z_k v*_j to row i of the A* side and z_k v_i
     to row j of the A side.  Each value is an integer form
     (``PointVector._of_ints``) over dz * d, with z = ints/dz at its least
@@ -172,7 +191,7 @@ def _extension_values(m, characters, ints, den):
     row with none the side's one zero row, and any other an integer sum.
     """
     if m.A is None:
-        none = (None,) * len(characters)
+        none = (None,) * len(ints)
         return ExtensionHom(characters, none, none)
     r, s = m.r, m.s
     least = [_least(z, den) for z in ints] if den != 1 else [(z, 1) for z in ints]
@@ -226,8 +245,7 @@ class RadicalReport:
         """V: Z^v -> B* on the basis of Z, built on first read and kept."""
         if self._extension is None:
             z = self.z
-            self._extension = _extension_values(self.motive, z.rows, z.ints,
-                                                z.den)
+            self._extension = _extension_values(self.motive, z, z.ints, z.den)
         return self._extension
 
     def __repr__(self):

@@ -505,6 +505,29 @@ def test_parse_reads_actions_and_points_as_ints(monkeypatch):
         parse_input(text)
     assert callers == [("_integer_rows", "_check_psi")] * len(documents)
 
+def test_analyze_forms_no_fraction_rows_of_a_subspace(capsys, monkeypatch):
+    """Reports are written from integer rows, and Z's ``Fraction`` rows
+    (the extension characters) are formed only when read: analyze of each
+    bundled motive makes no ``_fraction_row`` call from ``Subspace.rows``."""
+    callers = []
+    original = exactlin._fraction_row
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return original(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("motcalc") and vars(module).get("_fraction_row") is original:
+            monkeypatch.setattr(module, "_fraction_row", counting)
+    paths = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+    assert len(paths) == 8
+    for path in paths:
+        code, _, _ = run_main(capsys, "analyze", path, "--format", "json")
+        assert code == 0
+    # Subspace.rows calls it from a generator expression
+    assert not [c for c in callers if c.startswith("Subspace.rows.")]
+
+
 # sha256 of ``analyze --format json`` on two n = 8 documents of
 # perfbench/generate.py (seed 0), recorded when reports were written by
 # json.dumps and every character basis was saturated by Smith form.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motcalc import document, exactlin
+from motcalc import document, exactlin, radical
 from motcalc.abelian import PointVector, SubvarietyData
 from motcalc.document import (
     analyze_motive,
@@ -304,6 +304,69 @@ def test_check_invariants_names_the_subspace_scaling_moved(
     else:
         assert clause.endswith(" lies in %s and not in the scaled %s"
                                % (name, name))
+        assert before.contains(vec) and any(vec)
+
+
+def fault_document(name):
+    """ext_weil, whose Z is Z1 and all of Q^1, or halves, where Z1 is a
+    proper subspace and psi adds two rows to it."""
+    if name == "halves":
+        return halves_document()
+    return load_input(corpus_path("ext_weil.json"))
+
+
+@pytest.mark.parametrize("name", ["ext_weil", "halves"])
+def test_check_invariants_catches_a_torus_Z_that_drops_a_psi_row(
+        monkeypatch, name):
+    # Z from the psi rows less the first, with Z1 left out: Z1 is outside it
+    def dropping(m, b_data, z1):
+        return Subspace._span(z1.ambient_dim, list(m.psi_integer_rows()[0][1:]))
+
+    monkeypatch.setattr(radical, "torus_Z", dropping)
+    doc = fault_document(name)
+    (index, (_, motive)), = enumerate(doc.motives)
+    head = "%s: Z1 is not contained in Z: " % (motive.name or "motives[%d]" % index,)
+    (message,) = [f for f in check_invariants(doc) if f.startswith(head)]
+    clause = message[len(head):]
+    assert clause.endswith(" lies in Z1 and not in Z")
+    vec = witness(clause)
+    report = unipotent_radical(motive)
+    assert report.z1.contains(vec) and not report.z.contains(vec)
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("ext_weil", "zero"), ("halves", "zero"), ("halves", "full")])
+def test_check_invariants_catches_a_wrong_Z1_span(monkeypatch, name, wrong):
+    # the scaled copy's Z1 is the wrong span, and its Z is built on it
+    scaled = []
+    original_scaled = document._scaled_motive
+    original_z1 = radical.derived_torus_Z1
+
+    def recording(m, n):
+        scaled.append(original_scaled(m, n))
+        return scaled[-1]
+
+    def wrong_span(m, b_data):
+        z1 = original_z1(m, b_data)
+        if not any(m is c for c in scaled):
+            return z1
+        n = z1.ambient_dim
+        return Subspace.zero(n) if wrong == "zero" else Subspace.full(n)
+
+    monkeypatch.setattr(document, "_scaled_motive", recording)
+    monkeypatch.setattr(radical, "derived_torus_Z1", wrong_span)
+    doc = fault_document(name)
+    (_, motive), = doc.motives
+    head = "scaling (v, v*, psi) by (2, 2, 4) moved Z1: "
+    (message,) = [f for f in check_invariants(doc) if head in f]
+    clause = message[message.index(head) + len(head):]
+    vec = witness(clause)
+    before = unipotent_radical(motive).z1
+    if wrong == "full":
+        assert clause.endswith(" lies in the scaled Z1 and not in Z1")
+        assert not before.contains(vec)
+    else:
+        assert clause.endswith(" lies in Z1 and not in the scaled Z1")
         assert before.contains(vec) and any(vec)
 
 

@@ -457,6 +457,23 @@ def test_contains_space_matches_per_column_solve(spaces):
     assert a.contains_space(a) and a.contains_space(Subspace.zero(a.ambient_dim))
 
 
+def reduces_into(space, other):
+    """other ⊆ space by reducing each echelon row of other, with no shortcut."""
+    echelon = tuple(zip(space.pivots, space.ints))
+    return all(not any(exactlin._reduce(space.den, echelon, row)) for row in other.ints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs())
+def test_contains_space_shortcuts_agree_with_the_reduction(spaces):
+    for a in spaces:
+        full = Subspace.full(a.ambient_dim)
+        assert a.contains_space(a) is reduces_into(a, a) is True
+        for b in spaces + (full,):
+            assert full.contains_space(b) is reduces_into(full, b) is True
+            assert a.contains_space(b) is reduces_into(a, b)
+
+
 def sympy_rank(n, vectors):
     """Rank of a list of vectors in Q^n, computed by sympy."""
     return sympy.Matrix(len(vectors), n, [sympy.Rational(x) for v in vectors for x in v]).rank()

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motcalc.abelian import (
@@ -565,6 +565,41 @@ def test_closed_form_draws_reach_every_size_of_Z1():
     seen = {assert_closed_form_matches_bracket_rows(closed_form_draw(seed))
             for seed in range(60)}
     assert seen >= {(1, "zero"), (1, "proper"), (1, "full"), (2, "proper")}
+
+
+def kronecker_Z1(m, b_data):
+    """(ints, pivots, den) of U tensor W entry by entry, U and W the spans
+    of the slices of the B modules' ``Fraction`` rows (the modules
+    themselves at d = 1), through the checked constructor."""
+    r, s, d = m.r, m.s, m.A.end_algebra.dimension
+    u, w = (Subspace(n, [row[t::d] for row in side.module.rows for t in range(d)])
+            for n, side in ((r, b_data.w_a), (s, b_data.w_astar)))
+    ints = tuple(tuple(x * y for x in a for y in b) for a in u.ints for b in w.ints)
+    pivots = tuple(p * s + q for p in u.pivots for q in w.pivots)
+    return ints, pivots, u.den * w.den if ints else 1
+
+
+def assert_Z1_is_the_kronecker_product(m):
+    """Returns (d, den > 1) of the draw's Z1."""
+    b_data = smallest_B(m)
+    z1 = derived_torus_Z1(m, b_data)
+    assert (z1.ints, z1.pivots, z1.den) == kronecker_Z1(m, b_data)
+    return m.A.end_algebra.dimension, z1.den > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(20)
+@example(290)
+def test_Z1_rows_by_concatenation_are_the_kronecker_product(seed):
+    assert_Z1_is_the_kronecker_product(closed_form_draw(seed))
+
+
+def test_Z1_kronecker_draws_reach_d_above_1_and_den_above_1():
+    # seeds 1, 20, 5 and 290 of closed_form_draw give d = 1 and 2, den 1 and > 1
+    seen = {assert_Z1_is_the_kronecker_product(closed_form_draw(seed))
+            for seed in (1, 20, 5, 290)}
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
 
 def test_closed_form_Z1_eliminates_nothing_in_Q_rs(monkeypatch):
