@@ -150,7 +150,8 @@ def _gauss_jordan(rows: list, ncols: int) -> tuple:
     input, so every division is exact (Bareiss 1968).
     At the end each pivot row holds the last pivot at its pivot column and
     zeros in the other pivot columns, and the rows below the pivot rows are
-    zero: the reduced echelon form is the pivot rows divided by the last
+    zero in the first ``ncols`` columns (so zero when ``ncols`` is the
+    width): the reduced echelon form is the pivot rows divided by the last
     pivot.
 
     A step touches only the rows it changes.  Each row keeps a scale, the
