@@ -505,6 +505,7 @@ def test_parse_reads_actions_and_points_as_ints(monkeypatch):
         parse_input(text)
     assert callers == [("_integer_rows", "_check_psi")] * len(documents)
 
+
 def test_analyze_forms_no_fraction_rows_of_a_subspace(capsys, monkeypatch):
     """Reports are written from integer rows, and Z's ``Fraction`` rows
     (the extension characters) are formed only when read: analyze of each

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motcalc.abelian import (
@@ -589,8 +589,6 @@ def assert_Z1_is_the_kronecker_product(m):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-@example(20)
-@example(290)
 def test_Z1_rows_by_concatenation_are_the_kronecker_product(seed):
     assert_Z1_is_the_kronecker_product(closed_form_draw(seed))
 
