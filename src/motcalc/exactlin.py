@@ -466,10 +466,10 @@ class Subspace:
 
     def contains_space(self, other: "Subspace") -> bool:
         """other ⊆ self: every echelon row of other reduces to zero.  Nothing
-        is reduced when other is self or self is all of Q^n."""
+        is reduced when self is all of Q^n."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if other is self or self.dim == self.ambient_dim:
+        if self.dim == self.ambient_dim:
             return True
         echelon = tuple(zip(self.pivots, self.ints))
         return all(not any(_reduce(self.den, echelon, row)) for row in other.ints)
