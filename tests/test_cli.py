@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,8 @@ from motcalc.cli import (
     EXIT_VALIDATION,
     main,
 )
-from motcalc.document import parse_input, serialize_document
+from motcalc.document import dual_document, parse_input, serialize_document
+from motcalc.motive import OneMotive
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "motives")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -712,3 +714,132 @@ def test_dual_and_gr_json_match_json_dumps(capsys, name, argv):
 def test_exit_code_constants_are_distinct():
     codes = {EXIT_CHECK_FAILED, EXIT_PARSE, EXIT_VALIDATION, EXIT_UNSUPPORTED}
     assert codes == {1, 2, 3, 4}
+
+
+# ----- the normalized document against an eager oracle --------------------
+
+
+def eager_normalized(data):
+    """The normalized form of the raw document ``data``, formed in one
+    pass over it: every rational as the text of its ``Fraction``, the
+    varieties sorted by name, and each optional part only where given."""
+    def row(values):
+        return [str(Fraction(x)) for x in values]
+
+    def matrices(value):
+        return [[row(r) for r in m] for m in value]
+
+    out = {}
+    if "group" in data:
+        out["group"] = {"generators": data["group"]["generators"],
+                        "relators": [list(w) for w in
+                                     data["group"].get("relators", [])]}
+    if data.get("mult_basis"):
+        out["mult_basis"] = list(data["mult_basis"])
+    if data.get("mult_relations"):
+        out["mult_relations"] = [row(r) for r in data["mult_relations"]]
+    varieties = []
+    for entry in sorted(data.get("varieties", []), key=lambda e: e["name"]):
+        norm = {"name": entry["name"], "g": entry["g"]}
+        if entry.get("points"):
+            norm["points"] = list(entry["points"])
+        if entry.get("relations"):
+            norm["relations"] = [row(r) for r in entry["relations"]]
+        for key in ("end_generators", "end_action", "dual_transfer"):
+            if key in entry:
+                norm[key] = matrices(entry[key])
+        if "dual" in entry:
+            norm["dual"] = entry["dual"]
+        varieties.append(norm)
+    if varieties:
+        out["varieties"] = varieties
+    motives = []
+    for entry in data["motives"]:
+        norm = {"X_rank": entry["X_rank"], "Yv_rank": entry["Yv_rank"]}
+        for key in ("name", "A"):
+            if key in entry:
+                norm[key] = entry[key]
+        for key in ("X_action", "Yv_action"):
+            if key in entry:
+                norm[key] = matrices(entry[key])
+        if "A" in entry:
+            for key in ("v", "vstar"):
+                norm[key] = [e if isinstance(e, str) else row(e)
+                             for e in entry.get(key, [])]
+        if "psi" in entry:
+            norm["psi"] = [[row(vec) for vec in r] for r in entry["psi"]]
+        motives.append(norm)
+    out["motives"] = motives
+    if "options" in data:
+        out["options"] = dict(data["options"])
+    return out
+
+
+def eager_dual(data, normalized):
+    """The Cartier-dual document of ``normalized``, with each abelian
+    part's dual named from the raw varieties of ``data``."""
+    duals = {}
+    for entry in data.get("varieties", []):
+        if "dual" in entry:
+            duals[entry["name"]] = entry["dual"]
+            duals.setdefault(entry["dual"], entry["name"])
+    out = {key: value for key, value in normalized.items() if key != "motives"}
+    out["motives"] = []
+    for entry in normalized["motives"]:
+        dual = {"X_rank": entry["Yv_rank"], "Yv_rank": entry["X_rank"]}
+        for key, dual_key in (("name", "name"), ("X_action", "Yv_action"),
+                              ("Yv_action", "X_action"), ("v", "vstar"),
+                              ("vstar", "v")):
+            if key in entry:
+                dual[dual_key] = entry[key]
+        if "A" in entry:
+            dual["A"] = duals[entry["A"]]
+        if "psi" in entry:
+            dual["psi"] = [[row[j] for row in entry["psi"]]
+                           for j in range(entry["Yv_rank"])]
+        out["motives"].append(dual)
+    return out
+
+
+def oracle_documents():
+    """(label, text): the corpus, generated seeds 0-2 of both generated
+    workloads, RATIONAL_DOCUMENT and the End ⊋ Q documents."""
+    docs = [(os.path.basename(p), open(p, encoding="utf-8").read())
+            for p in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))]
+    generate = benchmark_generator()
+    for workload in ("trivial_ladder", "cyclic_relators"):
+        for seed in range(3):
+            docs += [("%s-%d-%s" % (workload, seed, label), text)
+                     for label, text in generate.documents(workload, seed)]
+    docs.append(("rational", json.dumps(RATIONAL_DOCUMENT)))
+    docs += [(label, json.dumps(doc))
+             for label, doc in sorted(END_ALGEBRA_DOCUMENTS.items())]
+    return docs
+
+
+def test_normalized_document_and_motives_match_the_eager_oracle():
+    for label, text in oracle_documents():
+        data = json.loads(text)
+        doc = parse_input(text)
+        want = eager_normalized(data)
+        assert doc.normalized == want, label
+        assert [entry for entry, _ in doc.motives] == want["motives"], label
+        assert dual_document(doc) == eager_dual(data, want), label
+        for raw, (_, motive) in zip(data["motives"], doc.motives):
+            # psi through the public constructor, from Fraction values
+            psi = [[doc.mult_space.quotient.project(
+                [Fraction(x) for x in vec]) for vec in r]
+                for r in raw.get("psi", [])] or None
+            again = OneMotive(motive.X, motive.Yv, A=motive.A,
+                              Astar=motive.Astar, v=motive.v,
+                              vstar=motive.vstar, psi=psi,
+                              mult_space=motive.mult_space)
+            assert motive.structurally_equal(again), label
+            for key, points in (("v", motive.v), ("vstar", motive.vstar)):
+                if "A" not in raw:
+                    continue
+                model = points.variety
+                want_rows = [model.point(e) if isinstance(e, str)
+                             else tuple(map(Fraction, e))
+                             for e in raw.get(key, [])]
+                assert list(points.coords) == want_rows, (label, key)

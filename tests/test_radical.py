@@ -1219,6 +1219,92 @@ def test_extension_values_match_the_stacked_product(case):
     assert len(empty_astar) <= 1 and len(empty_a) <= 1
 
 
+
+def slicing_extension_values(m, ints, den):
+    """V on each character ints[k]/den, row by row: the A* side slices the
+    character into its r table rows, the A side into its s columns, and
+    each slice gives one point row (``slicing_point_row``).  Returns the
+    (A* values, A values) as integer forms (rows, den)."""
+    r, s = m.r, m.s
+    least = [exactlin._least(z, den) for z in ints]
+    values = []
+    for points, table in (
+            (m.vstar, lambda z: [z[i * s:(i + 1) * s] for i in range(r)]),
+            (m.v, lambda z: [z[j::s] for j in range(s)])):
+        coords, d = points.integer_coords()
+        zero = (0,) * points.variety.point_space_dim
+        values.append([(tuple(slicing_point_row(row, coords, zero)
+                              for row in table(z)), dz * d)
+                       for z, dz in least])
+    return values
+
+
+def slicing_point_row(row, ints, zero):
+    """The int row sum_c row[c] ints[c]: the shared zero row when no
+    entry is nonzero, ints[c] itself for one entry of 1 at c."""
+    terms = [(x, c) for c, x in enumerate(row) if x]
+    if not terms:
+        return zero
+    if len(terms) == 1 and terms[0][0] == 1:
+        return ints[terms[0][1]]
+    return tuple(sum(x * ints[c][e] for x, c in terms)
+                 for e in range(len(zero)))
+
+
+def sharing(values, coords):
+    """Which rows of ``values`` are the same object: each row as the index
+    of the first row (the points' own ``coords`` first) it is."""
+    first = {}
+    for row in coords:
+        first.setdefault(id(row), len(first))
+    return [[first.setdefault(id(row), len(first)) for row in rows]
+            for rows, _ in values]
+
+
+@st.composite
+def extension_value_cases(draw):
+    """A motive with an abelian part, r, s <= 4, d = 1 or the d = 2 of
+    ``parsed_gaussian_document``, and integer characters over one den >= 1:
+    zero characters, zero rows, unit characters and negative entries."""
+    if draw(st.booleans()):
+        _, m = parsed_gaussian_document().motives[0]
+    else:
+        m, _ = draw(extension_cases())
+    r, s = m.r, m.s
+    den = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    characters = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["random", "zero", "unit", "rows"]))
+        z = [draw(entry) for _ in range(r * s)]
+        if kind == "zero":
+            z = [0] * (r * s)
+        elif kind == "unit" and r * s:
+            z = [0] * (r * s)
+            z[draw(st.integers(0, r * s - 1))] = den * draw(
+                st.sampled_from([1, 1, -1, 2]))
+        elif kind == "rows":
+            for i in draw(st.sets(st.integers(0, r - 1)) if r else st.just(())):
+                z[i * s:(i + 1) * s] = [0] * s
+        characters.append(tuple(z))
+    return m, tuple(characters), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(extension_value_cases())
+def test_extension_values_match_the_slicing_oracle(case):
+    m, ints, den = case
+    ext = radical._extension_values(m, ints, ints, den)
+    astar, a = slicing_extension_values(m, ints, den)
+    got_astar = [p.integer_coords() for p in ext.astar_values]
+    got_a = [p.integer_coords() for p in ext.a_values]
+    assert got_astar == astar and got_a == a
+    # the same rows are shared: the points' own rows and one zero row a side
+    vstar_rows, v_rows = m.vstar.integer_coords()[0], m.v.integer_coords()[0]
+    assert sharing(got_astar, vstar_rows) == sharing(astar, vstar_rows)
+    assert sharing(got_a, v_rows) == sharing(a, v_rows)
+
+
 def test_dual_motive_gets_its_own_em2():
     m = swap_motive()
     unipotent_radical(m)
