@@ -55,7 +55,7 @@ from .exactlin import QuotientSpace, RatMatrix, _fraction_row, \
     _least, _ratio, _scaled, _stacked, _text_row
 from .lattices import ActionGroup, GaloisLattice, TRIVIAL_GROUP
 from .liealg import build_E
-from .motive import OneMotive, cartier_dual, gr, weight_filtration
+from .motive import OneMotive, _PsiForm, cartier_dual, gr, weight_filtration
 from .multgroup import MultSpace
 from .radical import radical_cartier_dual, unipotent_radical
 
@@ -160,17 +160,30 @@ class InputDocument:
 
     ``motives`` holds (normalized entry, OneMotive) pairs in input
     order; ``normalized`` is the canonical dict form used for
-    serialization, duals, and round-trip comparison.
+    serialization, duals, and round-trip comparison.  Both are formed on
+    first read, by ``normalize`` from what the parser kept:
+    ``build_report``, ``check_invariants`` and ``gr_summary`` read only
+    the motives (``_motives``), so analyze writes no text of the document.
     """
 
     def __init__(self, group, mult_space, varieties, motives, options,
-                 normalized):
+                 normalize):
         self.group = group
         self.mult_space = mult_space
         self.varieties = varieties
-        self.motives = motives
+        self._motives = motives
         self.options = options
-        self.normalized = normalized
+        self._normalize, self._normalized = normalize, None
+
+    @property
+    def normalized(self):
+        if self._normalized is None:
+            self._normalized, self._normalize = self._normalize(), None
+        return self._normalized
+
+    @property
+    def motives(self):
+        return list(zip(self.normalized["motives"], self._motives))
 
 
 def _parse_group(entry):
@@ -248,10 +261,11 @@ class _Variety:
 
 
 def _parse_varieties(entries):
-    """Models and normalized entries of the "varieties" list, in four
-    passes: read each entry on its own (``_Variety``); resolve the dual
-    links and give each pair its one algebra; build and link the models;
-    normalize from the records.
+    """Models of the "varieties" list and the function that forms its
+    normalized entries, in three passes: read each entry on its own
+    (``_Variety``); resolve the dual links and give each pair its one
+    algebra; build and link the models.  The function normalizes from the
+    records when it is called.
     """
     records = {}
     for where, entry in _items(entries, "varieties", "a list"):
@@ -304,24 +318,28 @@ def _parse_varieties(entries):
     for a, b in pairs:
         _build(a.where + ".dual", link_duals, models[a.name], models[b.name])
 
-    normalized = []
-    for rec in sorted(records.values(), key=lambda rec: rec.name):
-        out = {"name": rec.name, "g": rec.g}
-        if rec.point_names:
-            out["points"] = list(rec.point_names)
-        if rec.relations:
-            out["relations"] = [_text_row(*r) for r in rec.relations]
-        if rec.declared:
-            out["end_generators"] = [_mat_json(m.row_list())
-                                     for m in rec.algebra.generators]
-            out["end_action"] = [_mat_json(m.row_list()) for m in rec.action]
-        if rec.dual_name is not None:
-            out["dual"] = rec.dual_name
-        if rec.transfer is not None:
-            out["dual_transfer"] = [_mat_json(m.row_list())
-                                    for m in records[rec.dual_name].action]
-        normalized.append(out)
-    return models, normalized
+    def normalize():
+        normalized = []
+        for rec in sorted(records.values(), key=lambda rec: rec.name):
+            out = {"name": rec.name, "g": rec.g}
+            if rec.point_names:
+                out["points"] = list(rec.point_names)
+            if rec.relations:
+                out["relations"] = [_text_row(*r) for r in rec.relations]
+            if rec.declared:
+                out["end_generators"] = [_mat_json(m.row_list())
+                                         for m in rec.algebra.generators]
+                out["end_action"] = [_mat_json(m.row_list())
+                                     for m in rec.action]
+            if rec.dual_name is not None:
+                out["dual"] = rec.dual_name
+            if rec.transfer is not None:
+                out["dual_transfer"] = [_mat_json(m.row_list()) for m in
+                                        records[rec.dual_name].action]
+            normalized.append(out)
+        return normalized
+
+    return models, normalize
 
 
 def _point_entry(value, model, where):
@@ -332,6 +350,8 @@ def _point_entry(value, model, where):
 
 
 def _parse_motive(entry, where, group, mult_space, models):
+    """The OneMotive of a "motives" entry, and the function that forms
+    its normalized entry from what was parsed."""
     _check_keys(entry, where,
                 {"name", "X_rank", "Yv_rank", "X_action", "Yv_action",
                  "A", "v", "vstar", "psi"},
@@ -383,29 +403,39 @@ def _parse_motive(entry, where, group, mult_space, models):
                     _items(row, wrow, "a list of exponent vectors", s)]
                    for wrow, row in _items(entry["psi"], where + ".psi",
                                            "a list of rows", r, "rows")]
-        # each value as ints, or as Fractions where it is not integral
-        psi = [[_rationals(*mult_space.quotient._coords(*vec)) for vec in row]
-               for row in raw_psi]
+        psi = _psi_form([mult_space.quotient._coords(*vec)
+                         for row in raw_psi for vec in row], mult_space.dim)
 
     motive = _build(where, OneMotive, x, yv, psi=psi, mult_space=mult_space,
                     name=name, **kwargs)
 
-    normalized = {"X_rank": r, "Yv_rank": s}
-    if name is not None:
-        normalized["name"] = name
-    if "X_action" in entry:
-        normalized["X_action"] = list(map(_mat_json, x.integer_action))
-    if "Yv_action" in entry:
-        normalized["Yv_action"] = list(map(_mat_json, yv.integer_action))
-    if "A" in entry:
-        normalized["A"] = entry["A"]
-        for key, _, items in sides:
-            normalized[key] = [e if isinstance(e, str) else _text_row(*p)
-                               for (_, e), p in zip(items, points[key])]
-    if raw_psi is not None:
-        normalized["psi"] = [[_text_row(*vec) for vec in row]
-                             for row in raw_psi]
-    return normalized, motive
+    def normalize():
+        normalized = {"X_rank": r, "Yv_rank": s}
+        if name is not None:
+            normalized["name"] = name
+        if "X_action" in entry:
+            normalized["X_action"] = list(map(_mat_json, x.integer_action))
+        if "Yv_action" in entry:
+            normalized["Yv_action"] = list(map(_mat_json, yv.integer_action))
+        if "A" in entry:
+            normalized["A"] = entry["A"]
+            for key, _, items in sides:
+                normalized[key] = [e if isinstance(e, str) else _text_row(*p)
+                                   for (_, e), p in zip(items, points[key])]
+        if raw_psi is not None:
+            normalized["psi"] = [[_text_row(*vec) for vec in row]
+                                 for row in raw_psi]
+        return normalized
+
+    return motive, normalize
+
+
+def _psi_form(values, mu):
+    """psi as the motive holds it (``motive._PsiForm``), from the least
+    integer forms (ints, den) of its values psi[i][j], listed at i*s + j:
+    row k holds their k-th coordinates over one least den, their lcm."""
+    ints, den = _stacked(values)
+    return _PsiForm((tuple(zip(*ints)) if ints else ((),) * mu, den))
 
 
 def parse_input(text):
@@ -438,7 +468,7 @@ def parse_input(text):
     mult_space = _build("mult_basis", MultSpace, names,
                         [row for row, _ in relations])
 
-    models, varieties_norm = _parse_varieties(data.get("varieties", []))
+    models, varieties_json = _parse_varieties(data.get("varieties", []))
 
     motives = [_parse_motive(entry, where, group, mult_space, models)
                for where, entry in _items(data["motives"], "motives",
@@ -451,24 +481,27 @@ def parse_input(text):
             options["reductive_dim"] = _parse_int(
                 data["options"]["reductive_dim"], "options.reductive_dim")
 
-    normalized = {}
-    if group is not TRIVIAL_GROUP:
-        normalized["group"] = {
-            "generators": group.generator_count,
-            "relators": [list(w) for w in group.relators],
-        }
-    if names:
-        normalized["mult_basis"] = names
-    if relations:
-        normalized["mult_relations"] = [_text_row(*r) for r in relations]
-    if varieties_norm:
-        normalized["varieties"] = varieties_norm
-    normalized["motives"] = [n for n, _ in motives]
-    if options:
-        normalized["options"] = dict(options)
+    def normalize():
+        normalized = {}
+        if group is not TRIVIAL_GROUP:
+            normalized["group"] = {
+                "generators": group.generator_count,
+                "relators": [list(w) for w in group.relators],
+            }
+        if names:
+            normalized["mult_basis"] = names
+        if relations:
+            normalized["mult_relations"] = [_text_row(*r) for r in relations]
+        varieties = varieties_json()
+        if varieties:
+            normalized["varieties"] = varieties
+        normalized["motives"] = [entry() for _, entry in motives]
+        if options:
+            normalized["options"] = dict(options)
+        return normalized
 
-    return InputDocument(group, mult_space, models, motives, options,
-                         normalized)
+    return InputDocument(group, mult_space, models, [m for m, _ in motives],
+                         options, normalize)
 
 
 def load_input(path):
@@ -749,7 +782,7 @@ def build_report(doc, reductive_dim=None):
     if effective is not None and effective < 0:
         _fail("reductive_dim", "must be >= 0")
     return {"reports": [analyze_motive(motive, reductive_dim=effective)[0]
-                        for _, motive in doc.motives]}
+                        for motive in doc._motives]}
 
 
 def report_text(report):
@@ -794,7 +827,7 @@ def report_text(report):
 def gr_summary(doc):
     """Graded-pieces summary for every motive of a document."""
     return {"gr": [dict(name=motive.name, **_gr_json(motive))
-                   for _, motive in doc.motives]}
+                   for motive in doc._motives]}
 
 
 def gr_text(summary):
@@ -855,7 +888,7 @@ def check_invariants(doc):
     (``OneMotive._of``).
     """
     failures = []
-    for index, (_, motive) in enumerate(doc.motives):
+    for index, motive in enumerate(doc._motives):
         label = motive.name or "motives[%d]" % (index,)
         report = unipotent_radical(motive)
         if report.dim_unipotent != report.dim_B + report.dim_Z:

@@ -105,6 +105,8 @@ def _least(row: Sequence[int], den: int) -> tuple:
 def _stacked(forms: Sequence[tuple]) -> tuple:
     """One integer form (rows, den) of rows given each as its own least (row, d)."""
     den = math.lcm(*(d for _, d in forms))
+    if den == 1:
+        return tuple(tuple(row) for row, _ in forms), 1
     return tuple(tuple(x * (den // d) for x in row) for row, d in forms), den
 
 
@@ -649,6 +651,13 @@ class IntLattice:
             raise ValueError("generator length does not match ambient rank")
         self.generators = tuple(map(tuple, _hermite_rows([g for g in rows if any(g)])))
 
+    @classmethod
+    def _of(cls, ambient_rank: int, generators: tuple) -> "IntLattice":
+        """Wrap int tuples that are already their own ``_hermite_rows``, unchecked."""
+        lattice = object.__new__(cls)
+        lattice.ambient_rank, lattice.generators = ambient_rank, generators
+        return lattice
+
     @property
     def rank(self) -> int:
         return len(self.generators)
@@ -671,26 +680,38 @@ def smith_normal_form(m: list) -> tuple:
         (U, D, V) with U, V unimodular integer row lists and
         U·m·V = D diagonal with the divisibility chain d1 | d2 | ...
     """
-    d, v, u_inv = _smith(m)
+    d, u_inv, col_ops = _smith(m)
     u = RatMatrix(len(u_inv), len(u_inv), u_inv).inverse()
+    ncols = len(m[0]) if m else 0
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for i, j, q in col_ops:
+        for row in v:
+            if q is None:
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[i] -= q * row[j]
     return [[int(x) for x in row] for row in u.row_list()], d, v
 
 
 def _smith(m: list) -> tuple:
-    """(D, V, U⁻¹) of :func:`smith_normal_form`, all integer row lists.
+    """(D, U⁻¹, column operations) of :func:`smith_normal_form`, D and
+    U⁻¹ integer row lists.
 
     U⁻¹ is kept by undoing each row operation as a column operation, so
     it needs no rational inverse; ``saturate`` reads only D and U⁻¹.
     While the operations run it is held as sparse columns,
     {row: entry}: U⁻¹ starts as the identity and a column operation adds
     a multiple of a column that is mostly still a unit vector, so each
-    one touches a few entries, not a whole column.
+    one touches a few entries, not a whole column.  V is not formed: the
+    column operations are listed in order, (i, j, q) for col i -= q·col j
+    and (i, j, None) for a swap, and ``smith_normal_form`` replays them
+    on the identity.
     """
     a = [list(r) for r in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     u_inv_cols = [{k: 1} for k in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    col_ops = []
 
     def row_op(i, j, q):  # row i -= q * row j; col j of U⁻¹ += q * col i
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -701,8 +722,7 @@ def _smith(m: list) -> tuple:
     def col_op(i, j, q):  # col i -= q * col j
         for r in range(nrows):
             a[r][i] -= q * a[r][j]
-        for r in range(ncols):
-            v[r][i] -= q * v[r][j]
+        col_ops.append((i, j, q))
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -711,8 +731,7 @@ def _smith(m: list) -> tuple:
     def swap_cols(i, j):
         for r in range(nrows):
             a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(ncols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        col_ops.append((i, j, None))
 
     t = 0
     while t < min(nrows, ncols):
@@ -760,7 +779,7 @@ def _smith(m: list) -> tuple:
     for c, col in enumerate(u_inv_cols):
         for k, x in col.items():
             u_inv[k][c] = x
-    return a, v, u_inv
+    return a, u_inv, col_ops
 
 
 def saturate(l: IntLattice) -> IntLattice:
@@ -772,6 +791,6 @@ def saturate(l: IntLattice) -> IntLattice:
     if l.rank == 0:
         return l
     m = [[g[i] for g in l.generators] for i in range(l.ambient_rank)]
-    d, _, u_inv = _smith(m)
+    d, u_inv, _ = _smith(m)
     r = sum(1 for t in range(min(len(d), len(d[0]))) if d[t][t] != 0)
     return IntLattice(l.ambient_rank, [[row[t] for row in u_inv] for t in range(r)])

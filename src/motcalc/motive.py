@@ -15,8 +15,9 @@ form (X, Yv, A, A*, v, v*, psi):
 
 The points and psi are held only as integers over one least denominator
 (``PointVector.integer_coords``, ``psi_integer_rows``), which the radical
-reads.  The parser reads them as integer rows, and ``Fraction``s are
-built only on first read of ``coords`` or ``psi``.
+reads.  The parser reads them as integer rows and hands psi over in that
+form (``_PsiForm``), and ``Fraction``s are built only on first read of
+``coords`` or ``psi``.
 
 The group G itself is never materialized; every computation downstream
 consumes the 7-tuple directly.  Tracked points and psi values are taken
@@ -41,6 +42,13 @@ from .errors import ValidationError
 from .exactlin import _fraction_row, _int_matmul, _integer_rows
 from .lattices import GaloisLattice, dual, tensor
 from .multgroup import MultSpace
+
+
+class _PsiForm(tuple):
+    """psi given to ``OneMotive`` as its integer form (rows, den) of
+    ``psi_integer_rows``, den the least one: how the parser reads it."""
+
+    __slots__ = ()
 
 
 class OneMotive:
@@ -123,11 +131,22 @@ class OneMotive:
 
     def _check_psi(self, psi):
         """psi's integer form (rows, den): row k holds psi[i][j][k] at
-        i*s + j, over den, the lcm of every denominator in psi.  An entry
-        that is not an exact rational raises ``TypeError``."""
+        i*s + j, over den, the lcm of every denominator in psi.  psi is an
+        r x s table of value tuples, or that form already (``_PsiForm``),
+        whose shape is checked as the table's.  An entry that is not an
+        exact rational raises ``TypeError``."""
         r, s, mu = self.X.rank, self.Yv.rank, self.mult_space.dim
         if psi is None:
             return ((0,) * (r * s),) * mu, 1
+        if type(psi) is _PsiForm:
+            rows, den = psi
+            if any(len(row) != r * s for row in rows):
+                raise ValidationError("psi must be an r x s matrix of values")
+            if r * s and len(rows) != mu:
+                raise ValidationError(
+                    "psi entry has %d coordinates, value group has dim %d"
+                    % (len(rows), mu))
+            return rows, den
         rows = [[tuple(entry) for entry in row] for row in psi]
         if len(rows) != r or any(len(row) != s for row in rows):
             raise ValidationError("psi must be an r x s matrix of values")
@@ -146,6 +165,8 @@ class OneMotive:
         gx, gy (the lattices' int rows), P, Q (the points of v and v* as
         columns, held transposed) and the psi components C are the integer
         forms the motive keeps, and the products are compared in integers.
+        The mu components take two products per generator: gx^T times
+        [C_1 | ... | C_mu], whose blocks, stacked as rows, times gy.
         """
         if not self.X.group.generator_count:
             return
@@ -154,8 +175,11 @@ class OneMotive:
               if self.A is not None and r else None)
         qt = (list(map(list, self.vstar.integer_coords()[0]))
               if self.Astar is not None and s else None)
-        comps = [[list(row[i * s:(i + 1) * s]) for i in range(r)]
-                 for row in self._psi_ints[0]] if r and s else []
+        psi_rows = self._psi_ints[0] if r and s else ()
+        # column j of C_t is row t of psi at j, s + j, ..., (r-1)*s + j
+        columns = [row[j::s] for row in psi_rows for j in range(s)]
+        stacked = [list(row[i * s:(i + 1) * s])
+                   for row in psi_rows for i in range(r)]
         for k in range(self.X.group.generator_count):
             gxt = list(zip(*self.X.integer_action[k]))
             gyt = list(zip(*self.Yv.integer_action[k]))
@@ -165,9 +189,12 @@ class OneMotive:
             if qt is not None and _int_matmul(gyt, list(zip(*qt))) != qt:
                 raise ValidationError(
                     "vstar is not equivariant under generator %d" % (k,))
-            for c in comps:
+            if stacked:
+                left = _int_matmul(gxt, columns)
                 # the columns of gy are the rows of gy^T
-                if _int_matmul(_int_matmul(gxt, list(zip(*c))), gyt) != c:
+                blocks = [row[t * s:(t + 1) * s]
+                          for t in range(len(psi_rows)) for row in left]
+                if _int_matmul(blocks, gyt) != stacked:
                     raise ValidationError(
                         "psi is not equivariant under generator %d" % (k,))
 

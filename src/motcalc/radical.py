@@ -177,45 +177,57 @@ class ExtensionHom:
 
 
 def _extension_values(m, characters, ints, den):
-    """V on each character, built from the character's nonzero entries.
+    """V on each character, built in one pass over its nonzero entries.
 
     ``characters[k]`` is ``ints[k]`` over the one denominator ``den``;
     ``characters`` may also be the ``Subspace`` whose form (ints, den) is,
     so that its ``Fraction`` rows are formed only if a caller reads them.
-    Entry k = i*s + j of z adds z_k v*_j to row i of the A* side and z_k v_i
-    to row j of the A side.  Each value is an integer form
-    (``PointVector._of_ints``) over dz * d, with z = ints/dz at its least
-    dz and d the points' denominator, so a common denominator but not
-    always the least one: a row with one term of coefficient 1 (every
+    Entry k of z, at (i, j) = divmod(k, s), adds z_k v*_j to row i of the
+    A* side and z_k v_i to row j of the A side.  Each value is an integer
+    form (``PointVector._of_ints``) over dz * d, with z = ints/dz at its
+    least dz and d the points' denominator, so a common denominator but
+    not always the least one.  A row with one term of coefficient 1 (every
     nonzero row of a unit character) is the input point's own int row, a
-    row with none the side's one zero row, and any other an integer sum.
+    row with none the side's one zero row, and any other an integer sum:
+    the report formats a shared row once (``document._rows_json``).
     """
     if m.A is None:
         none = (None,) * len(ints)
         return ExtensionHom(characters, none, none)
     r, s = m.r, m.s
-    least = [_least(z, den) for z in ints] if den != 1 else [(z, 1) for z in ints]
-    values = []
-    for variety, points, table in (
-            (m.Astar, m.vstar, lambda z: [z[i * s:(i + 1) * s] for i in range(r)]),
-            (m.A, m.v, lambda z: [z[j::s] for j in range(s)])):
-        coords, d = points.integer_coords()
-        zero = (0,) * variety.point_space_dim
-        values.append(tuple(PointVector._of_ints(variety, tuple(
-            _point_row(row, coords, zero) for row in table(z)), dz * d)
-            for z, dz in least))
-    return ExtensionHom(characters, *values)
+    vstar, dstar = m.vstar.integer_coords()
+    v, d = m.v.integer_coords()
+    zero_star = (0,) * m.Astar.point_space_dim
+    zero = (0,) * m.A.point_space_dim
+    astar_values, a_values = [], []
+    for z in ints:
+        dz = den
+        if den != 1:
+            z, dz = _least(z, den)
+        on_astar, on_a = {}, {}
+        for k, x in enumerate(z):
+            if x:
+                i, j = divmod(k, s)
+                on_astar.setdefault(i, []).append((x, vstar[j]))
+                on_a.setdefault(j, []).append((x, v[i]))
+        rows = [zero_star] * r
+        for i, terms in on_astar.items():
+            rows[i] = _point_row(terms)
+        astar_values.append(PointVector._of_ints(m.Astar, tuple(rows), dz * dstar))
+        rows = [zero] * s
+        for j, terms in on_a.items():
+            rows[j] = _point_row(terms)
+        a_values.append(PointVector._of_ints(m.A, tuple(rows), dz * d))
+    return ExtensionHom(characters, tuple(astar_values), tuple(a_values))
 
 
-def _point_row(row, ints, zero):
-    """The int row sum_c row[c] ints[c]."""
-    terms = [(x, c) for c, x in enumerate(row) if x]
-    if not terms:
-        return zero
-    if len(terms) == 1 and terms[0][0] == 1:
-        return ints[terms[0][1]]
-    return tuple(sum(x * ints[c][e] for x, c in terms)
-                 for e in range(len(zero)))
+def _point_row(terms):
+    """The int row sum x·row over the (x, row) of ``terms``, none zero:
+    the row itself for one term with x = 1."""
+    if len(terms) == 1:
+        x, row = terms[0]
+        return row if x == 1 else tuple(x * y for y in row)
+    return tuple(map(sum, zip(*([x * y for y in row] for x, row in terms))))
 
 
 class RadicalReport:
@@ -281,14 +293,17 @@ def _integral_basis(space):
     Other bases go through ``saturate``, whose HNF depends on the
     generators it is given (see ``_hermite_rows``); the primitive multiples
     of the echelon rows fix them, so the result is a function of the space.
+    Those multiples are already their own ``_hermite_rows`` output (each
+    pivot positive, every other pivot column zero, nothing above a pivot
+    to reduce), so they are wrapped as they are (``IntLattice._of``).
     """
     if space.den == 1:
         return space.ints
     primitive = []
     for row in space.ints:
         g = math.gcd(space.den, *row)
-        primitive.append([x // g for x in row])
-    return saturate(IntLattice(space.ambient_dim, primitive)).generators
+        primitive.append(tuple(x // g for x in row))
+    return saturate(IntLattice._of(space.ambient_dim, tuple(primitive))).generators
 
 
 class DualRadicalData:

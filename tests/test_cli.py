@@ -488,9 +488,9 @@ def test_generated_workloads_match_recorded_digests(capsys, tmp_path,
 
 
 def test_parse_reads_actions_and_points_as_ints(monkeypatch):
-    """Parsing a cyclic_relators document turns no action matrix or
-    tracked point into ``Fraction``s and back: the one conversion left is
-    psi's, in ``OneMotive._check_psi``."""
+    """Parsing an End = Q document turns no action matrix, tracked point
+    or psi value into ``Fraction``s and back: psi reaches the motive as
+    its integer rows, so no ``_integer_rows`` runs."""
     callers = []
     for name in ("_integer_rows", "_fraction_row"):
         original = getattr(exactlin, name)
@@ -502,10 +502,11 @@ def test_parse_reads_actions_and_points_as_ints(monkeypatch):
         for key, module in list(sys.modules.items()):
             if key.startswith("motcalc") and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counting)
-    documents = benchmark_generator().documents("cyclic_relators", 0)
-    for _, text in documents:
-        parse_input(text)
-    assert callers == [("_integer_rows", "_check_psi")] * len(documents)
+    generate = benchmark_generator()
+    for workload in ("cyclic_relators", "trivial_ladder"):
+        for _, text in generate.documents(workload, 0):
+            parse_input(text)
+    assert callers == []
 
 
 def test_analyze_forms_no_fraction_rows_of_a_subspace(capsys, monkeypatch):
@@ -843,3 +844,34 @@ def test_normalized_document_and_motives_match_the_eager_oracle():
                              else tuple(map(Fraction, e))
                              for e in raw.get(key, [])]
                 assert list(points.coords) == want_rows, (label, key)
+
+
+def test_analyze_forms_no_normalized_entry(capsys, monkeypatch, tmp_path):
+    """analyze, with and without --check-invariants, and gr write only the
+    report's text: no entry of the normalized document is formed."""
+    callers = []
+    original = exactlin._text_row
+
+    def counting(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return original(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("motcalc") and vars(module).get("_text_row") is original:
+            monkeypatch.setattr(module, "_text_row", counting)
+    cyclic = benchmark_generator().cyclic_document(random.Random(0), "c4", 4)
+    documents = [RATIONAL_DOCUMENT, END_ALGEBRA_DOCUMENTS["Q_i_dual_pair"],
+                 cyclic]
+    for index, payload in enumerate(documents):
+        path = tmp_path / ("doc%d.json" % (index,))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        for argv in (("analyze", "--format", "json"),
+                     ("analyze", "--format", "json", "--check-invariants"),
+                     ("gr", "--format", "json")):
+            code, _, _ = run_main(capsys, argv[0], str(path), *argv[1:])
+            assert code == 0
+    assert callers
+    assert set(callers) <= {"_basis_json", "_rows_json", "analyze_motive"}

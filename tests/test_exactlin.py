@@ -293,9 +293,13 @@ def test_smith_tracks_the_exact_inverse_of_u():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        d, v, u_inv = _smith(m)
-        assert smith_normal_form(m)[1:] == (d, v)
-        # m·V = U⁻¹·D with U⁻¹ integral and unimodular
+        d, u_inv, _ = _smith(m)
+        u, d_snf, v = smith_normal_form(m)
+        assert d_snf == d
+        # U·m·V = D, and m·V = U⁻¹·D with U⁻¹ integral and unimodular
+        assert (RatMatrix.from_rows(u) * RatMatrix.from_rows(m)
+                * RatMatrix.from_rows(v) == RatMatrix.from_rows(d))
+        assert abs(RatMatrix.from_rows(v).det()) == 1
         u_inv = RatMatrix.from_rows(u_inv)
         assert abs(u_inv.det()) == 1
         assert (RatMatrix.from_rows(m) * RatMatrix.from_rows(v)

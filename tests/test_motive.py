@@ -6,7 +6,13 @@ from motcalc.abelian import AbelianVarietyModel, PointVector, link_duals
 from motcalc.errors import ValidationError
 from motcalc.exactlin import RatMatrix
 from motcalc.lattices import ActionGroup, GaloisLattice
-from motcalc.motive import OneMotive, cartier_dual, gr, weight_filtration
+from motcalc.motive import (
+    OneMotive,
+    _PsiForm,
+    cartier_dual,
+    gr,
+    weight_filtration,
+)
 from motcalc.multgroup import MultSpace
 
 
@@ -166,6 +172,13 @@ def test_validation_psi_shape():
     with pytest.raises(ValidationError):
         OneMotive(GaloisLattice(1), GaloisLattice(1), mult_space=space,
                   psi=[[(1, 2)]])
+    # the integer form the parser hands over is checked as the table is
+    with pytest.raises(ValidationError, match="r x s matrix"):
+        OneMotive(GaloisLattice(1), GaloisLattice(2), mult_space=space,
+                  psi=_PsiForm((((1,),), 1)))
+    with pytest.raises(ValidationError, match="has 2 coordinates"):
+        OneMotive(GaloisLattice(1), GaloisLattice(1), mult_space=space,
+                  psi=_PsiForm((((1,), (2,)), 1)))
 
 
 def test_validation_group_mismatch():
@@ -216,6 +229,37 @@ def test_equivariance_of_psi():
         with pytest.raises(ValidationError, match="psi is not equivariant"):
             OneMotive(x, yv, mult_space=space,
                       psi=[[space.element(first)], [space.element(second)]])
+
+
+SWAP = [[0, 1], [1, 0]]
+IDENTITY = [[1, 0], [0, 1]]
+# (action on X, action on Yv, a psi component both fix)
+EQUIVARIANT_COMPONENTS = [
+    (SWAP, SWAP, [[2, -1], [-1, 2]]),
+    (IDENTITY, SWAP, [[2, 2], [-1, -1]]),
+    (SWAP, IDENTITY, [[2, -1], [2, -1]]),
+]
+
+
+@pytest.mark.parametrize("gx, gy, good", EQUIVARIANT_COMPONENTS)
+@pytest.mark.parametrize("bad", [None, 0, 1, 2])
+def test_equivariance_of_each_psi_component(gx, gy, good, bad):
+    """Three psi components on r = s = 2: only component ``bad`` is
+    [[1, 0], [0, 0]], which none of the actions fixes, and the others are
+    fixed.  The second generator acts, so a failure names generator 1."""
+    group = ActionGroup(2)
+    x = GaloisLattice(2, action=[IDENTITY, gx], group=group)
+    yv = GaloisLattice(2, action=[IDENTITY, gy], group=group)
+    space = MultSpace(["q1", "q2", "q3"])
+    comps = [[[1, 0], [0, 0]] if t == bad else good for t in range(3)]
+    psi = [[tuple(c[i][j] for c in comps) for j in range(2)]
+           for i in range(2)]
+    if bad is None:
+        OneMotive(x, yv, mult_space=space, psi=psi)
+        return
+    with pytest.raises(ValidationError,
+                       match="psi is not equivariant under generator 1$"):
+        OneMotive(x, yv, mult_space=space, psi=psi)
 
 
 def test_empty_motive():

@@ -1452,14 +1452,15 @@ def test_integral_basis_examples(space):
 
 
 def record_lattices(mp):
-    """Patch ``radical.IntLattice`` to record each generator list it gets."""
+    """Patch ``radical.saturate`` to record the generators of each lattice
+    it gets."""
     seen = []
 
-    def recording(n, generators):
-        seen.append([list(g) for g in generators])
-        return IntLattice(n, generators)
+    def recording(lattice):
+        seen.append([list(g) for g in lattice.generators])
+        return saturate(lattice)
 
-    mp.setattr(radical, "IntLattice", recording)
+    mp.setattr(radical, "saturate", recording)
     return seen
 
 
