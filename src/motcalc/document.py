@@ -5,7 +5,8 @@ models, an optional Galois action group, a multiplicative value group,
 and a list of motives over these.  A rational is an integer or a string
 "p" or "p/q" of ASCII digits, p optionally signed, and each list of them
 is read once into the integer form (ints, den) the motive holds
-(``_parse_row``): ``Fraction``s are built only on first read of
+(``_parse_row``; psi goes to the motive as its integer rows,
+``_psi_form``): ``Fraction``s are built only on first read of
 ``coords``, ``psi`` or ``rows``.  Every declared name must resolve;
 validation failures carry the JSON path of the offending field.  Every
 list-valued field is read through ``_items``, which checks that it is a
@@ -16,7 +17,9 @@ its path ``field[i]``, and every constructor on parsed data runs through
 The same schema is used for machine-readable output, so documents can be
 regenerated: parsing and serializing is idempotent after one
 normalization pass, and the emitted Cartier dual of a document is again
-a valid document over the same varieties.
+a valid document over the same varieties.  The normalized document is
+formed from what the parser kept, on first read (``InputDocument``):
+the analysis, the invariant checks and the graded summary never read it.
 
 Field summary (all optional unless noted):
 
