@@ -1,17 +1,22 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
 import glob
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motcalc import cli, exactlin
 from motcalc.cli import (
@@ -21,7 +26,13 @@ from motcalc.cli import (
     EXIT_VALIDATION,
     main,
 )
-from motcalc.document import dual_document, parse_input, serialize_document
+from motcalc.document import (
+    build_report,
+    dual_document,
+    load_input,
+    parse_input,
+    serialize_document,
+)
 from motcalc.motive import OneMotive
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "motives")
@@ -875,3 +886,177 @@ def test_analyze_forms_no_normalized_entry(capsys, monkeypatch, tmp_path):
             assert code == 0
     assert callers
     assert set(callers) <= {"_basis_json", "_rows_json", "analyze_motive"}
+
+
+# ----- analyze --format json against the report dict ----------------------
+
+
+def analyze_json(path, *flags):
+    """Exit code and stdout of ``main(["analyze", path, "--format", "json",
+    *flags])``, captured without pytest's fixtures (so hypothesis can call
+    it)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", str(path), "--format", "json", *flags])
+    return code, out.getvalue()
+
+
+def assert_report_json_is_the_dict_text(path, *flags, reductive_dim=None):
+    """``analyze --format json`` prints ``serialize_document`` of the
+    report dict that ``build_report`` forms, and that text is the one of
+    ``json.dumps(..., sort_keys=True, indent=2)``."""
+    code, text = analyze_json(path, *flags)
+    assert code == 0, path
+    doc = load_input(str(path))
+    assert text == serialize_document(
+        build_report(doc, reductive_dim=reductive_dim)), path
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              indent=2) + "\n", path
+
+
+# A motive and a variety whose names need escaping, a motive with no name
+# and no abelian part, one with r = s = 0, and an abelian part whose
+# point space is zero (every point row empty).
+ESCAPED_NAME = 'm"\\ü'
+EDGE_DOCUMENTS = {
+    "escaped_names": {
+        "mult_basis": ["q"],
+        "varieties": [{"name": 'E"\\é', "g": 1, "points": ["P"],
+                       "dual": 'E"\\é'}],
+        "motives": [{"name": ESCAPED_NAME, "X_rank": 1, "Yv_rank": 1,
+                     "A": 'E"\\é', "v": ["P"], "vstar": [["2"]],
+                     "psi": [[["1/2"]]]}],
+    },
+    "unnamed_and_empty": {
+        "motives": [{"X_rank": 1, "Yv_rank": 0}, {"X_rank": 0, "Yv_rank": 0},
+                    {"X_rank": 0, "Yv_rank": 2}],
+    },
+    "no_points": {
+        "mult_basis": ["q"],
+        "varieties": [{"name": "E", "g": 1, "dual": "E"}],
+        "motives": [{"name": "no_points", "X_rank": 2, "Yv_rank": 1,
+                     "A": "E", "v": [[], []], "vstar": [[]],
+                     "psi": [[["1"]], [["0"]]]}],
+    },
+    "no_motives": {"motives": []},
+    "reductive_option": {
+        "mult_basis": ["q"],
+        "varieties": [{"name": "E", "g": 1, "points": ["P"], "dual": "E"}],
+        "motives": [{"name": "opt", "X_rank": 1, "Yv_rank": 1, "A": "E",
+                     "v": ["P"], "vstar": ["P"], "psi": [[["1"]]]}],
+        "options": {"reductive_dim": 4},
+    },
+}
+
+
+def report_oracle_documents():
+    """(label, text): the corpus, seeds 0-9 of both generated workloads,
+    RATIONAL_DOCUMENT, the End ⊋ Q documents and EDGE_DOCUMENTS."""
+    docs = [(os.path.basename(p), open(p, encoding="utf-8").read())
+            for p in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))]
+    generate = benchmark_generator()
+    for workload in ("trivial_ladder", "cyclic_relators"):
+        for seed in range(10):
+            docs += [("%s-%d-%s" % (workload, seed, label), text)
+                     for label, text in generate.documents(workload, seed)]
+    docs.append(("rational", json.dumps(RATIONAL_DOCUMENT)))
+    docs += [(label, json.dumps(doc)) for label, doc in
+             sorted({**END_ALGEBRA_DOCUMENTS, **EDGE_DOCUMENTS}.items())]
+    return docs
+
+
+def test_analyze_json_is_the_text_of_the_report_dict(tmp_path):
+    for label, text in report_oracle_documents():
+        path = tmp_path / (label.replace(".json", "") + ".json")
+        path.write_text(text, encoding="utf-8")
+        assert_report_json_is_the_dict_text(path)
+
+
+def test_analyze_json_with_a_reductive_dim_is_the_text_of_the_report_dict(
+        tmp_path):
+    for name in CORPUS_FILES:
+        assert_report_json_is_the_dict_text(
+            corpus_path(name), "--reductive-dim", "4", reductive_dim=4)
+    path = tmp_path / "option.json"
+    path.write_text(json.dumps(EDGE_DOCUMENTS["reductive_option"]),
+                    encoding="utf-8")
+    # the flag overrides the document's option
+    assert_report_json_is_the_dict_text(path, "--reductive-dim", "0",
+                                        reductive_dim=0)
+    assert_report_json_is_the_dict_text(path)
+    _, text = analyze_json(path)
+    assert json.loads(text)["reports"][0]["dims"]["reductive_dim"] == 4
+
+
+def test_analyze_json_escapes_names(tmp_path):
+    path = tmp_path / "escaped.json"
+    path.write_text(json.dumps(EDGE_DOCUMENTS["escaped_names"]),
+                    encoding="utf-8")
+    code, text = analyze_json(path)
+    assert code == 0
+    assert '"name": "m\\"\\\\\\u00fc"' in text
+    assert '"A": "E\\"\\\\\\u00e9"' in text
+    assert json.loads(text)["reports"][0]["name"] == ESCAPED_NAME
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 5),
+       kind=st.sampled_from(["trivial", "trivial_torus", "cyclic"]))
+def test_analyze_json_of_generated_documents_is_the_text_of_the_report_dict(
+        seed, n, kind):
+    generate = benchmark_generator()
+    rng = random.Random(seed)
+    if kind == "cyclic":
+        doc = generate.cyclic_document(rng, "c", max(n, 1))
+    else:
+        doc = generate.trivial_document(rng, "t", n, kind == "trivial")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        assert_report_json_is_the_dict_text(path)
+
+
+# i ⊕ √−3 on Q^4: the parser accepts Q(i) × Q(√−3) as a field, and the
+# analysis rejects it (tests/test_document.py, ROADMAP item 7).
+PRODUCT_OF_TWO_FIELDS = {
+    "mult_basis": ["q"],
+    "varieties": [{
+        "name": "A", "g": 2, "points": ["P0", "P1", "P2", "P3"],
+        "end_generators": [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -3],
+                            [0, 0, 1, 0]]],
+        "end_action": [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -3],
+                        [0, 0, 1, 0]]],
+        "dual": "A",
+    }],
+    "motives": [{"X_rank": 1, "Yv_rank": 1, "A": "A", "v": ["P0"],
+                 "vstar": ["P2"], "psi": [[["1"]]]}],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", ["flag", "option", "product_of_two_fields"])
+def test_analyze_rejections_print_no_report(capsys, tmp_path, fmt, case):
+    """A negative reductive_dim, and a motive whose analysis fails after
+    an earlier motive's succeeded, exit 3 with nothing on stdout."""
+    flags = ()
+    if case == "product_of_two_fields":
+        payload = json.loads(json.dumps(PRODUCT_OF_TWO_FIELDS))
+        # a motive that analyzes cleanly comes first
+        payload["motives"].insert(0, {"name": "torus", "X_rank": 1,
+                                      "Yv_rank": 1, "psi": [[["1"]]]})
+    else:
+        payload = json.loads(json.dumps(EDGE_DOCUMENTS["reductive_option"]))
+        if case == "flag":
+            flags = ("--reductive-dim", "-1")
+        else:
+            payload["options"]["reductive_dim"] = -1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_main(capsys, "analyze", str(path), "--format", fmt,
+                              *flags)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("validation error: ")
+    if case != "product_of_two_fields":
+        assert "reductive_dim: must be >= 0" in err
