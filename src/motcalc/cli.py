@@ -23,6 +23,7 @@ import json
 import sys
 
 from .document import (
+    _report_json,
     build_report,
     check_invariants,
     dual_document,
@@ -95,11 +96,12 @@ def main(argv=None):
     try:
         doc = load_input(args.file)
         if args.command == "analyze":
-            report = build_report(doc, reductive_dim=args.reductive_dim)
             if args.format == "json":
-                sys.stdout.write(serialize_document(report))
+                text = _report_json(doc, args.reductive_dim)
             else:
-                sys.stdout.write(report_text(report))
+                text = report_text(build_report(
+                    doc, reductive_dim=args.reductive_dim))
+            sys.stdout.write(text)
             if args.check_invariants:
                 failures = check_invariants(doc)
                 if failures:

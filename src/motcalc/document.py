@@ -21,6 +21,12 @@ a valid document over the same varieties.  The normalized document is
 formed from what the parser kept, on first read (``InputDocument``):
 the analysis, the invariant checks and the graded summary never read it.
 
+A report has two writers, which tests keep equal: ``build_report``
+forms it as a dict (``analyze_motive``), for the text report and the
+library, and ``_report_json`` writes the JSON text of ``analyze
+--format json`` straight from each motive's analysis, one template per
+object of the report's schema.  A change to the schema changes both.
+
 Field summary (all optional unless noted):
 
 * "group": {"generators": int, "relators": [[signed 1-based ints]]}
@@ -48,6 +54,7 @@ self-dual variety acts by its own "end_action" and takes no transfer.
 
 import json
 import math
+import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .abelian import AbelianVarietyModel, EndAlgebraRep, PointVector, \
@@ -110,10 +117,12 @@ def _expect(value, kind, where, what):
     return value
 
 
-def _parse_int(value, where, minimum=0):
+def _parse_int(value, where, minimum=0, maximum=None):
     _expect(value, int, where, "an integer")
     if value < minimum:
         _fail(where, "must be >= %d" % (minimum,))
+    if maximum is not None and value > maximum:
+        _fail(where, "must be <= %d" % (maximum,))
     return value
 
 
@@ -362,8 +371,12 @@ def _parse_motive(entry, where, group, mult_space, models):
     name = entry.get("name")
     if name is not None:
         _expect(name, str, where + ".name", "a string")
-    r = _parse_int(entry["X_rank"], where + ".X_rank")
-    s = _parse_int(entry["Yv_rank"], where + ".Yv_rank")
+    # r, s and r*s size tuples: past sys.maxsize they cannot index one
+    r = _parse_int(entry["X_rank"], where + ".X_rank", maximum=sys.maxsize)
+    s = _parse_int(entry["Yv_rank"], where + ".Yv_rank", maximum=sys.maxsize)
+    if r * s > sys.maxsize:
+        _fail(where + ".Yv_rank",
+              "X_rank * Yv_rank must be <= %d" % (sys.maxsize,))
 
     def lattice(rank, key):
         path = "%s.%s" % (where, key)
@@ -523,10 +536,11 @@ def serialize_document(payload):
     plus a newline, written here because with ``indent`` set ``json``
     runs its pure-Python encoder.  Payloads hold dicts with str keys,
     lists, str, int, bool and None; any other value raises TypeError.
-    A list met again at the same indent reuses the chunks of its first text.
+    ``analyze --format json`` does not come here: ``_report_json`` writes
+    its report straight from the analysis.
     """
     chunks = []
-    _write_json(payload, "\n", chunks, {})
+    _write_json(payload, "\n", chunks)
     chunks.append("\n")
     return "".join(chunks)
 
@@ -536,12 +550,10 @@ def serialize_document(payload):
 _KEY_TEXT = {}
 
 
-def _write_json(value, newline, chunks, spans):
+def _write_json(value, newline, chunks):
     """Append ``value`` as indented JSON to ``chunks``; ``newline`` ends its
-    line and indents.  ``spans`` maps id(list) to (newline, start, end), its
-    slice of ``chunks``; the payload keeps each list alive, so ids are safe.
-    The loop over a dict or a mixed list writes each str, int or None item,
-    and each list already written at its indent, with no call of its own."""
+    line and indents.  The loop over a dict or a mixed list writes each
+    str, int or None item with no call of its own."""
     kind = type(value)
     if value is None:
         chunks.append("null")
@@ -551,11 +563,7 @@ def _write_json(value, newline, chunks, spans):
         if not value:
             chunks.append("[]")
             return
-        span = spans.get(id(value))
-        if span is not None and span[0] == newline:
-            chunks.extend(chunks[span[1]:span[2]])
-            return
-        start, inner = len(chunks), newline + "  "
+        inner = newline + "  "
         separator = "," + inner
         try:
             joined = "".join(value) if type(value[0]) is str else None
@@ -573,11 +581,8 @@ def _write_json(value, newline, chunks, spans):
                     chunks.append(int.__repr__(item))
                 elif item is None:
                     chunks.append("null")
-                elif kind is list and (span := spans.get(id(item))) \
-                        and span[0] == inner:
-                    chunks.extend(chunks[span[1]:span[2]])
                 else:
-                    _write_json(item, inner, chunks, spans)
+                    _write_json(item, inner, chunks)
             chunks.append(newline + "]")
         elif len(_json_str(joined)) == len(joined) + 2:  # nothing to escape
             chunks.append('[%s"%s"%s]' % (
@@ -585,7 +590,6 @@ def _write_json(value, newline, chunks, spans):
         else:
             chunks.append("[%s%s%s]" % (
                 inner, separator.join(map(_json_str, value)), newline))
-        spans[id(value)] = (newline, start, len(chunks))
     elif kind is dict or isinstance(value, dict):
         if not value:
             chunks.append("{}")
@@ -609,11 +613,8 @@ def _write_json(value, newline, chunks, spans):
                 chunks.append(int.__repr__(item))
             elif item is None:
                 chunks.append("null")
-            elif kind is list and (span := spans.get(id(item))) \
-                    and span[0] == inner:
-                chunks.extend(chunks[span[1]:span[2]])
             else:
-                _write_json(item, inner, chunks, spans)
+                _write_json(item, inner, chunks)
         chunks.append(newline + "}")
     elif isinstance(value, str):
         chunks.append(_json_str(value))
@@ -699,13 +700,28 @@ def _gr_json(motive):
     }
 
 
+def _reductive_dim(doc, reductive_dim):
+    """The reductive_dim a document's report uses: the one given, else the
+    document's option; a negative one fails at "reductive_dim"."""
+    if reductive_dim is None:
+        reductive_dim = doc.options.get("reductive_dim")
+    if reductive_dim is not None and reductive_dim < 0:
+        _fail("reductive_dim", "must be >= 0")
+    return reductive_dim
+
+
+def _analysis(motive, reductive_dim):
+    """What a motive's report is written from: its weight filtration, E,
+    the radical report and the dual radical."""
+    weights = weight_filtration(motive)
+    end_data = build_E(gr(motive))
+    report = unipotent_radical(motive, reductive_dim=reductive_dim)
+    return weights, end_data, report, radical_cartier_dual(report)
+
+
 def analyze_motive(motive, reductive_dim=None):
     """All computed data for one motive, as a JSON-ready dict."""
-    weights = weight_filtration(motive)
-    pieces = gr(motive)
-    end_data = build_E(pieces)
-    report = unipotent_radical(motive, reductive_dim=reductive_dim)
-    dual_data = radical_cartier_dual(report)
+    weights, end_data, report, dual_data = _analysis(motive, reductive_dim)
     # Each shared object is formatted once: the extension characters are
     # Z's rows, Z1 may be Z, and the dual may reuse the extension.  So is
     # each point or matrix row, by id: end_data, report and dual_data hold it.
@@ -779,13 +795,209 @@ def analyze_motive(motive, reductive_dim=None):
 
 def build_report(doc, reductive_dim=None):
     """Analyze every motive of a document, in input order."""
-    effective = reductive_dim
-    if effective is None:
-        effective = doc.options.get("reductive_dim")
-    if effective is not None and effective < 0:
-        _fail("reductive_dim", "must be >= 0")
+    effective = _reductive_dim(doc, reductive_dim)
     return {"reports": [analyze_motive(motive, reductive_dim=effective)[0]
                         for motive in doc._motives]}
+
+
+# The report's JSON text, written straight from the analysis by
+# ``_report_json``: one template per object of ``analyze_motive``'s dict,
+# keys in sort_keys order, each at the indent that ``serialize_document``
+# gives it inside the "reports" list.
+_REPORT = """{
+      "B": {
+        "dim_B": %d,
+        "w_a_basis": %s,
+        "w_astar_basis": %s
+      },
+      "E": {
+        "bracket": %s,
+        "em1_dim": %d,
+        "em2_rank": %d
+      },
+      "Z": {
+        "derived_dim": %d,
+        "dim_Z": %d,
+        "quasi_deficient": %s,
+        "z1_basis": %s,
+        "z1_dim": %d,
+        "z_basis": %s
+      },
+      "b": {
+        "b1": %s,
+        "b2": %s
+      },
+      "dims": {
+        "dim_B": %d,
+        "dim_Z": %d,
+        "dim_unipotent": %d,
+        "reductive_dim": %s,
+        "total_dim": %s
+      },
+      "dual_radical": {
+        "V_a": %s,
+        "V_astar": %s,
+        "Zv_action": %s,
+        "Zv_rank": %d,
+        "characters": %s,
+        "expressible": %s
+      },
+      "extension": %s,
+      "gr": {
+        "A": %s,
+        "A_dim": %d,
+        "X_rank": %d,
+        "Y_rank": %d
+      },
+      "name": %s,
+      "weights": {
+        "w0_rank": %d,
+        "wm1_dim": %d,
+        "wm2_dim": %d
+      }
+    }"""
+
+_BRACKET_ENTRY = """{
+            "component": %d,
+            "left_block": %d,
+            "matrix": %s,
+            "right_block": %d
+          }"""
+
+_EXTENSION_ENTRY = """{
+          "a_points": %s,
+          "astar_points": %s,
+          "character": %s
+        }"""
+
+# _NEWLINE[n] starts a line indented by n spaces
+_NEWLINE = tuple("\n" + " " * n for n in range(15))
+
+
+def _json_text(value):
+    """The JSON text of None, a str or an int."""
+    if value is None:
+        return "null"
+    return _json_str(value) if type(value) is str else int.__repr__(value)
+
+
+def _list_text(items, newline):
+    """The JSON list of the texts ``items``, its closing bracket at the
+    start of ``newline`` and each item one indent further in."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[%s%s%s]" % (inner, ("," + inner).join(items), newline)
+
+
+def _row_text(row, den, newline):
+    """The ints ``row`` over den as a JSON list of ``_text_row``'s strings,
+    its closing bracket at the start of ``newline``."""
+    if not row:
+        return "[]"
+    inner = newline + "  "
+    return '[%s"%s"%s]' % (inner, ('",%s"' % (inner,)).join(
+        _text_row(row, den)), newline)
+
+
+def _rows_text(rows, den, newline, texts):
+    """The JSON list of the rows over den at ``newline``.  Each row's text
+    is formed once per row object, den and indent: ``texts`` keeps it by
+    id(row) under (den, indent) while the analysis holds the row."""
+    inner = newline + "  "
+    known = texts.get((den, inner))
+    if known is None:
+        known = texts[den, inner] = {}
+    items = []
+    for row in rows:
+        text = known.get(id(row))
+        if text is None:
+            text = known[id(row)] = _row_text(row, den, inner)
+        items.append(text)
+    return _list_text(items, newline)
+
+
+def _points_text(points, newline, texts):
+    if points is None:
+        return "null"
+    return _rows_text(*points.integer_coords(), newline, texts)
+
+
+def _basis_text(space, newline, texts):
+    return _rows_text(space.ints, space.den, newline, texts)
+
+
+def _motive_report_json(motive, weights, end_data, report, dual_data):
+    """The text ``serialize_document`` gives ``analyze_motive``'s dict for
+    one motive inside the "reports" list, formed from the same analysis
+    objects: each object the dict shares, such as Z's rows as the
+    extension characters, is written once."""
+    texts, nl = {}, _NEWLINE
+    ext = report.extension
+    chars = [_row_text(row, report.z.den, nl[10]) for row in report.z.ints]
+    z_basis = _list_text(chars, nl[8])
+    astar = [_points_text(p, nl[10], texts) for p in ext.astar_values]
+    a = [_points_text(p, nl[10], texts) for p in ext.a_values]
+    dual_chars, dual_astar, dual_a = z_basis, astar, a
+    if dual_data.extension is not ext:
+        dual_chars = _rows_text(dual_data.characters, 1, nl[8], texts)
+        dual_astar = [_points_text(p, nl[10], texts)
+                      for p in dual_data.astar_values]
+        dual_a = [_points_text(p, nl[10], texts) for p in dual_data.a_values]
+    bracket = [
+        _BRACKET_ENTRY % (l, p, _rows_text(map(mat.row, range(mat.rows)),
+                                           1, nl[12], texts), q)
+        for (l, p, q), mat in sorted(end_data.bracket.coefficients.items())]
+    b = report.b
+    return _REPORT % (
+        report.dim_B,
+        "null" if b.w_a is None else _basis_text(b.w_a.module, nl[8], texts),
+        "null" if b.w_astar is None
+        else _basis_text(b.w_astar.module, nl[8], texts),
+        _list_text(bracket, nl[8]),
+        (motive.r + motive.s) * motive.g,
+        end_data.em2.rank,
+        report.derived_dim,
+        report.dim_Z,
+        "true" if report.quasi_deficient else "false",
+        z_basis if report.z1 is report.z
+        else _basis_text(report.z1, nl[8], texts),
+        report.z1.dim,
+        z_basis,
+        _points_text(report.b1, nl[8], texts),
+        _points_text(report.b2, nl[8], texts),
+        report.dim_B,
+        report.dim_Z,
+        report.dim_unipotent,
+        _json_text(report.reductive_dim),
+        _json_text(report.total_dim),
+        _list_text(dual_a, nl[8]),
+        _list_text(dual_astar, nl[8]),
+        _list_text([_rows_text(m, 1, nl[10], texts)
+                    for m in dual_data.lattice.integer_action], nl[8]),
+        dual_data.lattice.rank,
+        dual_chars,
+        "true" if report.dim_B == 0 else "false",
+        _list_text([_EXTENSION_ENTRY % entry for entry in zip(a, astar, chars)],
+                   nl[6]),
+        _json_text(motive.A.name if motive.A is not None else None),
+        motive.g,
+        motive.r,
+        motive.s,
+        _json_text(motive.name),
+        motive.r,
+        weights.dim_wm1,
+        weights.dim_wm2,
+    )
+
+
+def _report_json(doc, reductive_dim=None):
+    """``serialize_document(build_report(doc, reductive_dim))``, written
+    straight from each motive's analysis: no report dict is formed."""
+    effective = _reductive_dim(doc, reductive_dim)
+    reports = [_motive_report_json(motive, *_analysis(motive, effective))
+               for motive in doc._motives]
+    return '{\n  "reports": %s\n}\n' % (_list_text(reports, _NEWLINE[2]),)
 
 
 def report_text(report):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motcalc import cli, exactlin
+from motcalc import cli, document, exactlin
 from motcalc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PARSE,
@@ -885,7 +885,8 @@ def test_analyze_forms_no_normalized_entry(capsys, monkeypatch, tmp_path):
             code, _, _ = run_main(capsys, argv[0], str(path), *argv[1:])
             assert code == 0
     assert callers
-    assert set(callers) <= {"_basis_json", "_rows_json", "analyze_motive"}
+    assert set(callers) <= {"_basis_json", "_rows_json", "analyze_motive",
+                            "_row_text"}
 
 
 # ----- analyze --format json against the report dict ----------------------
@@ -1017,6 +1018,26 @@ def test_analyze_json_of_generated_documents_is_the_text_of_the_report_dict(
         assert_report_json_is_the_dict_text(path)
 
 
+def test_analyze_json_forms_no_report_dict(monkeypatch):
+    """``analyze --format json``, with and without --check-invariants,
+    writes its report from the analysis: it runs no ``analyze_motive`` and
+    no ``serialize_document``, and prints the same text."""
+    calls = [(name, flags) for name in CORPUS_FILES
+             for flags in ((), ("--check-invariants",))]
+    expected = [analyze_json(corpus_path(name), *flags)
+                for name, flags in calls]
+
+    def raising(*args, **kwargs):
+        raise AssertionError("the JSON report formed a report dict")
+
+    monkeypatch.setattr(document, "analyze_motive", raising)
+    monkeypatch.setattr(document, "serialize_document", raising)
+    monkeypatch.setattr(cli, "serialize_document", raising)
+    for (name, flags), want in zip(calls, expected):
+        assert want[0] == 0
+        assert analyze_json(corpus_path(name), *flags) == want, name
+
+
 # i ⊕ √−3 on Q^4: the parser accepts Q(i) × Q(√−3) as a field, and the
 # analysis rejects it (tests/test_document.py, ROADMAP item 7).
 PRODUCT_OF_TWO_FIELDS = {
@@ -1060,3 +1081,23 @@ def test_analyze_rejections_print_no_report(capsys, tmp_path, fmt, case):
     assert err.startswith("validation error: ")
     if case != "product_of_two_fields":
         assert "reductive_dim: must be >= 0" in err
+
+
+@pytest.mark.parametrize("ranks, where", [
+    ((10 ** 30, 1), "motives[0].X_rank: must be <= %d" % (sys.maxsize,)),
+    ((1, 10 ** 30), "motives[0].Yv_rank: must be <= %d" % (sys.maxsize,)),
+    ((10 ** 10, 10 ** 10),
+     "motives[0].Yv_rank: X_rank * Yv_rank must be <= %d" % (sys.maxsize,)),
+], ids=["X_rank_1e30", "Yv_rank_1e30", "product_1e20"])
+@pytest.mark.parametrize("command", ["analyze", "dual", "gr"])
+def test_rank_past_the_index_size_exits_3(capsys, tmp_path, command, ranks,
+                                          where):
+    """A rank, or r·s, that no tuple can be indexed by is rejected at the
+    rank's path before anything is allocated from it."""
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps({"motives": [
+        {"X_rank": ranks[0], "Yv_rank": ranks[1]}]}), encoding="utf-8")
+    code, out, err = run_main(capsys, command, str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == "validation error: %s\n" % (where,)
