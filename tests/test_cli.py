@@ -858,8 +858,10 @@ def test_normalized_document_and_motives_match_the_eager_oracle():
 
 
 def test_analyze_forms_no_normalized_entry(capsys, monkeypatch, tmp_path):
-    """analyze, with and without --check-invariants, and gr write only the
-    report's text: no entry of the normalized document is formed."""
+    """analyze in both formats, with and without --check-invariants, and gr
+    write only the report's text: no entry of the normalized document is
+    formed.  The JSON report's rows are written by ``_row_text``, the text
+    report's through ``analyze_motive``'s dict."""
     callers = []
     original = exactlin._text_row
 
@@ -881,6 +883,7 @@ def test_analyze_forms_no_normalized_entry(capsys, monkeypatch, tmp_path):
         path.write_text(json.dumps(payload), encoding="utf-8")
         for argv in (("analyze", "--format", "json"),
                      ("analyze", "--format", "json", "--check-invariants"),
+                     ("analyze", "--check-invariants"),
                      ("gr", "--format", "json")):
             code, _, _ = run_main(capsys, argv[0], str(path), *argv[1:])
             assert code == 0
