@@ -714,15 +714,6 @@ def test_rational_past_the_integer_route_exits_3(capsys, tmp_path, command,
     assert "%s: cannot parse %r as a rational" % (where, text) in err
 
 
-@pytest.mark.parametrize("name", sorted(
-    os.path.basename(p) for p in glob.glob(os.path.join(CORPUS_DIR, "*.json"))))
-@pytest.mark.parametrize("argv", [("dual",), ("gr", "--format", "json")])
-def test_dual_and_gr_json_match_json_dumps(capsys, name, argv):
-    code, out, _ = run_main(capsys, argv[0], corpus_path(name), *argv[1:])
-    assert code == 0
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
-
-
 def test_exit_code_constants_are_distinct():
     codes = {EXIT_CHECK_FAILED, EXIT_PARSE, EXIT_VALIDATION, EXIT_UNSUPPORTED}
     assert codes == {1, 2, 3, 4}
@@ -951,6 +942,105 @@ EDGE_DOCUMENTS = {
         "options": {"reductive_dim": 4},
     },
 }
+
+
+def dual_and_gr_documents():
+    """{label: text}: the seed-0 documents of both generated workloads, the
+    End ⊋ Q documents and EDGE_DOCUMENTS."""
+    generate = benchmark_generator()
+    docs = {}
+    for workload in ("trivial_ladder", "cyclic_relators"):
+        docs.update(generate.documents(workload, 0))
+    docs.update((label, json.dumps(doc)) for label, doc in
+                {**END_ALGEBRA_DOCUMENTS, **EDGE_DOCUMENTS}.items())
+    return docs
+
+
+# sha256 of ``dual`` and of ``gr --format json`` on the documents of
+# ``dual_and_gr_documents``, recorded while ``serialize_document`` wrote
+# its JSON text with a writer of its own.
+DUAL_AND_GR_DIGESTS = {
+    "Q_i_dual_pair": (
+        "a691ae008fc5a7853a2eefa1c43d06dac7f7be8a314476bcfa0199c71b113a3a",
+        "c2c91bf431f5d02be6ea7d929651dc79223a24476ffaad82f6e68629f4c32975"),
+    "Q_i_sqrt2": (
+        "53c90a4920b5d6e789876c169d6160e6d9b57a011da7ed2e01d95e0327685f5f",
+        "74f2df2c23200685cdc6af2b8bf5a11f744d8f51d659a8dfb6e2cd9a9ed7a5ec"),
+    "Q_sqrt2_rational_generator": (
+        "3703463c47e3c1d5acce7da258ce8cab3ea97e2d11637080ecf3713f54c7546c",
+        "893ad2efc619cd068d41ab65dbfa79cb8acbc5c746522444f7dcfcf61548e64d"),
+    "Q_zeta3": (
+        "586f87ee479f92f00d138104335f97c1d83476f42d421d755c85abc876a254da",
+        "2ea0f77ece576044509bc147762324a0e694cc27530e46e99a5342ac7386ec16"),
+    "cyclic_0_n2": (
+        "05a1826941877527395fc49a7de871d8631e61cff5bc1a161b2589893f6ecc07",
+        "3379d57fb987956bc575ee882fe29ee13b009ff4e04fa7e3db30618fa01ac598"),
+    "cyclic_1_n3": (
+        "ea69502b681bfade3892654c49174277e8641427ede9b607ab03f80fd2dc0206",
+        "f9b30887f9ff43f24394decb390193867df762039b7081a6e037cafe28263e64"),
+    "cyclic_2_n3": (
+        "bb869de0f7dbdd2e9b75f5d5f4edbba3e4edfb2fe103b3331a0bb4ba4fe13fbd",
+        "3884fa9ebbae062b50a07ad3805eb37d7d48f474be44593db21f8ab343a90ff0"),
+    "cyclic_3_n3": (
+        "a5ae688607f36ca0f377213433c5ae1e3516a8eaf077d928dabdf7bb528b9480",
+        "ddd7f06103844eeabd863b60743688dda6f8b1f423a6965b665c85fb60d9ce3d"),
+    "escaped_names": (
+        "42675325a544eb8d50d9b1eb3cba88d1c597188aa41995c1e1e68c874772f8c2",
+        "eadd15fc52673a883f93d0f4127d8a850d616dcd8c55daa074a78840df9f5f35"),
+    "no_motives": (
+        "a9444d00e0ebef4ef8e54c3b112daa3c7a2d1ca579e71779ba35dcd76f49cb89",
+        "a05dc62e65eb5be12d325e2130382f3cde43b0f54af3e8ceec97f4ad515343de"),
+    "no_points": (
+        "17a7c9fb7b30087c31d6aa01b374ed4fb88fe286bd32e1d21dc598964382b4a7",
+        "78216240f0c880f619130dcd9bbbef5bb351e2130b7385c4bc75d89a3607a12e"),
+    "reductive_option": (
+        "6e15165220d981fbc524923e491f51036cb476aec0a4645b81fb7e967dca04a6",
+        "b6c5f5fd2dbd5a4e25c41cd17cdf8e1c9baa0ca5abfb0359e94af95e58303a47"),
+    "trivial_ab_0_n2": (
+        "0fca8be7077dad25ec6ee669bb4c39eca133c15d15b42eb87c7aa4644dd501a3",
+        "a67af470b6f40ccbb40a8949fe14021b27c6f6d031ccd2801e5df23859839c62"),
+    "trivial_ab_1_n3": (
+        "367d5dfca76a763bf7fd5b62a534a4f5523dfa56760ed577a4823ba2c3d56148",
+        "d7ce6f0715d86997589b3e7b232de2360ac365db0874401cddcb1f2f74380371"),
+    "trivial_ab_2_n4": (
+        "b1af6a2e731bb604927f9b3b95f37b4d114d43dc45ea06d15ddc4d0800125f24",
+        "d6645664bc59f477383538b5a11e0ec5651292fae2f7e9afc01e54bf60a70972"),
+    "trivial_torus_0_n3": (
+        "db56089d78e7c60324abd002e147a62a4e21c24f0cfa2e97e16a5d7ae1be7d93",
+        "0fa9a3e175815ff7583b50a823f3a478a42e0f14db485726d6f7d1df07ab67cd"),
+    "trivial_torus_1_n4": (
+        "a7e40bca2ff421d4f4dc4f645988c2c21b0f4f2151bdc5c4d105c54c898591d7",
+        "c8e95cdd5b99cc306e088d7445faf04d92100bc462bd7ccf654325a60cf38dbb"),
+    "unnamed_and_empty": (
+        "f073cf1ac3bcb7fe602f6a6d96418c6b61c72eddceb5c5e7541c82635bea641a",
+        "0d4ab8ca1bdaa61ecebc12aa44d8c26c7a0d4ad38b685367dfba8c9f985e47d3"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DUAL_AND_GR_DIGESTS))
+def test_dual_and_gr_match_recorded_digests(capsys, tmp_path, label):
+    path = tmp_path / "doc.json"
+    path.write_text(dual_and_gr_documents()[label], encoding="utf-8")
+    digests = []
+    for argv in (("dual",), ("gr", "--format", "json")):
+        code, out, _ = run_main(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == DUAL_AND_GR_DIGESTS[label]
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+    + sorted(DUAL_AND_GR_DIGESTS))
+@pytest.mark.parametrize("argv", [("dual",), ("gr", "--format", "json")])
+def test_dual_and_gr_json_match_json_dumps(capsys, tmp_path, name, argv):
+    path = corpus_path(name)
+    if name in DUAL_AND_GR_DIGESTS:
+        path = tmp_path / "doc.json"
+        path.write_text(dual_and_gr_documents()[name], encoding="utf-8")
+    code, out, _ = run_main(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def report_oracle_documents():
