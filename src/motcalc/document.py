@@ -25,7 +25,8 @@ A report has two writers, which tests keep equal: ``build_report``
 forms it as a dict (``analyze_motive``), for the text report and the
 library, and ``_report_json`` writes the JSON text of ``analyze
 --format json`` straight from each motive's analysis, one template per
-object of the report's schema.  A change to the schema changes both.
+object of the report's schema: the text ``json.dumps(..., sort_keys=True,
+indent=2)`` gives that dict.  A change to the schema changes both.
 
 Field summary (all optional unless noted):
 
@@ -530,99 +531,11 @@ def load_input(path):
 
 
 def serialize_document(payload):
-    """Deterministic JSON text for a document or report dict.
-
-    The text is that of ``json.dumps(payload, sort_keys=True, indent=2)``
-    plus a newline, written here because with ``indent`` set ``json``
-    runs its pure-Python encoder.  Payloads hold dicts with str keys,
-    lists, str, int, bool and None; any other value raises TypeError.
+    """Deterministic JSON text for a document or report dict: that of
+    ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
     ``analyze --format json`` does not come here: ``_report_json`` writes
-    its report straight from the analysis.
-    """
-    chunks = []
-    _write_json(payload, "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-# The text of each dict key with its separator, formed once: the keys come
-# from the fixed schemas of documents and reports.
-_KEY_TEXT = {}
-
-
-def _write_json(value, newline, chunks):
-    """Append ``value`` as indented JSON to ``chunks``; ``newline`` ends its
-    line and indents.  The loop over a dict or a mixed list writes each
-    str, int or None item with no call of its own."""
-    kind = type(value)
-    if value is None:
-        chunks.append("null")
-    elif kind is bool:
-        chunks.append("true" if value else "false")
-    elif kind is list or kind is not dict and isinstance(value, list):
-        if not value:
-            chunks.append("[]")
-            return
-        inner = newline + "  "
-        separator = "," + inner
-        try:
-            joined = "".join(value) if type(value[0]) is str else None
-        except TypeError:  # a mixed list: write it item by item
-            joined = None
-        if joined is None:
-            lead = "[" + inner
-            for item in value:
-                chunks.append(lead)
-                lead = separator
-                kind = type(item)
-                if kind is str:
-                    chunks.append(_json_str(item))
-                elif kind is int:
-                    chunks.append(int.__repr__(item))
-                elif item is None:
-                    chunks.append("null")
-                else:
-                    _write_json(item, inner, chunks)
-            chunks.append(newline + "]")
-        elif len(_json_str(joined)) == len(joined) + 2:  # nothing to escape
-            chunks.append('[%s"%s"%s]' % (
-                inner, ('"' + separator + '"').join(value), newline))
-        else:
-            chunks.append("[%s%s%s]" % (
-                inner, separator.join(map(_json_str, value)), newline))
-    elif kind is dict or isinstance(value, dict):
-        if not value:
-            chunks.append("{}")
-            return
-        inner = newline + "  "
-        lead = "{" + inner
-        for key in sorted(value):
-            text = _KEY_TEXT.get(key)
-            if text is None:
-                if not isinstance(key, str):
-                    raise TypeError("keys must be str, not %s"
-                                    % (type(key).__name__,))
-                text = _KEY_TEXT[key] = _json_str(key) + ": "
-            chunks.append(lead + text)
-            lead = "," + inner
-            item = value[key]
-            kind = type(item)
-            if kind is str:
-                chunks.append(_json_str(item))
-            elif kind is int:
-                chunks.append(int.__repr__(item))
-            elif item is None:
-                chunks.append("null")
-            else:
-                _write_json(item, inner, chunks)
-        chunks.append(newline + "}")
-    elif isinstance(value, str):
-        chunks.append(_json_str(value))
-    elif isinstance(value, int):
-        chunks.append(int.__repr__(value))
-    else:
-        raise TypeError("Object of type %s is not JSON serializable"
-                        % (type(value).__name__,))
+    its report straight from the analysis."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def dual_document(doc):
@@ -802,8 +715,8 @@ def build_report(doc, reductive_dim=None):
 
 # The report's JSON text, written straight from the analysis by
 # ``_report_json``: one template per object of ``analyze_motive``'s dict,
-# keys in sort_keys order, each at the indent that ``serialize_document``
-# gives it inside the "reports" list.
+# keys in sort_keys order, each at the indent that ``json.dumps(...,
+# sort_keys=True, indent=2)`` gives it inside the "reports" list.
 _REPORT = """{
       "B": {
         "dim_B": %d,
@@ -928,10 +841,10 @@ def _basis_text(space, newline, texts):
 
 
 def _motive_report_json(motive, weights, end_data, report, dual_data):
-    """The text ``serialize_document`` gives ``analyze_motive``'s dict for
-    one motive inside the "reports" list, formed from the same analysis
-    objects: each object the dict shares, such as Z's rows as the
-    extension characters, is written once."""
+    """The text ``json.dumps(..., sort_keys=True, indent=2)`` gives
+    ``analyze_motive``'s dict for one motive inside the "reports" list,
+    formed from the same analysis objects: each object the dict shares,
+    such as Z's rows as the extension characters, is written once."""
     texts, nl = {}, _NEWLINE
     ext = report.extension
     chars = [_row_text(row, report.z.den, nl[10]) for row in report.z.ints]
@@ -992,8 +905,9 @@ def _motive_report_json(motive, weights, end_data, report, dual_data):
 
 
 def _report_json(doc, reductive_dim=None):
-    """``serialize_document(build_report(doc, reductive_dim))``, written
-    straight from each motive's analysis: no report dict is formed."""
+    """The text ``json.dumps(build_report(doc, reductive_dim),
+    sort_keys=True, indent=2)`` gives, plus a newline, written straight
+    from each motive's analysis: no report dict is formed."""
     effective = _reductive_dim(doc, reductive_dim)
     reports = [_motive_report_json(motive, *_analysis(motive, effective))
                for motive in doc._motives]

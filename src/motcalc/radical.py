@@ -49,7 +49,7 @@ Subspaces of X^v tensor Y are flattened with index (i, j) -> i*s + j.
 import math
 
 from .abelian import PointVector
-from .exactlin import IntLattice, Subspace, _least, saturate
+from .exactlin import IntLattice, Subspace, _fraction_row, _least, saturate
 from .lattices import GaloisLattice
 from .motive import OneMotive
 from .multgroup import MultSpace
@@ -157,31 +157,29 @@ class ExtensionHom:
     For a character z (an r x s table), the A*-side value puts
     sum_j z_ij v*(f_j) on the i-th copy of A*, and the A-side value puts
     sum_i z_ij v(e_i) on the j-th copy of A; together these are the
-    coordinates of a point of B*(k) tensor Q.
+    coordinates of a point of B*(k) tensor Q.  The characters are held
+    as integer rows ``ints`` over one denominator ``den``.
     """
 
-    def __init__(self, characters, astar_values, a_values):
-        self._characters = characters
+    def __init__(self, ints, den, astar_values, a_values):
+        self.ints = ints
+        self.den = den
         self.astar_values = astar_values
         self.a_values = a_values
 
     @property
     def characters(self):
-        """The characters as given, or, when given as the space Z, Z's
-        ``Fraction`` rows, formed on first read (``Subspace.rows``)."""
-        chars = self._characters
-        return chars.rows if isinstance(chars, Subspace) else chars
+        """The characters ints[k]/den as ``Fraction`` rows, formed when read."""
+        return tuple(_fraction_row(row, self.den) for row in self.ints)
 
     def __repr__(self):
         return "ExtensionHom(%d characters)" % (len(self.astar_values),)
 
 
-def _extension_values(m, characters, ints, den):
-    """V on each character, built in one pass over its nonzero entries.
+def _extension_values(m, ints, den):
+    """V on each character ints[k]/den, built in one pass over its nonzero
+    entries.
 
-    ``characters[k]`` is ``ints[k]`` over the one denominator ``den``;
-    ``characters`` may also be the ``Subspace`` whose form (ints, den) is,
-    so that its ``Fraction`` rows are formed only if a caller reads them.
     Entry k of z, at (i, j) = divmod(k, s), adds z_k v*_j to row i of the
     A* side and z_k v_i to row j of the A side.  Each value is an integer
     form (``PointVector._of_ints``) over dz * d, with z = ints/dz at its
@@ -193,7 +191,7 @@ def _extension_values(m, characters, ints, den):
     """
     if m.A is None:
         none = (None,) * len(ints)
-        return ExtensionHom(characters, none, none)
+        return ExtensionHom(ints, den, none, none)
     r, s = m.r, m.s
     vstar, dstar = m.vstar.integer_coords()
     v, d = m.v.integer_coords()
@@ -218,7 +216,7 @@ def _extension_values(m, characters, ints, den):
         for j, terms in on_a.items():
             rows[j] = _point_row(terms)
         a_values.append(PointVector._of_ints(m.A, tuple(rows), dz * d))
-    return ExtensionHom(characters, tuple(astar_values), tuple(a_values))
+    return ExtensionHom(ints, den, tuple(astar_values), tuple(a_values))
 
 
 def _point_row(terms):
@@ -257,7 +255,7 @@ class RadicalReport:
         """V: Z^v -> B* on the basis of Z, built on first read and kept."""
         if self._extension is None:
             z = self.z
-            self._extension = _extension_values(self.motive, z, z.ints, z.den)
+            self._extension = _extension_values(self.motive, z.ints, z.den)
         return self._extension
 
     def __repr__(self):
@@ -370,5 +368,5 @@ def radical_cartier_dual(report):
     if report.z.den == 1:
         extension = report.extension
     else:
-        extension = _extension_values(m, chars, chars, 1)
+        extension = _extension_values(m, chars, 1)
     return DualRadicalData(report, lattice, chars, extension)

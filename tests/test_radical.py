@@ -1185,10 +1185,9 @@ def extension_cases(draw):
 @given(extension_cases())
 def test_extension_values_match_the_stacked_product(case):
     m, characters = case
-    ext = radical._extension_values(m, characters,
-                                    *exactlin._integer_rows(characters))
+    ext = radical._extension_values(m, *exactlin._integer_rows(characters))
     astar, a = stacked_product_extension(m, characters)
-    assert ext.characters is characters
+    assert ext.characters == characters
     assert [p.coords for p in ext.astar_values] == astar
     assert [p.coords for p in ext.a_values] == a
     for points, variety, count, width in [
@@ -1294,7 +1293,7 @@ def extension_value_cases(draw):
 @given(extension_value_cases())
 def test_extension_values_match_the_slicing_oracle(case):
     m, ints, den = case
-    ext = radical._extension_values(m, ints, ints, den)
+    ext = radical._extension_values(m, ints, den)
     astar, a = slicing_extension_values(m, ints, den)
     got_astar = [p.integer_coords() for p in ext.astar_values]
     got_a = [p.integer_coords() for p in ext.a_values]
