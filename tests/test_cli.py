@@ -1043,6 +1043,113 @@ def test_dual_and_gr_json_match_json_dumps(capsys, tmp_path, name, argv):
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+
+def text_report_documents():
+    """{label: text}: the corpus, by file name, and the documents of
+    ``dual_and_gr_documents``."""
+    docs = {os.path.basename(p): open(p, encoding="utf-8").read()
+            for p in glob.glob(os.path.join(CORPUS_DIR, "*.json"))}
+    docs.update(dual_and_gr_documents())
+    return docs
+
+
+# sha256 of ``analyze`` in the text format, without and with
+# ``--reductive-dim 4``, on the documents of ``text_report_documents``,
+# recorded while the text report was formed from a report dict built on
+# its own beside the JSON writer.
+TEXT_REPORT_DIGESTS = {
+    "Q_i_dual_pair": (
+        "b13b51f05e65d03201dfecf65a07abcb1210984f22ffcc4a4ad0c1590d6f3a8f",
+        "676d919804d949b026c79e2d030fc21064cfd5d86570440f26df1de79fc31cba"),
+    "Q_i_sqrt2": (
+        "cd2c775731e2ff28b4c0633563ab12a797e6993c3452dbc2d20f524e2fb653e2",
+        "18d3f104a2f842f78e0a4542535e906fa7342782af57f25423f49a56ed6715ab"),
+    "Q_sqrt2_rational_generator": (
+        "88ca80e5c947c5cd13f577d8cae8113223fb4271f9a6847f65c8c2ee8ada5c72",
+        "12f44933a73814478532990063768ce394ce3e5d4760493dce286d657b1b6a60"),
+    "Q_zeta3": (
+        "d21810bdc93838ebb3689273340e2deb5215387f13700d9d40411c4f7706bb55",
+        "4fae6f428bca220d3bab97af5399e04248e3b3f039e8e6e64d9effe1994e44a8"),
+    "cyclic_0_n2": (
+        "abe316174e67994a8e5dd947334998986891b017529a07f9d155aa3595787bff",
+        "7c3fad950fed7312a3710d7c0334f8d178e5f11bba458387823ef1057eed9a3e"),
+    "cyclic_1_n3": (
+        "d0eb897564ca06d033f42b91a07dda37cc96078ec9ea742bad38454669b0defe",
+        "a884aaf5b23b49a600f7489023d64895cde2a2ac984a373bfc7b711dbd4a8383"),
+    "cyclic_2_n3": (
+        "429aa059a47a343ed49826108c590389adc13950d09bca5dbc5edabcdf8b9128",
+        "a82d814030ed6cc08cd27a5cc8e7f1643527300642b41b4e3047174d63e61aec"),
+    "cyclic_3_n3": (
+        "a1e13a589b5a77a5e9dcd8319c72ee02bc05b4584d9bc660ab1bf09d7796ddd2",
+        "77271a49e66d17a8b5a37def660768d721b537c30f260a850f6919ca9818db38"),
+    "ell_indep.json": (
+        "ac843fa74ab8dab6bd9b8c2b082e62c79783e70c66f8ace7e2fdf4b7b15d3c5a",
+        "69e8b3d12c7002f01bfabe0ec0d68d50459777892457ef029bab7b9673da53f4"),
+    "ell_rel.json": (
+        "5c6a4e2dcfb1df4dd1a505a13be3a0b001f2428ea86df4c7d1d26dd7f350a60d",
+        "9b12f20e69318f96b84aae85b7a041f6bdd0a1b5abe41533e3522e4713c6af9a"),
+    "escaped_names": (
+        "f683aa9d22f07c2c7a4a75d6c7cec131c7fcb7c97c969599002b1230e2f34836",
+        "1e3bac950076359d895ccd7f56ad724148fd7eb098b6136c95c35595bf3c39be"),
+    "ext_weil.json": (
+        "c69e13f9409a16ff09748e87538b57ce1602a71cee8afcb12d5ebecc0c215646",
+        "1aeee84283efcb4555a0ea62e662bc62fecf00f64a77e9c8edb2fa593c146906"),
+    "no_motives": (
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    "no_points": (
+        "cb7ee18d74b3cf3ab575e65388418467908445104dd52d6a1143de2c8c75fe76",
+        "8f52a7bedcaf7483b5c674a4096c80961e7f6e5c8d94dd77265ed21677732c91"),
+    "reductive_option": (
+        "88ab8db020d0d68e3051e399d590f04950bd87623cfaf31f94367c6e3660a6fb",
+        "88ab8db020d0d68e3051e399d590f04950bd87623cfaf31f94367c6e3660a6fb"),
+    "sec39_gm2.json": (
+        "04a609ef374b2792bf32560a3633f1b98708d953c0880e408c78f438fba3b17d",
+        "04a609ef374b2792bf32560a3633f1b98708d953c0880e408c78f438fba3b17d"),
+    "sec39_gm3.json": (
+        "f5ec471ed9ad5615ab10ce151c9a914e6c68e769f06da8f11348441e86fb0cee",
+        "f5ec471ed9ad5615ab10ce151c9a914e6c68e769f06da8f11348441e86fb0cee"),
+    "sec39_z4_gm.json": (
+        "7ab45fa8006c4da4fdeac4609852e61e113451a4bdce363a87c20c4b347164ec",
+        "7ab45fa8006c4da4fdeac4609852e61e113451a4bdce363a87c20c4b347164ec"),
+    "trivial_ab_0_n2": (
+        "9223d6139b80940a6c191f112a4a3137eb6b673188d2496c3f3ba34f42f5bdad",
+        "d0b2bbdc7d1713f7d6a67449c0e53c41d7991b06feae2df94b66f7ed05c0d89d"),
+    "trivial_ab_1_n3": (
+        "3d2d2603f1da1fd97e1f9205b2090e8069cfb11968f41da7793641dca547f5e7",
+        "42b7b96080970a4e8273ec5ad8ded4115556d657f78d0a109fdc3197517b92cd"),
+    "trivial_ab_2_n4": (
+        "ce98f4d51e279c322568624b458515f9a26187fb4f38f811e66050ba6e5a908a",
+        "7c09bfaf008942e6c8b0bc5dc7fb1be675aacff702fa3fe5a8b3ac04ed804a8d"),
+    "trivial_torus_0_n3": (
+        "24a5855e9dcadd1faa2db359040f118c51ea6c37b16ecef45f030a10bcc9f638",
+        "24a5855e9dcadd1faa2db359040f118c51ea6c37b16ecef45f030a10bcc9f638"),
+    "trivial_torus_1_n4": (
+        "5cb740ca130b2acf2b8ddb02035cc76df57e94a8717926030d6f46761cf8a06e",
+        "5cb740ca130b2acf2b8ddb02035cc76df57e94a8717926030d6f46761cf8a06e"),
+    "unnamed_and_empty": (
+        "22505d62543d92a5b662cc95ba1f4f09b9701ef0e3d8012bed09d1a8d8d73f2d",
+        "22505d62543d92a5b662cc95ba1f4f09b9701ef0e3d8012bed09d1a8d8d73f2d"),
+    "z0.json": (
+        "c60dfe04a45b019513edc31f0f3e1166fd07d5deb4b0fc503fc69ac7e0d1c262",
+        "c60dfe04a45b019513edc31f0f3e1166fd07d5deb4b0fc503fc69ac7e0d1c262"),
+    "z1.json": (
+        "af57c503f7336495368e2a875fcfec938231f196b386fe5b6c34f3d3bf1de54b",
+        "af57c503f7336495368e2a875fcfec938231f196b386fe5b6c34f3d3bf1de54b"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TEXT_REPORT_DIGESTS))
+def test_text_report_matches_recorded_digests(capsys, tmp_path, label):
+    path = tmp_path / "doc.json"
+    path.write_text(text_report_documents()[label], encoding="utf-8")
+    digests = []
+    for flags in ((), ("--reductive-dim", "4")):
+        code, out, _ = run_main(capsys, "analyze", str(path), *flags)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == TEXT_REPORT_DIGESTS[label]
+
 def report_oracle_documents():
     """(label, text): the corpus, seeds 0-9 of both generated workloads,
     RATIONAL_DOCUMENT, the End ⊋ Q documents and EDGE_DOCUMENTS."""
