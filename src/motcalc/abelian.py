@@ -514,13 +514,6 @@ class PointVector:
         self._coords, self._ints, self._subvariety = rows, None, None
 
     @classmethod
-    def _of(cls, variety, coords):
-        """Wrap a tuple of ``Fraction`` tuples of the right length, unchecked."""
-        p = object.__new__(cls)
-        p.variety, p._coords, p._ints, p._subvariety = variety, coords, None, None
-        return p
-
-    @classmethod
     def _of_ints(cls, variety, ints, den):
         """Wrap an integer form (see the class) of the right shape, unchecked."""
         p = object.__new__(cls)

@@ -21,12 +21,17 @@ a valid document over the same varieties.  The normalized document is
 formed from what the parser kept, on first read (``InputDocument``):
 the analysis, the invariant checks and the graded summary never read it.
 
-A report has two writers, which tests keep equal: ``build_report``
-forms it as a dict (``analyze_motive``), for the text report and the
-library, and ``_report_json`` writes the JSON text of ``analyze
---format json`` straight from each motive's analysis, one template per
-object of the report's schema: the text ``json.dumps(..., sort_keys=True,
-indent=2)`` gives that dict.  A change to the schema changes both.
+A report has one writer, ``_report_json``: it writes the JSON text of
+``analyze --format json`` straight from each motive's analysis, one
+template per object of the report's schema, in the form
+``json.dumps(..., sort_keys=True, indent=2)`` gives.  ``build_report``
+and ``analyze_motive``, for the text report and the library, read their
+dicts back from that text, so a change to the schema is made in the
+templates alone.  The templates, not a dict, stay the writer because
+they write the JSON report fastest: on the benchmark's documents,
+forming the dict first made ``analyze --format json`` 13-36% slower
+when a generic ``json.dumps``-like writer wrote it, and up to 10%
+slower when the templates were filled from it.
 
 Field summary (all optional unless noted):
 
@@ -567,42 +572,6 @@ def dual_document(doc):
     return out
 
 
-def _basis_json(space):
-    return [_text_row(row, space.den) for row in space.ints]
-
-
-def _rows_json(rows, texts, den=1):
-    """Each row over den as a list of strings (``_text_row``), one list per
-    row object and den."""
-    out = []
-    for row in rows:
-        key = id(row) if den == 1 else (id(row), den)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = _text_row(row, den)
-        out.append(text)
-    return out
-
-
-def _points_json(points, texts):
-    if points is None:
-        return None
-    ints, den = points.integer_coords()
-    return _rows_json(ints, texts, den)
-
-
-def _bracket_json(data, texts):
-    table = []
-    for (l, p, q), mat in sorted(data.bracket.coefficients.items()):
-        table.append({
-            "component": l,
-            "left_block": p,
-            "right_block": q,
-            "matrix": _rows_json(map(mat.row, range(mat.rows)), texts),
-        })
-    return table
-
-
 def _gr_json(motive):
     """The ranks and the abelian part of a motive's graded pieces."""
     return {
@@ -632,91 +601,11 @@ def _analysis(motive, reductive_dim):
     return weights, end_data, report, radical_cartier_dual(report)
 
 
-def analyze_motive(motive, reductive_dim=None):
-    """All computed data for one motive, as a JSON-ready dict."""
-    weights, end_data, report, dual_data = _analysis(motive, reductive_dim)
-    # Each shared object is formatted once: the extension characters are
-    # Z's rows, Z1 may be Z, and the dual may reuse the extension.  So is
-    # each point or matrix row, by id: end_data, report and dual_data hold it.
-    texts = {}
-    ext = report.extension
-    z_basis = _basis_json(report.z)
-    astar = [_points_json(p, texts) for p in ext.astar_values]
-    a = [_points_json(p, texts) for p in ext.a_values]
-    dual_chars, dual_astar, dual_a = z_basis, astar, a
-    if dual_data.extension is not ext:
-        dual_chars = [_text_row(c) for c in dual_data.characters]
-        dual_astar = [_points_json(p, texts) for p in dual_data.astar_values]
-        dual_a = [_points_json(p, texts) for p in dual_data.a_values]
-
-    payload = {
-        "name": motive.name,
-        "weights": {
-            "w0_rank": motive.r,
-            "wm1_dim": weights.dim_wm1,
-            "wm2_dim": weights.dim_wm2,
-        },
-        "gr": _gr_json(motive),
-        "E": {
-            "em1_dim": (motive.r + motive.s) * motive.g,
-            "em2_rank": end_data.em2.rank,
-            "bracket": _bracket_json(end_data, texts),
-        },
-        "b": {
-            "b1": _points_json(report.b1, texts),
-            "b2": _points_json(report.b2, texts),
-        },
-        "B": {
-            "w_a_basis": _basis_json(report.b.w_a.module)
-            if report.b.w_a is not None else None,
-            "w_astar_basis": _basis_json(report.b.w_astar.module)
-            if report.b.w_astar is not None else None,
-            "dim_B": report.dim_B,
-        },
-        "Z": {
-            "z1_basis": z_basis if report.z1 is report.z
-            else _basis_json(report.z1),
-            "z1_dim": report.z1.dim,
-            "z_basis": z_basis,
-            "dim_Z": report.dim_Z,
-            "quasi_deficient": report.quasi_deficient,
-            "derived_dim": report.derived_dim,
-        },
-        "extension": [
-            {"character": char, "astar_points": p, "a_points": q}
-            for char, p, q in zip(z_basis, astar, a)
-        ],
-        "dims": {
-            "dim_B": report.dim_B,
-            "dim_Z": report.dim_Z,
-            "dim_unipotent": report.dim_unipotent,
-            "reductive_dim": report.reductive_dim,
-            "total_dim": report.total_dim,
-        },
-        "dual_radical": {
-            "Zv_rank": dual_data.lattice.rank,
-            "Zv_action": [_rows_json(m, texts)
-                          for m in dual_data.lattice.integer_action],
-            "characters": dual_chars,
-            "V_astar": dual_astar,
-            "V_a": dual_a,
-            "expressible": report.dim_B == 0,
-        },
-    }
-    return payload, report
-
-
-def build_report(doc, reductive_dim=None):
-    """Analyze every motive of a document, in input order."""
-    effective = _reductive_dim(doc, reductive_dim)
-    return {"reports": [analyze_motive(motive, reductive_dim=effective)[0]
-                        for motive in doc._motives]}
-
-
-# The report's JSON text, written straight from the analysis by
-# ``_report_json``: one template per object of ``analyze_motive``'s dict,
-# keys in sort_keys order, each at the indent that ``json.dumps(...,
-# sort_keys=True, indent=2)`` gives it inside the "reports" list.
+# The report's JSON text, the one form of the report's schema
+# (``build_report`` and ``analyze_motive`` read it back): one template per
+# object of the schema, keys in sort_keys order, each at the indent that
+# ``json.dumps(..., sort_keys=True, indent=2)`` gives it inside the
+# "reports" list.
 _REPORT = """{
       "B": {
         "dim_B": %d,
@@ -841,10 +730,10 @@ def _basis_text(space, newline, texts):
 
 
 def _motive_report_json(motive, weights, end_data, report, dual_data):
-    """The text ``json.dumps(..., sort_keys=True, indent=2)`` gives
-    ``analyze_motive``'s dict for one motive inside the "reports" list,
-    formed from the same analysis objects: each object the dict shares,
-    such as Z's rows as the extension characters, is written once."""
+    """One motive's report as JSON text, in the form ``json.dumps(...,
+    sort_keys=True, indent=2)`` gives inside the "reports" list, written
+    from its analysis: an object the report shows twice, such as Z's rows
+    as the extension characters, is written once."""
     texts, nl = {}, _NEWLINE
     ext = report.extension
     chars = [_row_text(row, report.z.den, nl[10]) for row in report.z.ints]
@@ -852,11 +741,11 @@ def _motive_report_json(motive, weights, end_data, report, dual_data):
     astar = [_points_text(p, nl[10], texts) for p in ext.astar_values]
     a = [_points_text(p, nl[10], texts) for p in ext.a_values]
     dual_chars, dual_astar, dual_a = z_basis, astar, a
-    if dual_data.extension is not ext:
-        dual_chars = _rows_text(dual_data.characters, 1, nl[8], texts)
-        dual_astar = [_points_text(p, nl[10], texts)
-                      for p in dual_data.astar_values]
-        dual_a = [_points_text(p, nl[10], texts) for p in dual_data.a_values]
+    dual = dual_data.extension
+    if dual is not ext:
+        dual_chars = _rows_text(dual.ints, dual.den, nl[8], texts)
+        dual_astar = [_points_text(p, nl[10], texts) for p in dual.astar_values]
+        dual_a = [_points_text(p, nl[10], texts) for p in dual.a_values]
     bracket = [
         _BRACKET_ENTRY % (l, p, _rows_text(map(mat.row, range(mat.rows)),
                                            1, nl[12], texts), q)
@@ -905,13 +794,27 @@ def _motive_report_json(motive, weights, end_data, report, dual_data):
 
 
 def _report_json(doc, reductive_dim=None):
-    """The text ``json.dumps(build_report(doc, reductive_dim),
+    """The report of every motive of a document, in input order, as the
+    text ``analyze --format json`` prints: the form ``json.dumps(...,
     sort_keys=True, indent=2)`` gives, plus a newline, written straight
-    from each motive's analysis: no report dict is formed."""
+    from each motive's analysis (``_motive_report_json``)."""
     effective = _reductive_dim(doc, reductive_dim)
     reports = [_motive_report_json(motive, *_analysis(motive, effective))
                for motive in doc._motives]
     return '{\n  "reports": %s\n}\n' % (_list_text(reports, _NEWLINE[2]),)
+
+
+def build_report(doc, reductive_dim=None):
+    """The report of every motive of a document as a dict: the text of
+    ``_report_json`` read back."""
+    return json.loads(_report_json(doc, reductive_dim))
+
+
+def analyze_motive(motive, reductive_dim=None):
+    """One motive's report as a dict, read back from its text
+    (``_motive_report_json``), and the radical report it is written from."""
+    analysis = _analysis(motive, reductive_dim)
+    return json.loads(_motive_report_json(motive, *analysis)), analysis[2]
 
 
 def report_text(report):

@@ -187,7 +187,7 @@ def _extension_values(m, ints, den):
     not always the least one.  A row with one term of coefficient 1 (every
     nonzero row of a unit character) is the input point's own int row, a
     row with none the side's one zero row, and any other an integer sum:
-    the report formats a shared row once (``document._rows_json``).
+    the report writes a shared row once (``document._rows_text``).
     """
     if m.A is None:
         none = (None,) * len(ints)
@@ -309,20 +309,29 @@ class DualRadicalData:
 
     ``lattice`` is Z^v with the trivial action: X^v tensor Y fixes Z
     pointwise, so the dual of its restriction to Z is the identity.
-    ``characters`` is the matching integral basis of Z, ``extension`` V on it.
-    ``astar_values``/``a_values`` give V on each basis character as
-    points on the two sides of B* ((A*)^r restricted by the W_A module,
-    A^s restricted by the W_A* module; the module data itself sits in
-    ``report.b``).
+    ``extension`` is V on the matching integral basis of Z, which
+    ``characters`` reads as int rows.  ``astar_values``/``a_values`` give
+    V on each basis character as points on the two sides of B* ((A*)^r
+    restricted by the W_A module, A^s restricted by the W_A* module; the
+    module data itself sits in ``report.b``).
     """
 
-    def __init__(self, report, lattice, characters, extension):
+    def __init__(self, report, lattice, extension):
         self.report = report
         self.lattice = lattice
-        self.characters = characters
         self.extension = extension
-        self.astar_values = extension.astar_values
-        self.a_values = extension.a_values
+
+    @property
+    def characters(self):
+        return self.extension.ints
+
+    @property
+    def astar_values(self):
+        return self.extension.astar_values
+
+    @property
+    def a_values(self):
+        return self.extension.a_values
 
     def to_one_motive(self, name=None):
         """Re-express as a OneMotive when the data permits.
@@ -369,4 +378,4 @@ def radical_cartier_dual(report):
         extension = report.extension
     else:
         extension = _extension_values(m, chars, 1)
-    return DualRadicalData(report, lattice, chars, extension)
+    return DualRadicalData(report, lattice, extension)

@@ -27,13 +27,13 @@ from motcalc.cli import (
     main,
 )
 from motcalc.document import (
-    build_report,
     dual_document,
     load_input,
     parse_input,
     serialize_document,
 )
 from motcalc.motive import OneMotive
+from test_document import report_oracle
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "motives")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -851,8 +851,8 @@ def test_normalized_document_and_motives_match_the_eager_oracle():
 def test_analyze_forms_no_normalized_entry(capsys, monkeypatch, tmp_path):
     """analyze in both formats, with and without --check-invariants, and gr
     write only the report's text: no entry of the normalized document is
-    formed.  The JSON report's rows are written by ``_row_text``, the text
-    report's through ``analyze_motive``'s dict."""
+    formed.  Every row of either format is written by ``_row_text``: the
+    text report reads the JSON report back."""
     callers = []
     original = exactlin._text_row
 
@@ -879,8 +879,7 @@ def test_analyze_forms_no_normalized_entry(capsys, monkeypatch, tmp_path):
             code, _, _ = run_main(capsys, argv[0], str(path), *argv[1:])
             assert code == 0
     assert callers
-    assert set(callers) <= {"_basis_json", "_rows_json", "analyze_motive",
-                            "_row_text"}
+    assert set(callers) <= {"_row_text"}
 
 
 # ----- analyze --format json against the report dict ----------------------
@@ -897,14 +896,17 @@ def analyze_json(path, *flags):
 
 
 def assert_report_json_is_the_dict_text(path, *flags, reductive_dim=None):
-    """``analyze --format json`` prints ``serialize_document`` of the
-    report dict that ``build_report`` forms, and that text is the one of
-    ``json.dumps(..., sort_keys=True, indent=2)``."""
+    """``analyze --format json`` prints the report that ``report_oracle``
+    builds on its own for each motive, as the text ``json.dumps(...,
+    sort_keys=True, indent=2)`` gives it.  ``reductive_dim`` is the value
+    the flags give, if any."""
     code, text = analyze_json(path, *flags)
     assert code == 0, path
     doc = load_input(str(path))
-    assert text == serialize_document(
-        build_report(doc, reductive_dim=reductive_dim)), path
+    if reductive_dim is None:
+        reductive_dim = doc.options.get("reductive_dim")
+    assert json.loads(text) == {"reports": [
+        report_oracle(motive, reductive_dim) for _, motive in doc.motives]}, path
     assert text == json.dumps(json.loads(text), sort_keys=True,
                               indent=2) + "\n", path
 
