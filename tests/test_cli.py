@@ -1045,7 +1045,6 @@ def test_dual_and_gr_json_match_json_dumps(capsys, tmp_path, name, argv):
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
-
 def text_report_documents():
     """{label: text}: the corpus, by file name, and the documents of
     ``dual_and_gr_documents``."""
